@@ -25,11 +25,11 @@ from .binwords import (
 )
 from .counting import (
     AlphaData,
-    CountRecord,
     PrecisionLimitError,
     alpha,
     bounded_compositions,
     closed_form_compositions,
+    count,
     cumulative,
     growth_target,
     lowlying_lower_bound,

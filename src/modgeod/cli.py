@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -70,50 +69,36 @@ def _word_from_args(args, parser) -> BinaryWord:
 # ---------------------------------------------------------------------------
 # count
 
-def _count_value(family: str, t: int, m, cumulative: bool, primitive: bool) -> int:
+# CLI names for the primitive part of a formula family
+_PRIMITIVE_ALIASES = {"primitive": "classes", "reciprocal-primitive": "reciprocal"}
+
+
+def _count_value(args) -> int:
+    family, t, m = args.family, args.t, args.m
     if family == "classes+torsion":
-        if not cumulative:
+        if not args.cumulative:
             raise ValueError("classes+torsion only makes sense cumulatively")
         return ct.cumulative("classes", t, include_torsion=True)
-    if family in ("classes", "primitive"):
-        primitive = primitive or family == "primitive"
-        if cumulative:
-            return ct.cumulative("classes", t, primitive=primitive)
-        return ct.primitive_class_count(t) if primitive else ct.necklace_count(t)
-    if family in ("reciprocal", "reciprocal-primitive"):
-        primitive = primitive or family == "reciprocal-primitive"
-        if cumulative:
-            return ct.cumulative("reciprocal", t, primitive=primitive)
-        return ct.reciprocal_count(t, primitive=primitive)
     if family == "lowlying":
         if m is None:
             raise ValueError("family 'lowlying' needs --m")
         if t > _ENUMERATION_HARD_CAP:
             raise ValueError(f"lowlying counts are enumerated; --t above {_ENUMERATION_HARD_CAP} is out of range")
-        lengths = range(1, t + 1) if cumulative else (t,)
+        lengths = range(1, t + 1) if args.cumulative else (t,)
         return sum(
-            sum(1 for _ in en.classes(tau, m=m, primitive=primitive))
+            sum(1 for _ in en.classes(tau, m=m, primitive=args.primitive))
             for tau in lengths
         )
-    if family in ("lowlying-reciprocal", "compositions"):
-        if family == "compositions" and m is None:
-            # unbounded parts
-            if cumulative:
-                return sum(1 << (n - 1) for n in range(1, t + 1))
-            return 1 << (t - 1)
-        if m is None:
-            raise ValueError(f"family {family!r} needs --m")
-        if primitive:
-            raise ValueError(f"--primitive is not defined for family {family!r}")
-        if cumulative:
-            return ct.cumulative(family, t, m=m)
-        return ct.bounded_compositions(t, m)
-    raise ValueError(f"unknown family {family!r}")
+    primitive = args.primitive or family in _PRIMITIVE_ALIASES
+    family = _PRIMITIVE_ALIASES.get(family, family)
+    if args.cumulative:
+        return ct.cumulative(family, t, m=m, primitive=primitive)
+    return ct.count(family, t, m=m, primitive=primitive)
 
 
 def cmd_count(args, parser) -> int:
     try:
-        value = _count_value(args.family, args.t, args.m, args.cumulative, args.primitive)
+        value = _count_value(args)
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "json":
@@ -137,23 +122,25 @@ def cmd_count(args, parser) -> int:
 def cmd_enumerate(args, parser) -> int:
     if args.t > _ENUMERATION_HARD_CAP:
         parser.error(f"--t above {_ENUMERATION_HARD_CAP} is out of range for enumeration")
-    if args.family == "classes":
-        rows = [
-            {"word": str(w), "tau": args.t}
-            for w in en.classes(
-                args.t, primitive=args.primitive, m=args.m, hyperbolic=args.hyperbolic
-            )
-        ]
-        _emit_rows(rows, ["word", "tau"], args.format)
-        return 0
-    if args.family == "reciprocal":
-        rows = [
-            {"word": str(h.word), "t": args.t, "k0": h.k0}
-            for h in en.reciprocal_classes(args.t, args.m, primitive=args.primitive)
-        ]
-        _emit_rows(rows, ["word", "t", "k0"], args.format)
-        return 0
-    parser.error(f"unknown family {args.family!r} for enumeration")
+    try:
+        if args.family == "classes":
+            fields = ["word", "tau"]
+            rows = [
+                {"word": str(w), "tau": args.t}
+                for w in en.classes(
+                    args.t, primitive=args.primitive, m=args.m, hyperbolic=args.hyperbolic
+                )
+            ]
+        else:
+            fields = ["word", "t", "k0"]
+            rows = [
+                {"word": str(h.word), "t": args.t, "k0": h.k0}
+                for h in en.reciprocal_classes(args.t, args.m, primitive=args.primitive)
+            ]
+    except ValueError as exc:
+        parser.error(str(exc))
+    _emit_rows(rows, fields, args.format)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +170,7 @@ def cmd_alpha(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     try:
-        results = vf.run_suite(args.suite, tmax=args.tmax, threads=args.threads)
+        results = vf.run_suite(args.suite, tmax=args.tmax)
     except ValueError as exc:
         parser.error(str(exc))
     failed = 0
@@ -285,7 +272,7 @@ def cmd_table1(args, parser) -> int:
         {
             "family": "lowlying-reciprocal",
             "word_length": 4 * t,
-            "formula": ct.closed_form_compositions(t, m),
+            "formula": ct.bounded_compositions(t, m),
             "enumerated": lowlying_rec_n,
             "check": "",
         },
@@ -361,7 +348,7 @@ _AUDIT_FIELDS = [
 def cmd_audit(args, parser) -> int:
     if args.tmax < 2:
         parser.error("--tmax must be >= 2")
-    report = geo.audit_lemma71(args.tmax, threads=args.threads)
+    report = geo.audit_lemma71(args.tmax)
     rows = [{k: getattr(r, k) for k in _AUDIT_FIELDS} for r in report.rows]
     if args.format == "json":
         print(json.dumps({"rows": rows, "summary": report.summary}, indent=2))
@@ -441,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", default="all", choices=(*vf.SUITES, "all"))
     p.add_argument("--tmax", type=int)
-    p.add_argument("--threads", type=int, default=os.cpu_count())
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("growth", help="exact vs target growth table")
@@ -470,7 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "audit-lemma71", help="measure depths against both winding brackets"
     )
     p.add_argument("--tmax", type=int, default=8)
-    p.add_argument("--threads", type=int, default=os.cpu_count())
     add_format(p)
     p.set_defaults(func=cmd_audit)
 

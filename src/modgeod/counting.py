@@ -20,12 +20,12 @@ from typing import Optional
 
 __all__ = [
     "AlphaData",
-    "CountRecord",
     "PrecisionLimitError",
     "necklace_count",
     "primitive_class_count",
     "primitive_class_count_mobius",
     "reciprocal_count",
+    "count",
     "cumulative",
     "bounded_compositions",
     "alpha",
@@ -140,7 +140,33 @@ def reciprocal_count(t: int, primitive: bool = False) -> int:
 # number of torsion conjugacy classes of group-word length one
 _TORSION_CLASSES = 3
 
-_CUMULATIVE_FAMILIES = ("classes", "reciprocal", "lowlying-reciprocal", "compositions")
+_FORMULA_FAMILIES = ("classes", "reciprocal", "lowlying-reciprocal", "compositions")
+
+
+def count(family: str, t: int, *, m: Optional[int] = None, primitive: bool = False) -> int:
+    """Exact count of one formula-backed family at length t.
+
+    ``classes`` counts rotation classes with t entries and ``reciprocal`` the
+    reciprocal classes of group length 4t; both ignore m.  The bijection makes
+    ``lowlying-reciprocal`` (runs at most m) and ``compositions`` (parts at
+    most m) the same count; only ``compositions`` may omit m, counting all
+    2**(t-1) compositions.
+    """
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if family == "classes":
+        return primitive_class_count(t) if primitive else necklace_count(t)
+    if family == "reciprocal":
+        return reciprocal_count(t, primitive=primitive)
+    if family not in _FORMULA_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {_FORMULA_FAMILIES}")
+    if primitive:
+        raise ValueError(f"primitive counts are not defined for family {family!r}")
+    if m is None:
+        if family == "lowlying-reciprocal":
+            raise ValueError(f"family {family!r} needs the run bound m")
+        return reciprocal_count(t)
+    return bounded_compositions(t, m)
 
 
 def cumulative(
@@ -151,33 +177,19 @@ def cumulative(
     primitive: bool = False,
     include_torsion: bool = False,
 ) -> int:
-    """Sum of per-length exact counts for lengths 1..t_max.
+    """Sum of ``count`` over lengths 1..t_max.
 
     ``classes`` may add the 3 torsion classes of group length one;
-    ``reciprocal`` without the primitive flag collapses to 2**t_max - 1;
-    ``lowlying-reciprocal`` / ``compositions`` need the run bound m.
+    ``reciprocal`` without the primitive flag collapses to 2**t_max - 1.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if family == "classes":
-        if include_torsion and primitive:
-            raise ValueError("torsion classes are not counted as primitive")
-        count = primitive_class_count if primitive else necklace_count
-        total = sum(count(tau) for tau in range(1, t_max + 1))
-        return total + (_TORSION_CLASSES if include_torsion else 0)
-    if family == "reciprocal":
-        if include_torsion:
-            raise ValueError("torsion flag applies only to the classes family")
-        if primitive:
-            return sum(reciprocal_count(t, primitive=True) for t in range(1, t_max + 1))
+    if include_torsion and (family != "classes" or primitive):
+        raise ValueError("torsion classes add only to the non-primitive classes family")
+    if family == "reciprocal" and not primitive:
         return (1 << t_max) - 1
-    if family in ("lowlying-reciprocal", "compositions"):
-        if include_torsion or primitive:
-            raise ValueError(f"flags not supported for family {family!r}")
-        if m is None:
-            raise ValueError(f"family {family!r} needs the run bound m")
-        return sum(bounded_compositions(t, m) for t in range(1, t_max + 1))
-    raise ValueError(f"unknown family {family!r}; expected one of {_CUMULATIVE_FAMILIES}")
+    total = sum(count(family, t, m=m, primitive=primitive) for t in range(1, t_max + 1))
+    return total + (_TORSION_CLASSES if include_torsion else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,39 +353,3 @@ def growth_target(item: int, t: int, m: Optional[int] = None) -> float:
             raise ValueError("growth item 4 needs m >= 3")
         return 2.0 ** (t * (1 - 1 / m)) / t
     raise ValueError(f"unknown growth item {item!r}")
-
-
-# ---------------------------------------------------------------------------
-# table rows
-
-_FAMILY_TAGS = (
-    "classes",
-    "primitive",
-    "reciprocal",
-    "reciprocal-primitive",
-    "lowlying",
-    "lowlying-reciprocal",
-    "compositions",
-)
-_M_FAMILIES = frozenset({"lowlying", "lowlying-reciprocal", "compositions"})
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """One table row: a family at one length, with optional growth target."""
-
-    family: str
-    t: int
-    m: Optional[int]
-    exact: int
-    target: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILY_TAGS:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.exact < 0:
-            raise ValueError("counts are nonnegative")
-        if (self.m is not None) != (self.family in _M_FAMILIES):
-            raise ValueError(
-                f"family {self.family!r} and run bound m={self.m!r} are inconsistent"
-            )

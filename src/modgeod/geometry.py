@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -309,31 +308,22 @@ def _audit_row(w: BinaryWord, cross_validate: bool) -> AuditRow:
     )
 
 
-def audit_lemma71(
-    tau_max: int,
-    *,
-    cross_validate: bool = True,
-    threads: Optional[int] = None,
-) -> AuditReport:
+def audit_lemma71(tau_max: int, *, cross_validate: bool = True) -> AuditReport:
     """Measure where every hyperbolic class's depth falls relative to its run.
 
     For each class with at most tau_max entries and largest cyclic run k, the
     depth from ``max_depth`` is scored against the bracket
     (log(k/2), log((k+1)/2)) and against the same bracket shifted up by one
     unit of k.  This is a measurement command: it tabulates and never asserts
-    which bracket ought to win.  The per-class sweep may fan out over a
-    thread pool; rows are assembled in class order either way.
+    which bracket ought to win.  Rows come in class order.
     """
     if tau_max < 2:
         raise ValueError("tau_max must be >= 2")
-    words = [
-        w for tau in range(1, tau_max + 1) for w in classes(tau, hyperbolic=True)
+    rows = [
+        _audit_row(w, cross_validate)
+        for tau in range(1, tau_max + 1)
+        for w in classes(tau, hyperbolic=True)
     ]
-    if threads is None or threads == 1:
-        rows = [_audit_row(w, cross_validate) for w in words]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda w: _audit_row(w, cross_validate), words))
 
     by_run: dict[int, dict[str, int]] = {}
     for row in rows:

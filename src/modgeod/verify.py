@@ -2,15 +2,14 @@
 
 Each check scans a small exhaustive range and returns a named pass/fail
 result; a failure names the violated invariant and carries a witness word.
-The same checks back the pytest suite, so the CLI and the tests cannot drift
-apart.  Checks are independent pure functions and may run on any schedule,
-in particular fanned out over a thread pool.
+Checks are independent pure functions and run one at a time, in
+registration order.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import binwords as bw
@@ -19,7 +18,7 @@ from . import enumeration as en
 from . import geometry as geo
 from .binwords import BinaryWord, HalfTurnWord
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "run_checks"]
+__all__ = ["CheckResult", "SUITES", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -484,54 +483,26 @@ SUITES: dict[str, tuple] = {
     ),
 }
 
-# checks whose default range is an enumeration ceiling and honors --tmax
-_TMAX_CHECKS = {
-    check_rotation_action: 8,
-    check_orbit_size: 12,
-    check_half_turn_closure: 12,
-    check_orbit_meets_mirror_twice: 12,
-    check_primitivity_iff_k0: 10,
-    check_runs_two_preimages: 12,
-    check_max_run_rotation_invariant: 10,
-    check_class_count_oracle: 16,
-    check_primitive_count_oracle: 16,
-    check_reciprocal_count_oracle: 16,
-    check_bijection_round_trip: 12,
-    check_lowlying_lower_bound: 16,
-    check_witness_generator: 16,
-    check_filter_monotone: 12,
-    check_power_map_partition: 12,
-    check_half_run_equals_full_run: 12,
-    check_primitive_halfbound_report: 16,
-    check_concat_homomorphism: 8,
-    check_conjugation_invariance: 10,
-    check_parabolic_classification: 12,
-    check_apex_quadratic_oracle: 8,
-    check_sign_canonicalization: 6,
-    check_widened_depth_bracket: 10,
-}
 
+def run_suite(suite: str, tmax=None) -> list[CheckResult]:
+    """Run one named suite, or all of them with ``suite='all'``, in order.
 
-def run_checks(checks, tmax=None, threads=None) -> list[CheckResult]:
-    """Run checks on a worker pool; results come back in registration order."""
-
-    def invoke(check):
-        if tmax is not None and check in _TMAX_CHECKS:
-            return check(min(_TMAX_CHECKS[check], tmax))
-        return check()
-
-    if threads == 1:
-        return [invoke(c) for c in checks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(invoke, checks))
-
-
-def run_suite(suite: str, tmax=None, threads=None) -> list[CheckResult]:
-    """Run one named suite, or all of them with ``suite='all'``."""
+    ``tmax`` caps every check outside the counting suite at the smaller of
+    ``tmax`` and the check's own ``tmax`` default; the counting checks' ranges
+    are formula sizes, not enumeration ceilings, so they keep their defaults.
+    """
     if suite == "all":
-        checks = [c for name in SUITES for c in SUITES[name]]
+        names = list(SUITES)
     elif suite in SUITES:
-        checks = list(SUITES[suite])
+        names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; expected {list(SUITES)} or 'all'")
-    return run_checks(checks, tmax=tmax, threads=threads)
+    results = []
+    for name in names:
+        for check in SUITES[name]:
+            if tmax is None or name == "counting":
+                results.append(check())
+            else:
+                default = inspect.signature(check).parameters["tmax"].default
+                results.append(check(min(default, tmax)))
+    return results

@@ -63,6 +63,10 @@ def test_count_json(capsys):
         ("count", "--family", "lowlying", "--t", "99", "--m", "2"),
         ("count", "--family", "classes"),
         ("count", "--family", "classes", "--t", "0"),
+        ("count", "--family", "compositions", "--t", "0"),
+        ("count", "--family", "compositions", "--t", "-3", "--cumulative"),
+        ("count", "--family", "lowlying-reciprocal", "--t", "0", "--m", "3"),
+        ("count", "--family", "compositions", "--t", "7", "--primitive"),
         ("nonsense-subcommand",),
     ],
 )
@@ -101,6 +105,20 @@ def test_enumerate_json_mirrors_csv(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--family", "classes", "--t", "0"),
+        ("enumerate", "--family", "classes", "--t", "4", "--m", "0"),
+        ("enumerate", "--family", "reciprocal", "--t", "0"),
+    ],
+)
+def test_enumerate_bad_sizes_exit_2(capsys, argv):
+    code = main(list(argv))
+    capsys.readouterr()
+    assert code == 2
+
+
 # ---------------------------------------------------------------------------
 # alpha
 
@@ -133,7 +151,7 @@ def test_verify_suite_passes(capsys):
 
 
 def test_verify_all_small(capsys):
-    code, out = run(capsys, "verify", "--suite", "all", "--tmax", "5", "--threads", "2")
+    code, out = run(capsys, "verify", "--suite", "all", "--tmax", "5")
     assert code == 0
     assert "FAIL" not in out
 
@@ -221,6 +239,13 @@ def test_table1_beyond_oracle_skips(capsys):
     assert code == 0
     for line in out.splitlines()[1:]:
         assert line.endswith("skipped")
+
+
+def test_table1_past_rounding_ceiling(capsys):
+    # the closed form refuses here; the formula column comes from the recursion
+    code, out = run(capsys, "table1", "--t", "80", "--m", "2")
+    assert code == 0
+    assert out.splitlines()[4] == "lowlying-reciprocal,320,37889062373143906,,skipped"
 
 
 def test_table1_json(capsys):

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modgeod.counting import (
-    CountRecord,
     PrecisionLimitError,
     alpha,
     bounded_compositions,
@@ -242,19 +241,3 @@ def test_growth_target_errors():
         growth_target(4, 8, 2)
     with pytest.raises(ValueError):
         growth_target(5, 8)
-
-
-# ---------------------------------------------------------------------------
-# records
-
-def test_count_record_validation():
-    CountRecord("classes", 4, None, 6)
-    CountRecord("lowlying", 4, 2, 5, target=1.25)
-    with pytest.raises(ValueError):
-        CountRecord("classes", 4, 2, 6)
-    with pytest.raises(ValueError):
-        CountRecord("lowlying", 4, None, 5)
-    with pytest.raises(ValueError):
-        CountRecord("classes", 4, None, -1)
-    with pytest.raises(ValueError):
-        CountRecord("mystery", 4, None, 1)
