@@ -17,6 +17,7 @@ operations are pure, so they are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import groupby
 
 __all__ = [
@@ -57,10 +58,16 @@ def _reverse_bits(bits: int, t: int) -> int:
     return int(format(bits, f"0{t}b")[::-1], 2)
 
 
+@lru_cache(maxsize=None)
+def _proper_divisors(t: int) -> tuple[int, ...]:
+    return tuple(p for p in range(1, t) if t % p == 0)
+
+
 def _smallest_period_bits(bits: int, t: int) -> int:
-    # smallest p dividing t with rotation by p acting as the identity
-    for p in range(1, t):
-        if t % p == 0 and _rotate_bits(bits, p, t) == bits:
+    # smallest p dividing t with rotation by p acting as the identity; the
+    # periods form a subgroup of Z_t, so the smallest one divides t
+    for p in _proper_divisors(t):
+        if (bits >> p) | ((bits & ((1 << p) - 1)) << (t - p)) == bits:
             return p
     return t
 
@@ -87,7 +94,10 @@ def _k0_bits(bits: int, length: int) -> int:
     # is a period, and the smallest period is itself even, so the answer is
     # half the smallest period
     p = _smallest_period_bits(bits, length)
-    assert p % 2 == 0, "mirrored words repeat only in even blocks"
+    if p % 2:
+        raise ValueError(
+            f"not a mirrored word: {BinaryWord(bits, length)} has odd smallest period {p}"
+        )
     return p // 2
 
 

@@ -82,6 +82,8 @@ def _count_value(args) -> int:
     if family == "lowlying":
         if m is None:
             raise ValueError("family 'lowlying' needs --m")
+        if t < 1:
+            raise ValueError("t must be >= 1")
         if t > _ENUMERATION_HARD_CAP:
             raise ValueError(f"lowlying counts are enumerated; --t above {_ENUMERATION_HARD_CAP} is out of range")
         lengths = range(1, t + 1) if args.cumulative else (t,)
@@ -210,6 +212,10 @@ def _growth_exact(item: int, t: int, m, oracle_max: int):
 def cmd_growth(args, parser) -> int:
     if args.item in (2, 4) and args.m is None:
         parser.error(f"growth item {args.item} needs --m")
+    if args.tmax < 1:
+        parser.error("--tmax must be >= 1")
+    if args.oracle_max < 0:
+        parser.error("--oracle-max must be >= 0")
     try:
         rows = []
         for t in range(1, args.tmax + 1):
@@ -236,6 +242,8 @@ def cmd_table1(args, parser) -> int:
     t, m = args.t, args.m
     if t < 1 or m < 2:
         parser.error("table1 needs --t >= 1 and --m >= 2")
+    if args.oracle_max < 0:
+        parser.error("--oracle-max must be >= 0")
     enumerable = t <= args.oracle_max
 
     def enum_count(gen):

@@ -84,7 +84,8 @@ def necklace_count(tau: int) -> int:
         raise ValueError("tau must be >= 1")
     total = sum(1 << gcd(j, tau) for j in range(1, tau + 1))
     count, rem = divmod(total, tau)
-    assert rem == 0, "orbit-count sum must be divisible by the group order"
+    if rem:
+        raise ArithmeticError(f"orbit-count sum {total} is not divisible by the group order {tau}")
     return count
 
 
@@ -113,7 +114,8 @@ def primitive_class_count_mobius(tau: int) -> int:
         raise ValueError("tau must be >= 1")
     total = sum(_mobius(d) * (1 << (tau // d)) for d in _divisors(tau))
     count, rem = divmod(total, tau)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"Mobius sum {total} is not divisible by tau = {tau}")
     return count
 
 

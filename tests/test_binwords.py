@@ -14,6 +14,7 @@ from modgeod.binwords import (
     primitive_root,
     rotate,
     runs_of,
+    _k0_bits,
 )
 
 import oracles
@@ -188,6 +189,11 @@ def test_half_turn_rejects_bad_words():
         HalfTurnWord(W("++"))
     with pytest.raises(ValueError):
         HalfTurnWord(W("+-+"))
+
+
+def test_k0_rejects_a_word_with_odd_smallest_period():
+    with pytest.raises(ValueError, match=r"--\+"):
+        _k0_bits(0b001, 3)
 
 
 def test_is_half_turn_matches_oracle():

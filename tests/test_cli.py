@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +71,11 @@ def test_count_json(capsys):
         ("count", "--family", "compositions", "--t", "-3", "--cumulative"),
         ("count", "--family", "lowlying-reciprocal", "--t", "0", "--m", "3"),
         ("count", "--family", "compositions", "--t", "7", "--primitive"),
+        ("count", "--family", "lowlying", "--t", "0", "--m", "2", "--cumulative"),
+        ("growth", "--item", "1", "--tmax", "0"),
+        ("growth", "--item", "3", "--tmax", "-2"),
+        ("growth", "--item", "4", "--m", "3", "--tmax", "5", "--oracle-max", "-3"),
+        ("table1", "--t", "5", "--m", "2", "--oracle-max", "-1"),
         ("nonsense-subcommand",),
     ],
 )
@@ -326,3 +335,47 @@ def test_audit_tmax_validation(capsys):
     code = main(["audit-lemma71", "--tmax", "1"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_oracle_max_zero_never_enumerates(capsys):
+    code, out = run(capsys, "table1", "--t", "5", "--m", "2", "--oracle-max", "0")
+    assert code == 0
+    assert all(line.endswith("skipped") for line in out.splitlines()[1:])
+    code, _ = run(capsys, "growth", "--item", "4", "--m", "3", "--tmax", "3", "--oracle-max", "0")
+    assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# the optimised interpreter
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args):
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--family", "reciprocal", "--t", "7", "--m", "2"),
+        ("enumerate", "--family", "classes", "--t", "9", "--primitive", "--hyperbolic"),
+        ("count", "--family", "lowlying", "--t", "10", "--m", "3", "--cumulative"),
+        ("verify", "--suite", "enumerate", "--tmax", "6"),
+    ],
+)
+def test_same_output_under_python_O(argv):
+    # -O strips assert statements, so no invariant may rest on one
+    plain = _python("-m", "modgeod", *argv)
+    optimised = _python("-O", "-m", "modgeod", *argv)
+    assert plain.returncode == 0, plain.stderr
+    assert (optimised.returncode, optimised.stdout) == (plain.returncode, plain.stdout)
+
+
+def test_k0_check_survives_python_O():
+    result = _python("-O", "-c", "from modgeod.binwords import _k0_bits; _k0_bits(0b001, 3)")
+    assert result.returncode == 1
+    assert "ValueError: not a mirrored word" in result.stderr

@@ -41,32 +41,45 @@ def test_classes_examples():
     assert all(not w.is_constant for w in classes(3, m=2))
 
 
-@pytest.mark.parametrize("tau", range(1, 11))
+@pytest.mark.parametrize("tau", range(1, 12))
 def test_classes_against_tuple_oracle(tau):
-    assert {w.entries for w in classes(tau)} == oracles.class_reps(tau)
-    assert {w.entries for w in classes(tau, primitive=True)} == oracles.class_reps(
-        tau, oracles.is_primitive_tuple
-    )
-    for m in (1, 2, 3):
-        assert {w.entries for w in classes(tau, m=m)} == oracles.class_reps(
-            tau, lambda e: oracles.max_cyclic_run_tuple(e) <= m
-        )
+    # sequence equality: the generator must emit the sorted oracle, in order
     constants = {(-1,) * tau, (1,) * tau}
-    assert {w.entries for w in classes(tau, hyperbolic=True)} == (
-        oracles.class_reps(tau) - constants
-    )
+    everything = oracles.class_reps(tau)
+    for primitive in (False, True):
+        for hyperbolic in (False, True):
+            for m in (None, 1, 2, 3, tau):
+                expected = sorted(
+                    w
+                    for w in everything
+                    if (not primitive or oracles.is_primitive_tuple(w))
+                    and not (hyperbolic and w in constants)
+                    and (m is None or oracles.max_cyclic_run_tuple(w) <= m)
+                )
+                got = [
+                    w.entries
+                    for w in classes(tau, primitive=primitive, m=m, hyperbolic=hyperbolic)
+                ]
+                assert got == expected, (primitive, hyperbolic, m)
 
 
 def test_classes_counts_match_formulas():
     for tau in range(1, 15):
         assert sum(1 for _ in classes(tau)) == necklace_count(tau)
         assert sum(1 for _ in classes(tau, primitive=True)) == primitive_class_count(tau)
+    assert sum(1 for _ in classes(20)) == necklace_count(20)
 
 
 def test_classes_emission_is_sorted_canonical():
     out = list(classes(8))
     assert out == sorted(out)
     assert all(canonical_form(w) == w for w in out)
+
+
+def test_classes_run_bound_at_a_thousand_entries():
+    # the walk is iterative: a thousand-entry word needs no deep call stack
+    assert list(classes(1201, m=1)) == []
+    assert [str(w) for w in classes(1200, m=1)] == ["-+" * 600]
 
 
 def test_classes_validation():
@@ -99,11 +112,23 @@ def test_reciprocal_counts_and_canonicality():
 
 
 def test_reciprocal_against_tuple_oracle():
+    # each class once, as the smaller mirrored member of its orbit, in order
     for t in range(1, 9):
         mirrored = [w for w in oracles.all_words(2 * t) if oracles.is_mirrored_tuple(w)]
-        orbits = {oracles.canonical_tuple(w) for w in mirrored}
-        emitted = {oracles.canonical_tuple(h.word.entries) for h in reciprocal_classes(t)}
-        assert emitted == orbits
+        smaller = {
+            min(r for r in oracles.all_rotations(w) if oracles.is_mirrored_tuple(r))
+            for w in mirrored
+        }
+        for primitive in (False, True):
+            for m in (None, 1, 2, 3, t):
+                expected = sorted(
+                    w
+                    for w in smaller
+                    if (not primitive or oracles.is_primitive_tuple(w))
+                    and (m is None or oracles.max_cyclic_run_tuple(w) <= m)
+                )
+                got = [h.word.entries for h in reciprocal_classes(t, m, primitive=primitive)]
+                assert got == expected, (t, primitive, m)
 
 
 def test_reciprocal_lowlying_matches_compositions():
@@ -111,6 +136,7 @@ def test_reciprocal_lowlying_matches_compositions():
         for m in range(1, t + 1):
             n = sum(1 for _ in reciprocal_classes(t, m))
             assert n == bounded_compositions(t, m)
+    assert sum(1 for _ in reciprocal_classes(18, 3)) == bounded_compositions(18, 3)
 
 
 # ---------------------------------------------------------------------------
