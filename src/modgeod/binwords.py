@@ -54,8 +54,15 @@ def _min_rotation_bits(bits: int, t: int) -> int:
     return best
 
 
+# byte i holds the eight bits of i in reverse order
+_REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def _reverse_bits(bits: int, t: int) -> int:
-    return int(format(bits, f"0{t}b")[::-1], 2)
+    # reverse each byte and the byte order, i.e. all 8n bits, then drop the
+    # zero bits that stood above bit t-1
+    n = (t + 7) >> 3
+    return int.from_bytes(bits.to_bytes(n, "little").translate(_REV8), "big") >> (8 * n - t)
 
 
 @lru_cache(maxsize=None)
@@ -110,6 +117,9 @@ def _full_from_half_bits(half: int, t: int) -> int:
 # ---------------------------------------------------------------------------
 # domain types
 
+_SIGN_CHARS = str.maketrans("01", "-+")
+
+
 @dataclass(frozen=True)
 class BinaryWord:
     """Fixed-length sequence of +-1 signs, bit-packed."""
@@ -161,9 +171,7 @@ class BinaryWord:
         return 1 if (self.bits >> (self.length - 1 - j)) & 1 else -1
 
     def __str__(self) -> str:
-        return format(self.bits, f"0{self.length}b").translate(
-            str.maketrans("01", "-+")
-        )
+        return format(self.bits, f"0{self.length}b").translate(_SIGN_CHARS)
 
     def __repr__(self) -> str:
         return f"BinaryWord({str(self)!r})"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 from . import counting as ct
@@ -35,13 +36,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value) -> str:
+    # the text json.dumps gives a scalar; str and exact int, nearly every
+    # value printed, skip its per-call encoder set-up
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _emit_rows(rows: list[dict], fields: list[str], fmt: str) -> None:
+    """Print rows as CSV, or as ``json.dumps(rows, indent=2)`` prints them.
+
+    Rows are flat: each maps every name in ``fields`` (non-empty, in output
+    order) to a JSON scalar, a str, int, float, bool or None, and keys not in
+    ``fields`` are left out.
+    """
     if fmt == "json":
-        print(json.dumps([{k: row[k] for k in fields} for row in rows], indent=2))
+        heads = [f"    {_json_str(k)}: " for k in fields]
+        items = [
+            "  {\n" + ",\n".join([h + _json_value(row[k]) for h, k in zip(heads, fields)]) + "\n  }"
+            for row in rows
+        ]
+        print("[\n" + ",\n".join(items) + "\n]" if items else "[]")
         return
-    print(",".join(fields))
-    for row in rows:
-        print(",".join(_fmt(row[k]) for k in fields))
+    lines = [",".join(fields)]
+    lines += [",".join([_fmt(row[k]) for k in fields]) for row in rows]
+    print("\n".join(lines))
 
 
 def _parse_syllables(text: str) -> BinaryWord:
@@ -71,13 +94,21 @@ def _word_from_args(args, parser) -> BinaryWord:
 
 # CLI names for the primitive part of a formula family
 _PRIMITIVE_ALIASES = {"primitive": "classes", "reciprocal-primitive": "reciprocal"}
+# families whose count takes no run bound
+_UNBOUNDED_FAMILIES = (
+    "classes", "classes+torsion", "primitive", "reciprocal", "reciprocal-primitive"
+)
 
 
 def _count_value(args) -> int:
     family, t, m = args.family, args.t, args.m
+    if m is not None and family in _UNBOUNDED_FAMILIES:
+        raise ValueError(f"family {family!r} takes no --m")
     if family == "classes+torsion":
         if not args.cumulative:
             raise ValueError("classes+torsion only makes sense cumulatively")
+        if args.primitive:
+            raise ValueError("classes+torsion takes no --primitive")
         return ct.cumulative("classes", t, include_torsion=True)
     if family == "lowlying":
         if m is None:

@@ -254,7 +254,8 @@ def _alpha_cached(m: int, tol: float) -> AlphaData:
     hi = Fraction(2)
     # sign test uses the cleared-denominator form z^(m+1) - 2 z^m + 1, which
     # shares the root's sign for z > 1
-    assert lo ** (m + 1) - 2 * lo ** m + 1 < 0
+    if not lo ** (m + 1) - 2 * lo ** m + 1 < 0:
+        raise ArithmeticError(f"[{lo}, 2] does not bracket the growth root for m={m}")
 
     width = float(hi - lo)
     # enough halvings for the requested width, with a floor that pins the

@@ -27,9 +27,7 @@ from .binwords import (
     Composition,
     HalfTurnWord,
     _full_from_half_bits,
-    _k0_bits,
     _max_cyclic_run_bits,
-    _rotate_bits,
     _smallest_period_bits,
     canonical_form,
     from_composition,
@@ -158,6 +156,18 @@ def reciprocal_classes(
     With ``m`` set, only words with cyclic runs at most m survive, and the
     number of survivors equals the number of compositions of t with parts
     at most m.  ``primitive`` keeps the classes whose return shift is t.
+
+    Canonicity is read off the two halves, with no period and no rotation.
+    Let s be reverse-complement on t entries, so the word is h.s(h).  Its
+    partner is its rotation by k0 = p/2, p the smallest period, and p divides
+    2t.  If h != s(h), then 2t/p is odd (were it even, t would be a period
+    and h = s(h)), so t = k0 (mod p) and the partner is the rotation by t,
+    s(h).h: the word is the smaller iff h < s(h).  If h = s(h), t is even and
+    the word is h.h, whose rotations are the doubled rotations of h, so it is
+    the smaller of its pair iff h is the smaller of its own; and h, equal to
+    s(h), is a mirrored word of t entries, so the test repeats on its halves.
+    It ends, since the middle entry of an odd-length word is not its own
+    negation, so such a word never equals its mirror.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -168,12 +178,16 @@ def reciprocal_classes(
     # the runs of its half
     for half in _bounded_run_words(t, t if m is None else m):
         full = _full_from_half_bits(half, t)
-        k0 = _k0_bits(full, length)
-        if _rotate_bits(full, k0, length) < full:
+        head, tail, n = half, full & ((1 << t) - 1), t
+        while head == tail:
+            n >>= 1
+            head, tail = head >> n, head & ((1 << n) - 1)
+        if head > tail:
             continue
-        if primitive and k0 != t:
+        h = HalfTurnWord(BinaryWord(full, length))
+        if primitive and h.k0 != t:
             continue
-        yield HalfTurnWord(BinaryWord(full, length))
+        yield h
 
 
 def canonical_reciprocal(h: HalfTurnWord) -> HalfTurnWord:

@@ -57,6 +57,26 @@ def is_mirrored_tuple(entries):
     return n % 2 == 0 and all(entries[j] == -entries[n - 1 - j] for j in range(n))
 
 
+def smaller_mirrored_reps(t):
+    """The smaller mirrored member of each orbit of mirrored words of 2t entries."""
+    mirrored = [w for w in all_words(2 * t) if is_mirrored_tuple(w)]
+    return {
+        min(r for r in all_rotations(w) if is_mirrored_tuple(r)) for w in mirrored
+    }
+
+
+def return_shift_tuple(entries):
+    """Smallest positive rotation carrying a mirrored word onto a mirrored word."""
+    return next(
+        k for k in range(1, len(entries) + 1)
+        if is_mirrored_tuple(rotate_tuple(entries, k))
+    )
+
+
+def sign_text(entries):
+    return "".join("+" if e == 1 else "-" for e in entries)
+
+
 def compositions(t):
     if t == 0:
         return [()]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from modgeod.binwords import (
     rotate,
     runs_of,
     _k0_bits,
+    _reverse_bits,
 )
 
 import oracles
@@ -194,6 +197,14 @@ def test_half_turn_rejects_bad_words():
 def test_k0_rejects_a_word_with_odd_smallest_period():
     with pytest.raises(ValueError, match=r"--\+"):
         _k0_bits(0b001, 3)
+
+
+def test_reverse_bits_matches_string_reversal():
+    rng = random.Random(7)
+    for t in range(1, 71):
+        mask = (1 << t) - 1
+        for bits in (0, mask, 1, 1 << (t - 1), *(rng.getrandbits(t) for _ in range(20))):
+            assert _reverse_bits(bits, t) == int(format(bits, f"0{t}b")[::-1], 2), (t, bits)
 
 
 def test_is_half_turn_matches_oracle():

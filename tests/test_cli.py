@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -7,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from modgeod.cli import main
+import oracles
+
+from modgeod.cli import _emit_rows, _fmt, main
 from modgeod.counting import bounded_compositions, cumulative, primitive_class_count
 
 
@@ -77,6 +81,12 @@ def test_count_json(capsys):
         ("growth", "--item", "4", "--m", "3", "--tmax", "5", "--oracle-max", "-3"),
         ("table1", "--t", "5", "--m", "2", "--oracle-max", "-1"),
         ("nonsense-subcommand",),
+        ("count", "--family", "classes", "--t", "5", "--m", "0"),
+        ("count", "--family", "primitive", "--t", "5", "--m", "2"),
+        ("count", "--family", "reciprocal", "--t", "5", "--m", "2", "--cumulative"),
+        ("count", "--family", "reciprocal-primitive", "--t", "5", "--m", "3"),
+        ("count", "--family", "classes+torsion", "--t", "2", "--cumulative", "--m", "2"),
+        ("count", "--family", "classes+torsion", "--t", "2", "--cumulative", "--primitive"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -112,6 +122,55 @@ def test_enumerate_json_mirrors_csv(capsys):
     assert [r["word"] for r in rows] == [
         line.split(",")[0] for line in csv_out.splitlines()[1:]
     ]
+
+
+def test_enumerate_reciprocal_golden_format(capsys):
+    # the expected text comes from the tuple oracles and the standard library,
+    # not from the row emitter
+    words = sorted(
+        w for w in oracles.smaller_mirrored_reps(9) if oracles.max_cyclic_run_tuple(w) <= 3
+    )
+    rows = [
+        {"word": oracles.sign_text(w), "t": 9, "k0": oracles.return_shift_tuple(w)}
+        for w in words
+    ]
+    assert len(rows) == bounded_compositions(9, 3)
+    code, out = run(capsys, "enumerate", "--family", "reciprocal", "--t", "9", "--m", "3",
+                    "--format", "json")
+    assert code == 0
+    assert out == json.dumps(rows, indent=2) + "\n"
+    expected = io.StringIO()
+    writer = csv.DictWriter(expected, fieldnames=["word", "t", "k0"], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    code, out = run(capsys, "enumerate", "--family", "reciprocal", "--t", "9", "--m", "3")
+    assert code == 0
+    assert out == expected.getvalue()
+
+
+_AWKWARD_ROWS = [
+    {"s": 'say "hi"', "b": True, "n": None, "f": 1.5, "i": 10**40, "extra": "dropped"},
+    {"s": "back\\slash\ttab", "b": False, "n": None, "f": float("nan"), "i": -7, "extra": 0},
+    {"s": "caf\u00e9 \u2014 \U0001d11e", "b": True, "n": None, "f": float("-inf"), "i": 0,
+     "extra": 1},
+    {"s": "", "b": False, "n": None, "f": 1e-300, "i": 2**63, "extra": 2},
+]
+_AWKWARD_FIELDS = ["s", "b", "n", "f", "i"]
+
+
+@pytest.mark.parametrize("rows", [_AWKWARD_ROWS, _AWKWARD_ROWS[:1], []])
+def test_emit_rows_json_is_json_dumps(capsys, rows):
+    _emit_rows(rows, _AWKWARD_FIELDS, "json")
+    cut = [{k: row[k] for k in _AWKWARD_FIELDS} for row in rows]
+    assert capsys.readouterr().out == json.dumps(cut, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rows", [_AWKWARD_ROWS, []])
+def test_emit_rows_csv_is_one_line_per_row(capsys, rows):
+    _emit_rows(rows, _AWKWARD_FIELDS, "csv")
+    lines = [",".join(_AWKWARD_FIELDS)]
+    lines += [",".join(_fmt(row[k]) for k in _AWKWARD_FIELDS) for row in rows]
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from modgeod.counting import (
     PrecisionLimitError,
+    _alpha_cached,
     alpha,
     bounded_compositions,
     closed_form_compositions,
@@ -153,6 +154,13 @@ def test_alpha_golden_ratio():
 
 def test_alpha_cubic_value():
     assert abs(alpha(3).alpha - 1.8392867552) < 1e-9
+
+
+def test_alpha_bracket_check_is_explicit():
+    # at m = 1 the lower end 2(1 - 2^-m) = 1 is a root of the sign polynomial,
+    # so it brackets nothing; alpha itself rejects m < 2 before this check
+    with pytest.raises(ArithmeticError, match="m=1"):
+        _alpha_cached(1, 1e-13)
 
 
 def test_alpha_bracket_and_monotonicity():

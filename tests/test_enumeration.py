@@ -1,5 +1,6 @@
 import pytest
 
+from modgeod import binwords, enumeration
 from modgeod.binwords import (
     BinaryWord,
     Composition,
@@ -7,6 +8,7 @@ from modgeod.binwords import (
     canonical_form,
     max_cyclic_run,
     primitive_root,
+    rotate,
 )
 from modgeod.counting import (
     bounded_compositions,
@@ -114,11 +116,7 @@ def test_reciprocal_counts_and_canonicality():
 def test_reciprocal_against_tuple_oracle():
     # each class once, as the smaller mirrored member of its orbit, in order
     for t in range(1, 9):
-        mirrored = [w for w in oracles.all_words(2 * t) if oracles.is_mirrored_tuple(w)]
-        smaller = {
-            min(r for r in oracles.all_rotations(w) if oracles.is_mirrored_tuple(r))
-            for w in mirrored
-        }
+        smaller = oracles.smaller_mirrored_reps(t)
         for primitive in (False, True):
             for m in (None, 1, 2, 3, t):
                 expected = sorted(
@@ -129,6 +127,51 @@ def test_reciprocal_against_tuple_oracle():
                 )
                 got = [h.word.entries for h in reciprocal_classes(t, m, primitive=primitive)]
                 assert got == expected, (t, primitive, m)
+
+
+def test_reciprocal_half_compare_matches_rotation_definition():
+    # the generator decides canonicity from the two halves; by definition a
+    # word is kept unless its rotation by k0, onto its partner, is smaller
+    for t in range(1, 13):
+        kept = []
+        for half in range(1 << t):
+            h = HalfTurnWord.from_half(BinaryWord(half, t))
+            if not rotate(h.word, h.k0).bits < h.word.bits:
+                kept.append((h.word.bits, h.k0, max_cyclic_run(h.word)))
+        for primitive in (False, True):
+            for m in (None, *range(1, t + 1)):
+                expected = [
+                    (bits, k0)
+                    for bits, k0, run in kept
+                    if (not primitive or k0 == t) and (m is None or run <= m)
+                ]
+                got = [
+                    (h.word.bits, h.k0)
+                    for h in reciprocal_classes(t, m, primitive=primitive)
+                ]
+                assert got == expected, (t, m, primitive)
+
+
+def test_reciprocal_classes_find_each_period_once(monkeypatch):
+    # the canonical test needs no period, so the only one left is the one the
+    # constructor of each kept word computes, primitive or not
+    real = binwords._smallest_period_bits
+    calls = 0
+
+    def counted(bits, t):
+        nonlocal calls
+        calls += 1
+        return real(bits, t)
+
+    monkeypatch.setattr(binwords, "_smallest_period_bits", counted)
+    monkeypatch.setattr(enumeration, "_smallest_period_bits", counted)
+    for t, m in ((1, None), (8, None), (10, 3), (12, None), (12, 2)):
+        built = sum(1 for _ in reciprocal_classes(t, m))
+        for primitive in (False, True):
+            calls = 0
+            for _ in reciprocal_classes(t, m, primitive=primitive):
+                pass
+            assert calls == built, (t, m, primitive)
 
 
 def test_reciprocal_lowlying_matches_compositions():
