@@ -79,13 +79,23 @@ def _smallest_period_bits(bits: int, t: int) -> int:
     return t
 
 
+def _longest_ones(x: int) -> int:
+    # each step shortens every block of ones by one
+    n = 0
+    while x:
+        x &= x >> 1
+        n += 1
+    return n
+
+
 def _max_cyclic_run_bits(bits: int, t: int) -> int:
     mask = (1 << t) - 1
     if bits == 0 or bits == mask:
         return t
-    doubled = format(bits, f"0{t}b") * 2
-    # every cyclic run of a non-constant word appears whole in the doubled string
-    return max(sum(1 for _ in grp) for _, grp in groupby(doubled))
+    # every cyclic run of a non-constant word appears whole in the doubled
+    # word, and no block there is longer than the cyclic run it cuts from
+    doubled = (bits << t) | bits
+    return max(_longest_ones(doubled), _longest_ones(doubled ^ ((mask << t) | mask)))
 
 
 def _is_half_turn_bits(bits: int, length: int) -> bool:

@@ -11,6 +11,7 @@ fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -387,6 +388,8 @@ _AUDIT_FIELDS = [
 def cmd_audit(args, parser) -> int:
     if args.tmax < 2:
         parser.error("--tmax must be >= 2")
+    if args.tmax > _ENUMERATION_HARD_CAP:
+        parser.error(f"--tmax above {_ENUMERATION_HARD_CAP} is out of range for the audit")
     report = geo.audit_lemma71(args.tmax)
     rows = [{k: getattr(r, k) for k in _AUDIT_FIELDS} for r in report.rows]
     if args.format == "json":
@@ -413,7 +416,10 @@ def cmd_audit(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing never mutates the parser, and building
+    # it costs more than a typical query
     parser = argparse.ArgumentParser(
         prog="modgeod",
         description=(

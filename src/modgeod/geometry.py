@@ -5,6 +5,15 @@ GEN_A * GEN_B^-1; the second of these is the unit translation fixing the cusp
 at infinity, the first is its conjugate fixing 0.  All matrix arithmetic is
 exact; floats enter only via lengths, apex heights and depths.
 
+``ProjectiveMatrix`` is the public type results are returned in.  The hot
+paths (``encode``, the rotation candidates of ``max_depth`` and the
+conjugation search ``_bfs_min_c``) run on plain ``(a, b, c, d)`` integer
+tuples instead, with the same determinant check and the same projective sign
+rule (``_canonical``), and build no intermediate matrix objects.  The
+matrices of all t rotations of a word come from one another by conjugation
+with a single letter, so the candidate set costs O(t) tuple operations, not
+t encodings.
+
 Depth convention: with the cusp parabolic normalised to a unit translation,
 the axis of a hyperbolic matrix [[a,b],[c,d]] is the half-circle over its real
 fixed points, whose apex height is sqrt(trace^2-4)/(2|c|); the depth past the
@@ -18,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+# rotate is unused here; the layer tracer in bench/tracer.py hooks geometry.rotate
 from .binwords import BinaryWord, max_cyclic_run, rotate
 from .enumeration import classes
 
@@ -41,6 +51,21 @@ __all__ = [
 # boundary cases instead of being counted either way
 _EDGE_MARGIN = 1e-9
 
+Quad = tuple[int, int, int, int]
+
+
+def _canonical(a: int, b: int, c: int, d: int) -> Quad:
+    """The entries of a determinant-one matrix with its projective sign fixed.
+
+    The first nonzero of (a, b, c, d) is made positive.  Raises ValueError
+    when the determinant is not one.
+    """
+    if a * d - b * c != 1:
+        raise ValueError(f"determinant must be 1: [[{a},{b}],[{c},{d}]]")
+    if a < 0 or not a and (b < 0 or not b and (c < 0 or not c and d < 0)):
+        return -a, -b, -c, -d
+    return a, b, c, d
+
 
 @dataclass(frozen=True)
 class ProjectiveMatrix:
@@ -57,19 +82,12 @@ class ProjectiveMatrix:
     d: int
 
     def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(
-                f"determinant must be 1: [[{self.a},{self.b}],[{self.c},{self.d}]]"
-            )
-        for x in (self.a, self.b, self.c, self.d):
-            if x > 0:
-                break
-            if x < 0:
-                object.__setattr__(self, "a", -self.a)
-                object.__setattr__(self, "b", -self.b)
-                object.__setattr__(self, "c", -self.c)
-                object.__setattr__(self, "d", -self.d)
-                break
+        a, b, c, d = _canonical(self.a, self.b, self.c, self.d)
+        if (a, b, c, d) != (self.a, self.b, self.c, self.d):
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
+            object.__setattr__(self, "c", c)
+            object.__setattr__(self, "d", d)
 
     @classmethod
     def identity(cls) -> "ProjectiveMatrix":
@@ -96,10 +114,24 @@ class ProjectiveMatrix:
 
 GEN_A = ProjectiveMatrix(0, -1, 1, 0)
 GEN_B = ProjectiveMatrix(1, -1, 1, 0)
+
+
+def _quad(M: ProjectiveMatrix) -> Quad:
+    return M.a, M.b, M.c, M.d
+
+
 _LETTER = {
-    1: GEN_A * GEN_B,                  # [[-1,0],[1,-1]] mod sign, fixes 0
-    -1: GEN_A * GEN_B.inverse(),       # [[1,-1],[0,1]], unit translation
+    1: _quad(GEN_A * GEN_B),               # [[-1,0],[1,-1]] mod sign, fixes 0
+    -1: _quad(GEN_A * GEN_B.inverse()),    # [[1,-1],[0,1]], unit translation
 }
+_LETTER_INV = {e: (d, -b, -c, a) for e, (a, b, c, d) in _LETTER.items()}
+
+
+def _mul(x: Quad, y: Quad) -> Quad:
+    """Checked, sign-canonical product of two determinant-one 4-tuples."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return _canonical(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def encode(w: BinaryWord) -> ProjectiveMatrix:
@@ -107,10 +139,10 @@ def encode(w: BinaryWord) -> ProjectiveMatrix:
 
     Multiplicative on concatenation of words.
     """
-    out = ProjectiveMatrix.identity()
+    out = (1, 0, 0, 1)
     for e in w.entries:
-        out = out * _LETTER[e]
-    return out
+        out = _mul(out, _LETTER[e])
+    return ProjectiveMatrix(*out)
 
 
 def classify(M: ProjectiveMatrix) -> str:
@@ -154,11 +186,6 @@ def in_thick_part(w: BinaryWord, m: int) -> bool:
     return max_cyclic_run(w) <= m
 
 
-def _conjugate_by_a(M: ProjectiveMatrix) -> ProjectiveMatrix:
-    # GEN_A * M * GEN_A^-1, swapping the roles of the cusp at 0 and infinity
-    return ProjectiveMatrix(M.d, -M.c, -M.b, M.a)
-
-
 @dataclass(frozen=True)
 class DepthReport:
     """Per-word geometric summary of the deepest cusp excursion."""
@@ -173,35 +200,72 @@ class DepthReport:
     cross_check_ok: Optional[bool]
 
 
+def _rotation_candidates(w: BinaryWord, base: Quad) -> list[Quad]:
+    """The matrix of every rotation of w, each followed by its A-conjugate.
+
+    ``base`` is ``encode(w)``.  Rotations come in the order of
+    ``rotate(w, k)`` for k = 0..t-1, and ``rotate(w, k)`` starts at entry
+    (t-k) % t.  The rotation starting at entry i+1 is L^-1 M L, for M the
+    rotation starting at entry i and L the letter at entry i, so the whole
+    set costs O(t) products.  The A-conjugate [[d,-c],[-b,a]] swaps the
+    roles of the cusps at 0 and infinity.
+    """
+    entries = w.entries
+    t = len(entries)
+    by_start = [base]
+    for e in entries[:-1]:
+        by_start.append(_mul(_mul(_LETTER_INV[e], by_start[-1]), _LETTER[e]))
+    out = []
+    for k in range(t):
+        a, b, c, d = M = by_start[(t - k) % t]
+        out.append(M)
+        out.append(_canonical(d, -c, -b, a))
+    return out
+
+
+def _conjugates(a: int, b: int, c: int, d: int) -> tuple[Quad, Quad, Quad]:
+    """g M g^-1 for g = GEN_A, GEN_B, GEN_B^-1 in that order, in closed form.
+
+    Signs are left as they fall; ``_canonical`` checks and fixes them.
+    """
+    return (
+        (d, -c, -b, a),
+        (d - b, a - c + b - d, -b, a + b),
+        (c + d, -c, c + d - a - b, a - c),
+    )
+
+
 def _bfs_min_c(
-    start: Iterable[ProjectiveMatrix],
+    start: Iterable[Quad],
     entry_cap: int,
     node_cap: int,
-) -> int:
+) -> tuple[int, int]:
     """Smallest |c| over a bounded conjugation search from ``start``.
 
-    Explores conjugation by both generators (and the inverse of the
-    three-torsion one), pruning once entries outgrow ``entry_cap``.  Purely an
-    empirical safeguard: it can only ever lower the incumbent bound.
+    Breadth-first over conjugation by both generators (and the inverse of the
+    three-torsion one), pruning once entries outgrow ``entry_cap`` and
+    stopping once ``node_cap`` distinct matrices have been seen.  Nodes are
+    sign-canonical 4-tuples, so projectively equal matrices are one node.
+    Returns the smallest nonzero |c| found and the number of nodes seen.
+    Purely an empirical safeguard: it can only ever lower the incumbent
+    bound.
     """
-    moves = (GEN_A, GEN_B, GEN_B.inverse())
-    queue = deque(start)
-    seen = {(M.a, M.b, M.c, M.d) for M in queue}
-    best = min(abs(M.c) for M in queue if M.c != 0)
+    queue = deque(_canonical(*M) for M in start)
+    seen = set(queue)
+    best = min(abs(M[2]) for M in queue if M[2])
     while queue and len(seen) < node_cap:
-        M = queue.popleft()
-        for g in moves:
-            N = g * M * g.inverse()
-            key = (N.a, N.b, N.c, N.d)
-            if key in seen:
+        for N in _conjugates(*queue.popleft()):
+            N = _canonical(*N)
+            if N in seen:
                 continue
-            if max(abs(N.a), abs(N.b), abs(N.c), abs(N.d)) > entry_cap:
+            a, b, c, d = N
+            if max(abs(a), abs(b), abs(c), abs(d)) > entry_cap:
                 continue
-            seen.add(key)
-            if N.c != 0 and abs(N.c) < best:
-                best = abs(N.c)
+            seen.add(N)
+            if c and abs(c) < best:
+                best = abs(c)
             queue.append(N)
-    return best
+    return best, len(seen)
 
 
 def max_depth(w: BinaryWord, *, cross_validate: bool = True) -> DepthReport:
@@ -217,24 +281,19 @@ def max_depth(w: BinaryWord, *, cross_validate: bool = True) -> DepthReport:
     base = encode(w)
     if base.trace_abs <= 2:
         raise ValueError(f"word is not hyperbolic: {w}")
-    candidates = []
-    for k in range(w.length):
-        M = encode(rotate(w, k))
-        candidates.append(M)
-        candidates.append(_conjugate_by_a(M))
+    candidates = _rotation_candidates(w, _quad(base))
     # hyperbolic integer matrices never have b or c zero, so every candidate
     # contributes a finite axis
-    min_c = min(abs(M.c) for M in candidates)
+    min_c = min(abs(M[2]) for M in candidates)
     tr = base.trace_abs
     apex = math.sqrt(tr * tr - 4) / (2 * min_c)
     winding = math.isqrt(tr * tr - 4) // min_c
 
     ok: Optional[bool] = None
     if cross_validate:
-        entry_cap = 4 * max(
-            max(abs(M.a), abs(M.b), abs(M.c), abs(M.d)) for M in candidates
-        ) + 8
-        ok = _bfs_min_c(candidates, entry_cap, node_cap=10000) >= min_c
+        entry_cap = 4 * max(max(map(abs, M)) for M in candidates) + 8
+        found, _ = _bfs_min_c(candidates, entry_cap, node_cap=10000)
+        ok = found >= min_c
 
     return DepthReport(
         word=w,

@@ -119,3 +119,47 @@ def fixed_point_gap(mat):
     a, b, c, d = mat
     disc = (d - a) ** 2 + 4 * c * b
     return disc**0.5 / abs(c)
+
+
+MAT_A_INV = (0, 1, -1, 0)
+
+
+def projective_key(mat):
+    """The sign of a matrix whose first nonzero entry is positive."""
+    lead = next(x for x in mat if x != 0)
+    return mat if lead > 0 else tuple(-x for x in mat)
+
+
+def depth_candidates(entries):
+    """Every rotation's matrix followed by its A-conjugate, k = 0, 1, ... ."""
+    out = []
+    for k in range(len(entries)):
+        mat = encode_tuple(rotate_tuple(entries, k))
+        out += [mat, mat_mul(mat_mul(MAT_A, mat), MAT_A_INV)]
+    return out
+
+
+def conjugation_search(start, entry_cap, node_cap):
+    """Breadth-first search over conjugates by A, B and B^-1, in that order.
+
+    Nodes are projective keys; a conjugate is dropped when already seen or
+    when an entry exceeds entry_cap, and the search stops once node_cap keys
+    are seen.  Returns (smallest nonzero |c|, number of keys seen).
+    """
+    moves = ((MAT_A, MAT_A_INV), (MAT_B, MAT_B_INV), (MAT_B_INV, MAT_B))
+    queue = [projective_key(m) for m in start]
+    seen = set(queue)
+    best = min(abs(m[2]) for m in queue if m[2] != 0)
+    head = 0
+    while head < len(queue) and len(seen) < node_cap:
+        mat = queue[head]
+        head += 1
+        for g, g_inv in moves:
+            n = projective_key(mat_mul(mat_mul(g, mat), g_inv))
+            if n in seen or max(abs(x) for x in n) > entry_cap:
+                continue
+            seen.add(n)
+            if n[2] != 0:
+                best = min(best, abs(n[2]))
+            queue.append(n)
+    return best, len(seen)

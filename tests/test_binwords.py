@@ -17,6 +17,7 @@ from modgeod.binwords import (
     rotate,
     runs_of,
     _k0_bits,
+    _max_cyclic_run_bits,
     _reverse_bits,
 )
 
@@ -157,6 +158,26 @@ def test_max_cyclic_run_examples():
 def test_max_cyclic_run_oracle_and_rotation_invariance(w, k):
     assert max_cyclic_run(w) == oracles.max_cyclic_run_tuple(w.entries)
     assert max_cyclic_run(rotate(w, k)) == max_cyclic_run(w)
+
+
+def test_max_cyclic_run_bits_matches_tuple_oracle():
+    for t in range(1, 15):
+        for entries in oracles.all_words(t):
+            bits = BinaryWord.from_entries(entries).bits
+            assert _max_cyclic_run_bits(bits, t) == oracles.max_cyclic_run_tuple(entries)
+    rng = random.Random(3)
+    for t in range(15, 201):
+        k = rng.randint(1, t - 1)
+        cases = [
+            (-1,) * t,
+            (1,) * t,
+            # one long run that wraps round the seam
+            (1,) * k + (-1,) + (1,) * (t - k - 1),
+        ]
+        cases += [tuple(rng.choice((-1, 1)) for _ in range(t)) for _ in range(3)]
+        for entries in cases:
+            bits = BinaryWord.from_entries(entries).bits
+            assert _max_cyclic_run_bits(bits, t) == oracles.max_cyclic_run_tuple(entries)
 
 
 def test_constant_words_fail_small_run_bounds():

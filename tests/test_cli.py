@@ -87,6 +87,7 @@ def test_count_json(capsys):
         ("count", "--family", "reciprocal-primitive", "--t", "5", "--m", "3"),
         ("count", "--family", "classes+torsion", "--t", "2", "--cumulative", "--m", "2"),
         ("count", "--family", "classes+torsion", "--t", "2", "--cumulative", "--primitive"),
+        ("audit-lemma71", "--tmax", "31"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -424,6 +425,8 @@ def _python(*args):
         ("enumerate", "--family", "classes", "--t", "9", "--primitive", "--hyperbolic"),
         ("count", "--family", "lowlying", "--t", "10", "--m", "3", "--cumulative"),
         ("verify", "--suite", "enumerate", "--tmax", "6"),
+        ("audit-lemma71", "--tmax", "6"),
+        ("depth", "--word=--++++-+--", "--format", "json"),
     ],
 )
 def test_same_output_under_python_O(argv):
@@ -438,3 +441,36 @@ def test_k0_check_survives_python_O():
     result = _python("-O", "-c", "from modgeod.binwords import _k0_bits; _k0_bits(0b001, 3)")
     assert result.returncode == 1
     assert "ValueError: not a mirrored word" in result.stderr
+
+
+# valid calls with usage errors (exit 2) between them
+_MIXED_ARGVS = [
+    ("count", "--family", "classes", "--t", "6"),
+    ("depth", "--word=++-"),
+    ("count", "--family", "nonsense", "--t", "3"),
+    ("depth", "--word=+--+-", "--format", "json"),
+    ("depth", "--word=++-", "--syllables", "abaB"),
+    ("enumerate", "--family", "reciprocal", "--t", "5", "--m", "2"),
+    ("audit-lemma71", "--tmax", "31"),
+    ("audit-lemma71", "--tmax", "4"),
+    ("growth", "--item", "4", "--tmax", "4"),
+    ("alpha", "--m", "3", "--format", "json"),
+    ("depth", "--word=+++"),
+    ("table1", "--t", "5", "--m", "2"),
+    ("count", "--family", "lowlying", "--t", "5", "--m", "2", "--cumulative"),
+    ("depth", "--syllables", "abaBaB"),
+]
+
+
+def test_one_process_answers_like_fresh_processes(capsys):
+    # the parser is built once per process, so no call may leave state behind
+    # that changes a later call's answer
+    in_process = []
+    for argv in _MIXED_ARGVS:
+        code = main(list(argv))
+        in_process.append((code, capsys.readouterr().out))
+    fresh = [
+        (r.returncode, r.stdout) for r in (_python("-m", "modgeod", *argv) for argv in _MIXED_ARGVS)
+    ]
+    assert in_process == fresh
+    assert {code for code, _ in in_process} == {0, 2}

@@ -1,4 +1,9 @@
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -17,6 +22,10 @@ from modgeod.geometry import (
     geodesic_length,
     in_thick_part,
     max_depth,
+    _bfs_min_c,
+    _conjugates,
+    _mul,
+    _rotation_candidates,
 )
 
 import oracles
@@ -170,6 +179,98 @@ def test_cross_validation_agrees_on_small_classes():
     for tau in range(2, 9):
         for w in classes(tau, hyperbolic=True):
             assert max_depth(w).cross_check_ok is True
+
+
+# ---------------------------------------------------------------------------
+# the 4-tuple kernel
+
+def _quad(M):
+    return (M.a, M.b, M.c, M.d)
+
+
+def _random_det_one(rng):
+    # words in the generators and their inverses, with a random overall sign:
+    # zero and negative entries both occur
+    mat = (1, 0, 0, 1)
+    for _ in range(rng.randint(0, 8)):
+        g = rng.choice(
+            (oracles.MAT_A, oracles.MAT_A_INV, oracles.MAT_B, oracles.MAT_B_INV, (1, 1, 0, 1))
+        )
+        mat = oracles.mat_mul(mat, g)
+    return mat if rng.random() < 0.5 else tuple(-x for x in mat)
+
+
+def test_conjugates_match_matrix_products():
+    rng = random.Random(5)
+    mats = [_random_det_one(rng) for _ in range(2000)]
+    mats += [(1, 0, 0, 1), (-1, 0, 0, -1), (0, 1, -1, 0), (0, -1, 1, 0), (1, 0, -3, 1), (0, -1, 1, 5)]
+    assert any(0 in m for m in mats) and any(min(m) < 0 for m in mats)
+    for raw in mats:
+        M = ProjectiveMatrix(*raw)
+        want = [g * M * g.inverse() for g in (GEN_A, GEN_B, GEN_B.inverse())]
+        assert [ProjectiveMatrix(*n) for n in _conjugates(*raw)] == want
+
+
+def test_rotation_candidates_match_encoded_rotations():
+    for t in range(1, 11):
+        for entries in oracles.all_words(t):
+            w = BinaryWord.from_entries(entries)
+            want = []
+            for k in range(t):
+                M = encode(rotate(w, k))
+                want += [_quad(M), _quad(GEN_A * M * GEN_A.inverse())]
+            assert _rotation_candidates(w, _quad(encode(w))) == want
+
+
+def _deep_word(rng, length):
+    # runs of 4 to 9 equal signs: deep excursions, large searches
+    entries, sign = [], rng.choice((-1, 1))
+    while len(entries) < length:
+        entries += [sign] * rng.randint(4, 9)
+        sign = -sign
+    entries = entries[:length]
+    return BinaryWord.from_entries(entries) if len(set(entries)) == 2 else _deep_word(rng, length)
+
+
+def test_bfs_matches_naive_search_oracle():
+    rng = random.Random(11)
+    words = [w for tau in range(1, 10) for w in classes(tau, hyperbolic=True)]
+    words += [_deep_word(rng, rng.randint(20, 32)) for _ in range(20)]
+    for w in words:
+        start = oracles.depth_candidates(w.entries)
+        cap = 4 * max(abs(x) for m in start for x in m) + 8
+        # the default cap, and one that stops the search a few nodes in
+        for node_cap in (10000, 2 * w.length + 5):
+            assert _bfs_min_c(start, cap, node_cap) == oracles.conjugation_search(
+                start, cap, node_cap
+            ), (str(w), node_cap)
+
+
+def test_kernel_rejects_determinant_other_than_one():
+    with pytest.raises(ValueError, match="determinant must be 1"):
+        _mul((1, 0, 0, 1), (1, 0, 0, 2))
+    with pytest.raises(ValueError, match="determinant must be 1"):
+        _bfs_min_c([(2, 1, 1, 1), (1, 0, 0, 2)], 100, 100)
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_search_determinant_check_survives_python_O():
+    # a search step that forms a determinant-3 matrix must stop the search,
+    # also when -O strips assert statements
+    script = (
+        "import modgeod.geometry as g\n"
+        "g._conjugates = lambda a, b, c, d: ((a, b, c, 2 * d),) * 3\n"
+        "g._bfs_min_c([(2, 1, 1, 1)], 100, 100)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(_SRC)},
+    )
+    assert result.returncode == 1
+    assert "ValueError: determinant must be 1: [[2,1],[1,2]]" in result.stderr
 
 
 # ---------------------------------------------------------------------------
