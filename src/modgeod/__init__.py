@@ -30,6 +30,7 @@ from .counting import (
     bounded_compositions,
     closed_form_compositions,
     count,
+    count_series,
     cumulative,
     growth_target,
     lowlying_lower_bound,

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import counting as ct
 from . import enumeration as en
@@ -82,6 +83,13 @@ def _parse_syllables(text: str) -> BinaryWord:
 
 
 def _word_from_args(args, parser) -> BinaryWord:
+    if args.syllables is None and not args.word:
+        # argparse drops a lone "--" from an option's value, so --word=-- lands
+        # here with an empty list for its value
+        parser.error(
+            "--word is empty; note that the option parser consumes a '--' value "
+            "(as in --word=--), so spell that word with --syllables aBaB"
+        )
     try:
         if args.syllables is not None:
             return _parse_syllables(args.syllables)
@@ -221,24 +229,30 @@ def cmd_verify(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # growth
 
-def _growth_exact(item: int, t: int, m, oracle_max: int):
+def _growth_exacts(item: int, m, oracle_max: int) -> Iterator:
+    """Yield the ``exact`` column at t = 1, 2, ..., one running sum per item."""
     if item == 1:
-        return (1 << (t // 2)) - 1
-    if item == 2:
-        half = t // 2
-        return ct.cumulative("lowlying-reciprocal", half, m=m) if half else 0
-    if item == 3:
-        return ct.cumulative("classes", t, primitive=True) - 2
-    # item 4: enumerate while the oracle reaches, use the bound formula beyond
-    total: float | int = 0
-    for tau in range(1, t + 1):
-        if tau <= oracle_max:
-            total += sum(
-                1 for _ in en.classes(tau, primitive=True, m=m, hyperbolic=True)
-            )
-        else:
-            total += ct.lowlying_lower_bound(tau, m)
-    return total
+        for t in itertools.count(1):
+            yield (1 << (t // 2)) - 1
+    elif item == 2:
+        # reciprocal lengths up to t // 2: none at t = 1, then each total
+        # serves t = 2h and t = 2h + 1
+        yield 0
+        for total in itertools.accumulate(ct.count_series("lowlying-reciprocal", m=m)):
+            yield total
+            yield total
+    elif item == 3:
+        for total in itertools.accumulate(ct.count_series("classes", primitive=True)):
+            yield total - 2
+    else:
+        # enumerate while the oracle reaches, use the bound formula beyond
+        total: float | int = 0
+        for tau in itertools.count(1):
+            if tau <= oracle_max:
+                total += sum(1 for _ in en.classes(tau, primitive=True, m=m, hyperbolic=True))
+            else:
+                total += ct.lowlying_lower_bound(tau, m)
+            yield total
 
 
 def cmd_growth(args, parser) -> int:
@@ -248,10 +262,10 @@ def cmd_growth(args, parser) -> int:
         parser.error("--tmax must be >= 1")
     if args.oracle_max < 0:
         parser.error("--oracle-max must be >= 0")
+    rows = []
     try:
-        rows = []
-        for t in range(1, args.tmax + 1):
-            exact = _growth_exact(args.item, t, args.m, args.oracle_max)
+        exacts = _growth_exacts(args.item, args.m, args.oracle_max)
+        for t, exact in zip(range(1, args.tmax + 1), exacts):
             target = ct.growth_target(args.item, t, args.m)
             rows.append(
                 {
@@ -263,6 +277,12 @@ def cmd_growth(args, parser) -> int:
             )
     except ValueError as exc:
         parser.error(str(exc))
+    except OverflowError:
+        t = len(rows) + 1
+        parser.error(
+            f"growth item {args.item}: the float columns overflow a double at t={t}; "
+            f"use --tmax {t - 1} or less"
+        )
     _emit_rows(rows, ["t", "exact", "target", "ratio"], args.format)
     return 0
 

@@ -7,16 +7,34 @@ word length is 2*tau.  Reciprocal (half-turn) families are parameterised by
 Every count is an exact Python integer; floating point only appears in the
 growth-target formulas and in the float views of the root data.  Memoised
 recursions are pure, so cached and uncached evaluation agree.
+
+Two sums are linear in the length (Flajolet-Sedgewick, *Analytic
+Combinatorics* I.2 and IV.1):
+
+- Bounded compositions have the rational generating function
+  1 / (1 - z - ... - z^m), so c_0 = 1, c_1 = 1 and, for k >= 2,
+  c_k = 2 c_(k-1) - c_(k-1-m) with c_j = 0 for j < 0: one big-integer
+  subtraction per length, with the last m + 1 values live.
+- Burnside's sum over the tau shifts groups by gcd(shift, tau) = d, which
+  occurs phi(tau/d) times, so the necklace count is
+  (1/tau) * sum over d | tau of phi(tau/d) * 2^d: O(sqrt(tau) + d(tau))
+  terms instead of tau.
+
+``count_series`` yields one family's counts at t = 1, 2, ... and
+``cumulative`` sums its first terms, so a cumulative count costs one count
+evaluation per length; the composition series costs one subtraction per
+length.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
-from typing import Optional
+from functools import lru_cache, partial
+from typing import Callable, Iterator, Optional
 
 __all__ = [
     "AlphaData",
@@ -26,6 +44,7 @@ __all__ = [
     "primitive_class_count_mobius",
     "reciprocal_count",
     "count",
+    "count_series",
     "cumulative",
     "bounded_compositions",
     "alpha",
@@ -71,18 +90,33 @@ def _mobius(n: int) -> int:
     return mu
 
 
+def _totient(n: int) -> int:
+    phi = n
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            phi -= phi // p
+        p += 1
+    if n > 1:
+        phi -= phi // n
+    return phi
+
+
 # ---------------------------------------------------------------------------
 # necklace and primitive-class counts
 
 def necklace_count(tau: int) -> int:
     """Number of rotation classes of sign words with tau entries.
 
-    Orbit counting for the cyclic shift action: (1/tau) * sum over shifts of
-    2**gcd(shift, tau).  The sum is always divisible by tau.
+    Orbit counting for the cyclic shift action, with the shifts grouped by
+    d = gcd(shift, tau): (1/tau) * sum over d | tau of phi(tau/d) * 2**d.
+    The sum is always divisible by tau.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    total = sum(1 << gcd(j, tau) for j in range(1, tau + 1))
+    total = sum(_totient(tau // d) << d for d in _divisors(tau))
     count, rem = divmod(total, tau)
     if rem:
         raise ArithmeticError(f"orbit-count sum {total} is not divisible by the group order {tau}")
@@ -142,7 +176,27 @@ def reciprocal_count(t: int, primitive: bool = False) -> int:
 # number of torsion conjugacy classes of group-word length one
 _TORSION_CLASSES = 3
 
-_FORMULA_FAMILIES = ("classes", "reciprocal", "lowlying-reciprocal", "compositions")
+_COMPOSITION_FAMILIES = ("lowlying-reciprocal", "compositions")
+_FORMULA_FAMILIES = ("classes", "reciprocal", *_COMPOSITION_FAMILIES)
+
+
+def _per_length(family: str, m: Optional[int], primitive: bool) -> Callable[[int], int]:
+    """The exact counter t -> count of one formula family, after checking its arguments."""
+    if family == "classes":
+        return primitive_class_count if primitive else necklace_count
+    if family == "reciprocal":
+        return partial(reciprocal_count, primitive=primitive)
+    if family not in _FORMULA_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {_FORMULA_FAMILIES}")
+    if primitive:
+        raise ValueError(f"primitive counts are not defined for family {family!r}")
+    if m is None:
+        if family == "lowlying-reciprocal":
+            raise ValueError(f"family {family!r} needs the run bound m")
+        return reciprocal_count
+    if m < 1:
+        raise ValueError("part bound m must be >= 1")
+    return partial(bounded_compositions, m=m)
 
 
 def count(family: str, t: int, *, m: Optional[int] = None, primitive: bool = False) -> int:
@@ -156,19 +210,22 @@ def count(family: str, t: int, *, m: Optional[int] = None, primitive: bool = Fal
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if family == "classes":
-        return primitive_class_count(t) if primitive else necklace_count(t)
-    if family == "reciprocal":
-        return reciprocal_count(t, primitive=primitive)
-    if family not in _FORMULA_FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {_FORMULA_FAMILIES}")
-    if primitive:
-        raise ValueError(f"primitive counts are not defined for family {family!r}")
-    if m is None:
-        if family == "lowlying-reciprocal":
-            raise ValueError(f"family {family!r} needs the run bound m")
-        return reciprocal_count(t)
-    return bounded_compositions(t, m)
+    return _per_length(family, m, primitive)(t)
+
+
+def count_series(
+    family: str, *, m: Optional[int] = None, primitive: bool = False
+) -> Iterator[int]:
+    """Yield ``count(family, t, m=m, primitive=primitive)`` for t = 1, 2, ... .
+
+    The arguments are checked before the first term.  Bounded compositions
+    cost one big-integer step per term; every other family costs one count
+    evaluation per term.
+    """
+    counter = _per_length(family, m, primitive)  # checks the arguments
+    if family in _COMPOSITION_FAMILIES and m is not None:
+        return _composition_series(m)
+    return map(counter, itertools.count(1))
 
 
 def cumulative(
@@ -179,7 +236,7 @@ def cumulative(
     primitive: bool = False,
     include_torsion: bool = False,
 ) -> int:
-    """Sum of ``count`` over lengths 1..t_max.
+    """Sum of ``count`` over lengths 1..t_max, the first t_max terms of ``count_series``.
 
     ``classes`` may add the 3 torsion classes of group length one;
     ``reciprocal`` without the primitive flag collapses to 2**t_max - 1.
@@ -190,27 +247,40 @@ def cumulative(
         raise ValueError("torsion classes add only to the non-primitive classes family")
     if family == "reciprocal" and not primitive:
         return (1 << t_max) - 1
-    total = sum(count(family, t, m=m, primitive=primitive) for t in range(1, t_max + 1))
+    total = sum(itertools.islice(count_series(family, m=m, primitive=primitive), t_max))
     return total + (_TORSION_CLASSES if include_torsion else 0)
 
 
 # ---------------------------------------------------------------------------
 # bounded compositions
 
+def _composition_series(m: int) -> Iterator[int]:
+    # c_1, c_2, ... by c_k = 2 c_(k-1) - c_(k-1-m).  ``window`` holds
+    # c_(k-1-m) .. c_(k-1) once k > m, and the c_0 .. c_(k-1) before, the
+    # missing terms being zero.  It is trimmed by hand rather than by
+    # ``maxlen``, which must fit a C ssize_t while m is any positive int.
+    window = deque([1, 1])  # c_0, c_1
+    yield 1
+    while True:
+        c = 2 * window[-1] - (window.popleft() if len(window) > m else 0)
+        window.append(c)
+        yield c
+
+
 def bounded_compositions(t: int, m: int) -> int:
     """Number of compositions of t with every part at most m.
 
     Conventions: one empty composition of 0, none of negative totals.  For
-    m >= t >= 1 this is all 2**(t-1) compositions.
+    m >= t >= 1 this is all 2**(t-1) compositions.  Costs O(t) big-integer
+    steps with at most m + 1 values live.
     """
     if m < 1:
         raise ValueError("part bound m must be >= 1")
     if t < 0:
         return 0
-    counts = [1]  # counts[k] = compositions of k, built upward
-    for k in range(1, t + 1):
-        counts.append(sum(counts[k - i] for i in range(1, min(m, k) + 1)))
-    return counts[t]
+    if t == 0:
+        return 1
+    return next(itertools.islice(_composition_series(m), t - 1, None))
 
 
 # ---------------------------------------------------------------------------

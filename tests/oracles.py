@@ -6,6 +6,7 @@ between an oracle and the library is meaningful evidence.
 """
 
 from itertools import groupby, product
+from math import gcd
 
 
 def rotate_tuple(entries, k):
@@ -88,6 +89,40 @@ def compositions(t):
 
 def bounded_compositions_list(t, m):
     return [c for c in compositions(t) if all(p <= m for p in c)]
+
+
+# ---------------------------------------------------------------------------
+# naive count formulas: the direct sums the library's linear-time forms replace
+
+def necklace_count_shifts(tau):
+    """Burnside's lemma over every shift: (1/tau) * sum_j 2^gcd(j, tau)."""
+    count, rem = divmod(sum(1 << gcd(j, tau) for j in range(1, tau + 1)), tau)
+    if rem:
+        raise ArithmeticError(f"shift sum not divisible by {tau}")
+    return count
+
+
+def composition_table(t_max, m):
+    """[c_0, ..., c_t_max], c_k the compositions of k with parts at most m.
+
+    Each entry is the window sum c_(k-1) + ... + c_(k-m) of the entries before.
+    """
+    counts = [1]
+    for k in range(1, t_max + 1):
+        counts.append(sum(counts[k - i] for i in range(1, min(m, k) + 1)))
+    return counts
+
+
+def primitive_table(totals):
+    """Primitive parts of per-length totals: totals[n] = sum over d | n of out[d].
+
+    ``totals`` is indexed from 1 (totals[0] is ignored); peels off the
+    divisors bottom-up.
+    """
+    out = [0] * len(totals)
+    for n in range(1, len(totals)):
+        out[n] = totals[n] - sum(out[d] for d in range(1, n) if n % d == 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,12 @@ import pytest
 import oracles
 
 from modgeod.cli import _emit_rows, _fmt, main
-from modgeod.counting import bounded_compositions, cumulative, primitive_class_count
+from modgeod.counting import (
+    bounded_compositions,
+    cumulative,
+    lowlying_lower_bound,
+    primitive_class_count,
+)
 
 
 def run(capsys, *argv):
@@ -88,6 +93,9 @@ def test_count_json(capsys):
         ("count", "--family", "classes+torsion", "--t", "2", "--cumulative", "--m", "2"),
         ("count", "--family", "classes+torsion", "--t", "2", "--cumulative", "--primitive"),
         ("audit-lemma71", "--tmax", "31"),
+        ("growth", "--item", "3", "--tmax", "1023"),
+        ("growth", "--item", "1", "--tmax", "2048"),
+        ("growth", "--item", "2", "--m", "3", "--tmax", "3000"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -269,6 +277,80 @@ def test_growth_item4_mixes_oracle_and_bound(capsys):
     assert "." in rows[7][1]
 
 
+def _oracle_growth_exacts(item, tmax, m=None, oracle_max=None):
+    """Per-row sums from the naive oracles, each row summed anew."""
+    if item == 1:
+        per_length = [oracles.composition_table(n, n)[n] for n in range(tmax // 2 + 1)]
+        return [sum(per_length[1:t // 2 + 1]) for t in range(1, tmax + 1)]
+    if item == 2:
+        per_length = oracles.composition_table(tmax // 2, m)
+        return [sum(per_length[1:t // 2 + 1]) for t in range(1, tmax + 1)]
+    if item == 3:
+        necklaces = [0] + [oracles.necklace_count_shifts(n) for n in range(1, tmax + 1)]
+        per_length = oracles.primitive_table(necklaces)
+        return [sum(per_length[1:t + 1]) - 2 for t in range(1, tmax + 1)]
+
+    def kept(w):
+        return (len(set(w)) == 2 and oracles.is_primitive_tuple(w)
+                and oracles.max_cyclic_run_tuple(w) <= m)
+
+    per_length = [
+        len(oracles.class_reps(tau, kept)) if tau <= oracle_max
+        else lowlying_lower_bound(tau, m)
+        for tau in range(1, tmax + 1)
+    ]
+    rows = []
+    for t in range(1, tmax + 1):
+        total = 0
+        for value in per_length[:t]:
+            total += value
+        rows.append(total)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "item,tmax,m,oracle_max",
+    [
+        (1, 60, None, None),
+        (2, 60, 2, None),
+        (2, 59, 5, None),
+        (3, 60, None, None),
+        (4, 12, 3, 16),
+        (4, 12, 4, 7),
+        (4, 60, 3, 10),
+    ],
+)
+def test_growth_exact_column_matches_oracle_sums(capsys, item, tmax, m, oracle_max):
+    argv = ["growth", "--item", str(item), "--tmax", str(tmax), "--format", "json"]
+    argv += ["--m", str(m)] if m is not None else []
+    argv += ["--oracle-max", str(oracle_max)] if oracle_max is not None else []
+    code, out = run(capsys, *argv)
+    assert code == 0
+    exacts = [row["exact"] for row in json.loads(out)]
+    assert exacts == _oracle_growth_exacts(item, tmax, m, oracle_max)
+
+
+@pytest.mark.parametrize(
+    "item,extra,first_t",
+    [
+        (1, (), 2048),
+        (2, ("--m", "3"), 2330),
+        (3, (), 1023),
+        (4, ("--m", "3", "--oracle-max", "3"), 1536),
+    ],
+)
+def test_growth_past_the_double_range_names_item_and_t(capsys, item, extra, first_t):
+    def growth(tmax):
+        return main(["growth", "--item", str(item), "--tmax", str(tmax), *extra])
+
+    assert growth(5000) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"growth item {item}: the float columns overflow a double at t={first_t};" in captured.err
+    assert growth(first_t - 1) == 0
+    capsys.readouterr()
+
+
 def test_growth_missing_m_exits_2(capsys):
     for item in ("2", "4"):
         code = main(["growth", "--item", item, "--tmax", "6"])
@@ -364,6 +446,17 @@ def test_depth_bad_inputs_exit_2(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("word_arg", ["--word=", "--word=--"])
+def test_depth_empty_word_names_the_consumed_double_dash(capsys, word_arg):
+    # argparse drops a lone "--" value, so both spellings arrive empty
+    code = main(["depth", word_arg])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--word is empty" in captured.err
+    assert "consumes a '--' value" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # audit
 
@@ -427,6 +520,9 @@ def _python(*args):
         ("verify", "--suite", "enumerate", "--tmax", "6"),
         ("audit-lemma71", "--tmax", "6"),
         ("depth", "--word=--++++-+--", "--format", "json"),
+        ("count", "--family", "compositions", "--t", "300", "--m", "4", "--cumulative"),
+        ("growth", "--item", "2", "--m", "3", "--tmax", "60"),
+        ("growth", "--item", "3", "--tmax", "40"),
     ],
 )
 def test_same_output_under_python_O(argv):

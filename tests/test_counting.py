@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from modgeod.counting import (
     alpha,
     bounded_compositions,
     closed_form_compositions,
+    count,
+    count_series,
     cumulative,
     growth_target,
     lowlying_lower_bound,
@@ -36,6 +39,12 @@ def test_necklace_examples():
 @pytest.mark.parametrize("tau", range(1, 13))
 def test_necklace_against_orbit_oracle(tau):
     assert necklace_count(tau) == len(oracles.class_reps(tau))
+
+
+def test_necklace_divisor_sum_matches_shift_sum():
+    # every tau to 300, then primes and highly composite tau near 2000
+    for tau in (*range(1, 301), 1680, 1999, 2003, 2048, 2310, 2520):
+        assert necklace_count(tau) == oracles.necklace_count_shifts(tau), tau
 
 
 def test_necklace_domain_error():
@@ -104,6 +113,47 @@ def test_cumulative_matches_per_length_sums():
         )
 
 
+def test_cumulative_matches_naive_sums_for_every_family():
+    T = 120
+    necklaces = [0] + [oracles.necklace_count_shifts(n) for n in range(1, T + 1)]
+    reciprocal = [0] + [1 << (n - 1) for n in range(1, T + 1)]
+    expected = {
+        ("classes", None, False): necklaces[1:],
+        ("classes", None, True): oracles.primitive_table(necklaces)[1:],
+        ("reciprocal", None, False): reciprocal[1:],
+        ("reciprocal", None, True): oracles.primitive_table(reciprocal)[1:],
+        ("compositions", None, False): reciprocal[1:],
+    }
+    for m in range(1, 7):
+        table = oracles.composition_table(T, m)[1:]
+        expected["compositions", m, False] = table
+        expected["lowlying-reciprocal", m, False] = table
+    for (family, m, primitive), per_length in expected.items():
+        sums = list(itertools.accumulate(per_length))
+        for t in range(1, T + 1):
+            got = cumulative(family, t, m=m, primitive=primitive)
+            assert got == sums[t - 1], (family, m, primitive, t)
+    assert [cumulative("classes", t, include_torsion=True) for t in range(1, T + 1)] == [
+        s + 3 for s in itertools.accumulate(necklaces[1:])
+    ]
+
+
+def test_count_series_yields_count_at_each_length():
+    cases = [("classes", None, False), ("classes", None, True), ("reciprocal", None, True),
+             ("compositions", None, False), ("compositions", 1, False),
+             ("lowlying-reciprocal", 4, False)]
+    for family, m, primitive in cases:
+        head = list(itertools.islice(count_series(family, m=m, primitive=primitive), 40))
+        assert head == [count(family, t, m=m, primitive=primitive) for t in range(1, 41)]
+
+
+def test_count_series_checks_arguments_before_the_first_term():
+    for family, m, primitive in (("geodesics", None, False), ("lowlying-reciprocal", None, False),
+                                 ("compositions", 0, False), ("compositions", 3, True)):
+        with pytest.raises(ValueError):
+            count_series(family, m=m, primitive=primitive)
+
+
 def test_cumulative_errors():
     with pytest.raises(ValueError):
         cumulative("geodesics", 4)
@@ -135,6 +185,19 @@ def test_bounded_composition_conventions():
     assert bounded_compositions(-2, 3) == 0
     with pytest.raises(ValueError):
         bounded_compositions(4, 0)
+
+
+def test_bounded_compositions_match_window_table():
+    for m in range(1, 13):
+        table = oracles.composition_table(400, m)
+        for t in range(-3, 401):
+            assert bounded_compositions(t, m) == (table[t] if t >= 0 else 0), (t, m)
+
+
+def test_bounded_compositions_take_any_part_bound():
+    # the window is trimmed by hand, so m need not fit a machine word
+    assert bounded_compositions(9, 10**30) == 1 << 8
+    assert cumulative("compositions", 9, m=10**30) == (1 << 9) - 1
 
 
 @given(st.integers(1, 18), st.integers(0, 6))
