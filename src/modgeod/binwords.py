@@ -12,13 +12,18 @@ Words are bit-packed: entry j is stored in bit t-1-j of a plain integer, with
 integers of equal-length words is exactly lexicographic comparison of entry
 sequences with -1 ordered before +1.  All values here are immutable and all
 operations are pure, so they are safe to share across threads.
+
+The kernels work on the packed integers directly.  Run profiles are read from
+the edge bits ``bits ^ (bits >> 1)``, one set bit per sign change, and
+expanded back by shifting in blocks of ones and zeros.  The mirror test of a
+word h.l of 2t entries compares the reverse of one half with the complement
+of the other, reversing t bits instead of 2t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
 
 __all__ = [
     "BinaryWord",
@@ -59,6 +64,11 @@ _REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def _reverse_bits(bits: int, t: int) -> int:
+    # bits < 2^t; up to two bytes are looked up directly
+    if t <= 8:
+        return _REV8[bits] >> (8 - t)
+    if t <= 16:
+        return (_REV8[bits & 0xFF] << 8 | _REV8[bits >> 8]) >> (16 - t)
     # reverse each byte and the byte order, i.e. all 8n bits, then drop the
     # zero bits that stood above bit t-1
     n = (t + 7) >> 3
@@ -101,8 +111,12 @@ def _max_cyclic_run_bits(bits: int, t: int) -> int:
 def _is_half_turn_bits(bits: int, length: int) -> bool:
     if length % 2:
         return False
-    mask = (1 << length) - 1
-    return _reverse_bits(bits, length) == (~bits & mask)
+    # h.l is mirrored iff rev_2t(h.l) = rev_t(l).rev_t(h) equals ~h.~l, i.e.
+    # rev_t(l) = ~h and rev_t(h) = ~l; reversing either equation gives the
+    # other, so the second alone decides
+    t = length >> 1
+    mask = (1 << t) - 1
+    return _reverse_bits(bits >> t, t) == (~bits & mask)
 
 
 def _k0_bits(bits: int, length: int) -> int:
@@ -318,9 +332,18 @@ def runs_of(halfword: BinaryWord) -> Composition:
     a mirrored word, whereas ``max_cyclic_run`` reads the full word cyclically.
     The parts always sum to the word length.
     """
-    return Composition(
-        tuple(sum(1 for _ in grp) for _, grp in groupby(str(halfword)))
-    )
+    t = halfword.length
+    # bit i of edges is set iff entries t-2-i and t-1-i differ: a run ends there
+    edges = (halfword.bits ^ (halfword.bits >> 1)) & ((1 << (t - 1)) - 1)
+    parts = []
+    top = t - 1  # bit of the current run's first entry
+    while edges:
+        i = edges.bit_length() - 1
+        parts.append(top - i)
+        top = i
+        edges ^= 1 << i
+    parts.append(top + 1)
+    return Composition(tuple(parts))
 
 
 def from_composition(c: Composition, leading_sign: int) -> BinaryWord:
@@ -330,9 +353,10 @@ def from_composition(c: Composition, leading_sign: int) -> BinaryWord:
     """
     if leading_sign not in (-1, 1):
         raise ValueError("leading sign must be +1 or -1")
-    entries: list[int] = []
-    sign = leading_sign
+    bits = length = 0
+    ones = leading_sign == 1
     for part in c.parts:
-        entries.extend([sign] * part)
-        sign = -sign
-    return BinaryWord.from_entries(entries)
+        bits = (bits << part) | ((1 << part) - 1 if ones else 0)
+        length += part
+        ones = not ones
+    return BinaryWord(bits, length)

@@ -265,8 +265,11 @@ def cmd_growth(args, parser) -> int:
     rows = []
     try:
         exacts = _growth_exacts(args.item, args.m, args.oracle_max)
-        for t, exact in zip(range(1, args.tmax + 1), exacts):
+        for t in range(1, args.tmax + 1):
+            # the target rejects a bad item or m before any exact value or
+            # bound is evaluated
             target = ct.growth_target(args.item, t, args.m)
+            exact = next(exacts)
             rows.append(
                 {
                     "t": t,
@@ -290,12 +293,38 @@ def cmd_growth(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # table1
 
+def _first_overflow(f, t: int) -> int:
+    """Smallest tau in 1..t at which f(tau) raises OverflowError.
+
+    f(t) must raise it, and f must overflow at every length past the first
+    one that does.
+    """
+    ok, bad = 0, t
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        try:
+            f(mid)
+        except OverflowError:
+            bad = mid
+        else:
+            ok = mid
+    return bad
+
+
 def cmd_table1(args, parser) -> int:
     t, m = args.t, args.m
     if t < 1 or m < 2:
         parser.error("table1 needs --t >= 1 and --m >= 2")
     if args.oracle_max < 0:
         parser.error("--oracle-max must be >= 0")
+    try:
+        bound = ct.lowlying_lower_bound(t, m)
+    except OverflowError:
+        first = _first_overflow(lambda tau: ct.lowlying_lower_bound(tau, m), t)
+        parser.error(
+            f"table1: the lowlying bound overflows a double at t={first} for --m {m}; "
+            f"use --t {first - 1} or less"
+        )
     enumerable = t <= args.oracle_max
 
     def enum_count(gen):
@@ -306,7 +335,6 @@ def cmd_table1(args, parser) -> int:
     lowlying_n = enum_count(en.classes(t, m=m))
     lowlying_rec_n = enum_count(en.reciprocal_classes(t, m))
 
-    bound = ct.lowlying_lower_bound(t, m)
     rows = [
         {
             "family": "classes",

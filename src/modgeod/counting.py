@@ -320,25 +320,36 @@ def _run_polynomial(z: Fraction, m: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _alpha_cached(m: int, tol: float) -> AlphaData:
-    lo = 2 * (1 - Fraction(1, 1 << m))
-    hi = Fraction(2)
-    # sign test uses the cleared-denominator form z^(m+1) - 2 z^m + 1, which
-    # shares the root's sign for z > 1
-    if not lo ** (m + 1) - 2 * lo ** m + 1 < 0:
-        raise ArithmeticError(f"[{lo}, 2] does not bracket the growth root for m={m}")
+    # the bracket [2(1 - 2^-m), 2] as dyadic integers lo = a / 2^s, hi = b / 2^s
+    s = m - 1
+    a, b = (1 << m) - 1, 1 << m
 
-    width = float(hi - lo)
+    def negative(x: int, k: int) -> bool:
+        # z^(m+1) - 2 z^m + 1 < 0 at z = x / 2^k, times 2^(k(m+1)):
+        # x^(m+1) - (x^m << (k+1)) + 2^(k(m+1)) < 0; the polynomial shares
+        # the root's sign for z > 1
+        p = x**m
+        return p * x - (p << (k + 1)) + (1 << (k * (m + 1))) < 0
+
+    if not negative(a, s):
+        raise ArithmeticError(
+            f"[{Fraction(a, 1 << s)}, 2] does not bracket the growth root for m={m}"
+        )
+
+    width = float(Fraction(b - a, 1 << s))
     # enough halvings for the requested width, with a floor that pins the
     # exact residual orders of magnitude below 1e-12 even at m = 40
     steps = max(130, math.ceil(math.log2(width / tol)) + 1 if tol < width else 0)
     for _ in range(steps):
-        mid = (lo + hi) / 2
-        if mid ** (m + 1) - 2 * mid ** m + 1 < 0:
-            lo = mid
+        # the midpoint (a + b) / 2^(s+1), with the bracket rescaled to 2^(s+1)
+        s += 1
+        mid = a + b
+        if negative(mid, s):
+            a, b = mid, b << 1
         else:
-            hi = mid
+            a, b = a << 1, mid
 
-    root = (lo + hi) / 2
+    root = Fraction(a + b, 1 << (s + 1))
     d_exact = (root - 1) / (2 + (m + 1) * (root - 2))
     return AlphaData(
         m=m,
@@ -353,7 +364,8 @@ def _alpha_cached(m: int, tol: float) -> AlphaData:
 def alpha(m: int, tol: float = 1e-13) -> AlphaData:
     """Bisect for the unique positive root of z^m - z^(m-1) - ... - 1.
 
-    Deterministic rational bisection on the bracket [2(1 - 2^-m), 2]; no
+    Deterministic bisection on the bracket [2(1 - 2^-m), 2], exact on dyadic
+    rationals held as integer numerators over a power of two; no
     floating-point transcendentals are involved.
     """
     if m < 2:

@@ -20,6 +20,7 @@ test suite.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, Optional
 
 from .binwords import (
@@ -243,6 +244,24 @@ def power_map(w: BinaryWord, n: int) -> BinaryWord:
     return canonical_form(BinaryWord(bits, n * w.length))
 
 
+def _subset_tables(masks: list[int]) -> tuple[list[int], list[int]]:
+    """Split tables of the unions of disjoint bit masks, about 2^(n/2) entries each.
+
+    Index the subsets of the n masks by n-bit numbers, the first mask the most
+    significant bit.  With k = n // 2, subset (u << k) | v is the union
+    hi[u] | lo[v], so walking u and then v walks the indices in order.
+    """
+
+    def unions(part: list[int]) -> list[int]:
+        table = [0]
+        for mask in part:
+            table = [x | bit for x in table for bit in (0, mask)]
+        return table
+
+    split = len(masks) - len(masks) // 2
+    return unions(masks[:split]), unions(masks[split:])
+
+
 def lower_bound_witnesses(t: int, m: int) -> Iterator[BinaryWord]:
     """Generate bounded-run words from the forced-slot construction.
 
@@ -260,17 +279,15 @@ def lower_bound_witnesses(t: int, m: int) -> Iterator[BinaryWord]:
         raise ValueError("run bound m must be >= 1")
     forced = {g for g in range(m, t, m)}
     forced.add(t - 1)
-    free = [j for j in range(t) if j not in forced]
-    forced_list = sorted(forced)
-    n_free, n_forced = len(free), len(forced_list)
-    entries = [0] * t
-    for free_bits in range(1 << n_free):
-        for j, slot in enumerate(free):
-            entries[slot] = 1 if (free_bits >> (n_free - 1 - j)) & 1 else -1
-        for forced_bits in range(1 << n_forced):
-            for j, slot in enumerate(forced_list):
-                entries[slot] = 1 if (forced_bits >> (n_forced - 1 - j)) & 1 else -1
-            word = BinaryWord.from_entries(entries)
-            if _max_cyclic_run_bits(word.bits, t) <= m:
-                yield word
-                break
+    # entry j is bit t-1-j; slot lists run in entry order, so the first slot
+    # of each list is the most significant bit of its assignment index
+    free_hi, free_lo = _subset_tables([1 << (t - 1 - j) for j in range(t) if j not in forced])
+    forced_hi, forced_lo = _subset_tables([1 << (t - 1 - j) for j in sorted(forced)])
+    for hi in free_hi:
+        for lo in free_lo:
+            free_bits = hi | lo
+            for f_hi, f_lo in product(forced_hi, forced_lo):
+                bits = free_bits | f_hi | f_lo
+                if _max_cyclic_run_bits(bits, t) <= m:
+                    yield BinaryWord(bits, t)
+                    break

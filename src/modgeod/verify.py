@@ -116,7 +116,8 @@ def check_runs_two_preimages(tmax: int = 12) -> CheckResult:
     for t in range(1, tmax + 1):
         buckets: dict[tuple[int, ...], int] = {}
         for w in _all_words(t):
-            buckets[bw.runs_of(w).parts] = buckets.get(bw.runs_of(w).parts, 0) + 1
+            parts = bw.runs_of(w).parts
+            buckets[parts] = buckets.get(parts, 0) + 1
         if len(buckets) != 1 << (t - 1):
             return _fail(name, f"{len(buckets)} run profiles at length {t}")
         bad = [p for p, n in buckets.items() if n != 2]

@@ -5,6 +5,8 @@ entries) and never goes through the bit-packed library paths, so agreement
 between an oracle and the library is meaningful evidence.
 """
 
+import math
+from fractions import Fraction
 from itertools import groupby, product
 from math import gcd
 
@@ -53,6 +55,25 @@ def runs_tuple(entries):
     return tuple(len(list(g)) for _, g in groupby(entries))
 
 
+def composition_entries(parts, leading):
+    """The sign entries whose runs are ``parts``, the first run of sign ``leading``."""
+    entries = []
+    sign = leading
+    for part in parts:
+        entries.extend([sign] * part)
+        sign = -sign
+    return tuple(entries)
+
+
+def is_mirrored_text(text):
+    """Whether a '+'/'-' string reads, reversed and with its signs swapped, as itself.
+
+    An odd-length string never does: its middle sign would have to be its own
+    negation.
+    """
+    return text == text[::-1].translate(str.maketrans("+-", "-+"))
+
+
 def is_mirrored_tuple(entries):
     n = len(entries)
     return n % 2 == 0 and all(entries[j] == -entries[n - 1 - j] for j in range(n))
@@ -89,6 +110,57 @@ def compositions(t):
 
 def bounded_compositions_list(t, m):
     return [c for c in compositions(t) if all(p <= m for p in c)]
+
+
+def witness_entries(t, m):
+    """The forced-slot lower-bound witnesses of t entries, built entry by entry.
+
+    Forced slots are m, 2m, ... below t and the last slot; the free slots take
+    every sign pattern in order, the first free slot most significant with -1
+    before +1, and each pattern is completed by the first forced pattern, in
+    the same order, whose cyclic runs are all at most m.
+    """
+    forced = sorted({*range(m, t, m), t - 1})
+    free = [j for j in range(t) if j not in forced]
+    entries = [0] * t
+    for free_signs in product((-1, 1), repeat=len(free)):
+        for slot, sign in zip(free, free_signs):
+            entries[slot] = sign
+        for forced_signs in product((-1, 1), repeat=len(forced)):
+            for slot, sign in zip(forced, forced_signs):
+                entries[slot] = sign
+            if max_cyclic_run_tuple(tuple(entries)) <= m:
+                yield tuple(entries)
+                break
+
+
+def alpha_fraction_bisection(m, tol):
+    """The fields of ``AlphaData`` from a bisection on ``Fraction`` midpoints.
+
+    The bracket [2(1 - 2^-m), 2] is halved max(130, ceil(log2(width/tol)) + 1)
+    times (130 when tol is at least the width) on the sign of
+    z^(m+1) - 2 z^m + 1, and the root is the final midpoint.
+    """
+    lo, hi = 2 * (1 - Fraction(1, 2**m)), Fraction(2)
+    width = float(hi - lo)
+    steps = max(130, math.ceil(math.log2(width / tol)) + 1 if tol < width else 0)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if mid ** (m + 1) - 2 * mid**m + 1 < 0:
+            lo = mid
+        else:
+            hi = mid
+    root = (lo + hi) / 2
+    d = (root - 1) / (2 + (m + 1) * (root - 2))
+    residual = root**m - sum(root**k for k in range(m))  # the defining polynomial
+    return {
+        "m": m,
+        "alpha": float(root),
+        "d": float(d),
+        "residual": float(residual),
+        "alpha_exact": root,
+        "d_exact": d,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from modgeod.binwords import (
     primitive_root,
     rotate,
     runs_of,
+    _is_half_turn_bits,
     _k0_bits,
     _max_cyclic_run_bits,
     _reverse_bits,
@@ -235,6 +236,15 @@ def test_is_half_turn_matches_oracle():
             assert is_half_turn(w) == oracles.is_mirrored_tuple(entries)
 
 
+def test_is_half_turn_matches_string_definition():
+    # every word of every length 1..18, odd lengths included
+    to_signs = str.maketrans("01", "-+")
+    for n in range(1, 19):
+        for bits in range(1 << n):
+            text = format(bits, f"0{n}b").translate(to_signs)
+            assert _is_half_turn_bits(bits, n) == oracles.is_mirrored_text(text), text
+
+
 @given(half_lengths, st.integers(0, 1023))
 def test_half_turn_partner_properties(t, seed):
     half = BinaryWord(seed % (1 << t), t)
@@ -262,6 +272,25 @@ def test_from_composition_examples():
     assert from_composition(Composition((3, 2, 1, 1)), -1) == W("---++-+")
     assert from_composition(Composition((1,)), 1) == W("+")
     assert from_composition(Composition((2, 2)), 1) == W("++--")
+
+
+def test_runs_of_matches_groupby_oracle():
+    for t in range(1, 15):
+        for entries in oracles.all_words(t):
+            assert runs_of(BinaryWord.from_entries(entries)).parts == oracles.runs_tuple(entries)
+
+
+def test_from_composition_matches_entry_oracle():
+    for t in range(1, 15):
+        for parts in oracles.compositions(t):
+            for leading in (-1, 1):
+                word = from_composition(Composition(parts), leading)
+                assert word.entries == oracles.composition_entries(parts, leading)
+
+
+def test_from_composition_rejects_the_empty_composition():
+    with pytest.raises(ValueError, match="word length must be a positive integer"):
+        from_composition(Composition(()), 1)
 
 
 def test_composition_validation():

@@ -96,6 +96,7 @@ def test_count_json(capsys):
         ("growth", "--item", "3", "--tmax", "1023"),
         ("growth", "--item", "1", "--tmax", "2048"),
         ("growth", "--item", "2", "--m", "3", "--tmax", "3000"),
+        ("growth", "--item", "4", "--m", "0", "--oracle-max", "0", "--tmax", "1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -399,6 +400,20 @@ def test_table1_past_rounding_ceiling(capsys):
     assert out.splitlines()[4] == "lowlying-reciprocal,320,37889062373143906,,skipped"
 
 
+@pytest.mark.parametrize("m,t,first_t", [(3, 2000, 1538), (2, 10**40, 2050)])
+def test_table1_past_the_double_range_names_t(capsys, m, t, first_t):
+    # the lowlying bound 2^(t - t/m - 1) / t is a double
+    def table1(t):
+        return main(["table1", "--t", str(t), "--m", str(m)])
+
+    assert table1(t) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the lowlying bound overflows a double at t={first_t} for --m {m};" in captured.err
+    assert table1(first_t - 1) == 0
+    capsys.readouterr()
+
+
 def test_table1_json(capsys):
     code, out = run(capsys, "table1", "--t", "4", "--m", "2", "--format", "json")
     assert code == 0
@@ -523,6 +538,9 @@ def _python(*args):
         ("count", "--family", "compositions", "--t", "300", "--m", "4", "--cumulative"),
         ("growth", "--item", "2", "--m", "3", "--tmax", "60"),
         ("growth", "--item", "3", "--tmax", "40"),
+        ("alpha", "--m", "40"),
+        ("verify", "--suite", "binwords", "--tmax", "8"),
+        ("verify", "--suite", "enumerate", "--tmax", "10"),
     ],
 )
 def test_same_output_under_python_O(argv):

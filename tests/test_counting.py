@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -244,6 +245,12 @@ def test_alpha_residual_is_exact_polynomial_value():
     z = data.alpha_exact
     direct = z**5 - z**4 - z**3 - z**2 - z - 1
     assert data.residual == float(direct)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-13, 1e-40])
+def test_alpha_matches_fraction_bisection(tol):
+    for m in range(2, 61):
+        assert dataclasses.asdict(alpha(m, tol)) == oracles.alpha_fraction_bisection(m, tol), m
 
 
 def test_alpha_domain_errors():

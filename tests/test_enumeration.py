@@ -268,6 +268,13 @@ def test_witnesses_stay_low_lying_and_plentiful():
             assert len(distinct) >= need
 
 
+def test_witnesses_match_entry_oracle():
+    for m in range(1, 7):
+        for t in range(1, 17):
+            words = [w.entries for w in lower_bound_witnesses(t, m)]
+            assert words == list(oracles.witness_entries(t, m)), (t, m)
+
+
 def test_witnesses_deterministic():
     a = list(lower_bound_witnesses(9, 2))
     b = list(lower_bound_witnesses(9, 2))
