@@ -3,9 +3,13 @@
 Output is deterministic for a fixed argv: rows are emitted in sorted order,
 reals are printed with 12 significant digits in CSV mode, and JSON mode
 mirrors the CSV rows as an array of objects with the same field names.
+Tables are written a chunk of rows at a time, and ``enumerate`` streams its
+rows as the generators make them, so its memory does not grow with the class
+count.
 
-Exit codes: 0 on success, 1 when a verification or dual-source cross-check
-fails, 2 on usage errors.
+Exit codes: 0 on success, and also when the reader of stdout closes it early
+(as ``| head`` does); 1 when a verification or dual-source cross-check fails;
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -14,15 +18,17 @@ import argparse
 import functools
 import itertools
 import json
+import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import counting as ct
 from . import enumeration as en
 from . import geometry as geo
 from . import verify as vf
-from .binwords import BinaryWord
+from .binwords import _SIGN_CHARS, BinaryWord, _is_half_turn_bits, _k0_bits
 
 __all__ = ["main"]
 
@@ -38,35 +44,66 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_value(value) -> str:
-    # the text json.dumps gives a scalar; str and exact int, nearly every
-    # value printed, skip its per-call encoder set-up
-    kind = type(value)
-    if kind is str:
-        return _json_str(value)
-    if kind is int:
-        return int.__repr__(value)
-    return json.dumps(value)
+def _json_column(values: tuple) -> Iterable[str]:
+    # the text json.dumps gives each value; a column of str or of int, nearly
+    # every column printed, skips its per-call encoder set-up
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return map(_json_str, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    return map(json.dumps, values)
+
+
+def _csv_column(values: tuple) -> Iterable[str]:
+    # the text _fmt gives each value
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return values
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    return map(_fmt, values)
+
+
+# rows per write of ``_write_rows``
+_CHUNK_ROWS = 4096
+
+
+def _write_rows(rows: Iterable[Sequence], fields: list[str], fmt: str) -> None:
+    """Write rows as CSV, or as ``json.dumps`` of the row objects with ``indent=2``.
+
+    Each row holds one JSON scalar per name in ``fields`` (non-empty, in
+    output order): a str, int, float, bool or None.  Rows are pulled and
+    written ``_CHUNK_ROWS`` at a time to the ``sys.stdout`` of the call, so
+    memory stays flat however many rows there are.  Nothing is written before
+    the first chunk is pulled, so an error a generator raises on its first
+    pull leaves stdout empty.  Each chunk is formatted a column at a time.
+    """
+    if fmt == "json":
+        item = "  {\n" + ",\n".join(
+            f"    {_json_str(k).replace('%', '%%')}: %s" for k in fields
+        ) + "\n  }"
+        render, column = item.__mod__, _json_column
+        head, sep, end, empty = "[\n", ",\n", "\n]\n", "[]\n"
+    else:
+        render, column = ",".join, _csv_column
+        head = empty = ",".join(fields) + "\n"
+        sep = end = "\n"
+    write = sys.stdout.write
+    rows = iter(rows)
+    lead = head
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        write(lead + sep.join(map(render, zip(*map(column, zip(*chunk))))))
+        lead = sep
+    write(empty if lead is head else end)
 
 
 def _emit_rows(rows: list[dict], fields: list[str], fmt: str) -> None:
-    """Print rows as CSV, or as ``json.dumps(rows, indent=2)`` prints them.
+    """``_write_rows`` for rows that map each name in ``fields`` to its value.
 
-    Rows are flat: each maps every name in ``fields`` (non-empty, in output
-    order) to a JSON scalar, a str, int, float, bool or None, and keys not in
-    ``fields`` are left out.
+    Keys not in ``fields`` are left out.
     """
-    if fmt == "json":
-        heads = [f"    {_json_str(k)}: " for k in fields]
-        items = [
-            "  {\n" + ",\n".join([h + _json_value(row[k]) for h, k in zip(heads, fields)]) + "\n  }"
-            for row in rows
-        ]
-        print("[\n" + ",\n".join(items) + "\n]" if items else "[]")
-        return
-    lines = [",".join(fields)]
-    lines += [",".join([_fmt(row[k]) for k in fields]) for row in rows]
-    print("\n".join(lines))
+    _write_rows(([row[k] for k in fields] for row in rows), fields, fmt)
 
 
 def _parse_syllables(text: str) -> BinaryWord:
@@ -161,27 +198,40 @@ def cmd_count(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # enumerate
 
+def _enumerate_rows(args) -> Iterator[tuple]:
+    """The rows of ``enumerate``; words are formatted from their packed bits.
+
+    Reciprocal rows come from the bits-level core and build no word object.
+    """
+    t = args.t
+    if args.family == "classes":
+        spec = f"0{t}b"
+        for w in en.classes(t, primitive=args.primitive, m=args.m, hyperbolic=args.hyperbolic):
+            yield format(w.bits, spec).translate(_SIGN_CHARS), t
+        return
+    length = 2 * t
+    spec = f"0{length}b"
+    for bits in en._reciprocal_bits(t, args.m):
+        # the checks the HalfTurnWord constructor makes
+        if not _is_half_turn_bits(bits, length):
+            word = format(bits, spec).translate(_SIGN_CHARS)
+            raise en.ContractViolationError(f"not a mirrored word: {word}")
+        k0 = _k0_bits(bits, length)
+        if args.primitive and k0 != t:
+            continue
+        yield format(bits, spec).translate(_SIGN_CHARS), t, k0
+
+
 def cmd_enumerate(args, parser) -> int:
     if args.t > _ENUMERATION_HARD_CAP:
         parser.error(f"--t above {_ENUMERATION_HARD_CAP} is out of range for enumeration")
+    fields = ["word", "tau"] if args.family == "classes" else ["word", "t", "k0"]
     try:
-        if args.family == "classes":
-            fields = ["word", "tau"]
-            rows = [
-                {"word": str(w), "tau": args.t}
-                for w in en.classes(
-                    args.t, primitive=args.primitive, m=args.m, hyperbolic=args.hyperbolic
-                )
-            ]
-        else:
-            fields = ["word", "t", "k0"]
-            rows = [
-                {"word": str(h.word), "t": args.t, "k0": h.k0}
-                for h in en.reciprocal_classes(args.t, args.m, primitive=args.primitive)
-            ]
+        # the generators check t and m on their first pull, which comes
+        # before the first write
+        _write_rows(_enumerate_rows(args), fields, args.format)
     except ValueError as exc:
         parser.error(str(exc))
-    _emit_rows(rows, fields, args.format)
     return 0
 
 
@@ -555,14 +605,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point a real stdout at the null device after its reader has gone.
+
+    The interpreter flushes stdout once more at exit, and that write would
+    fail again on the closed pipe.  A stdout with no file descriptor, or one
+    that is not a pipe, is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    if not stat.S_ISFIFO(os.fstat(fd).st_mode):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        if sys.stdout is sys.__stdout__:
+            # the process's own stdout is otherwise flushed at exit, where a
+            # closed pipe would fail outside this handler; a stream swapped
+            # in by a caller is the caller's to flush
+            sys.stdout.flush()
+        return code
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    except BrokenPipeError:
+        # the reader stopped early, as ``| head`` does; the output it read is
+        # all it wanted
+        _drop_stdout()
+        return 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ than m is skipped together with every word that extends it.
 ``reciprocal_classes`` walks the free first halves, and under a run bound
 only those whose runs are at most m.  Both do a constant amount of big-integer
 work per class on average, and neither canonicalises a word by rotating it.
+``reciprocal_classes`` wraps a private core that yields packed bits, which the
+CLI streams rows from and ``verify`` counts.
 
 Emission is in increasing bit order of the canonical representative, which is
 lexicographic order of the entries with -1 first, so output is sorted and
@@ -27,8 +29,9 @@ from .binwords import (
     BinaryWord,
     Composition,
     HalfTurnWord,
-    _full_from_half_bits,
+    _full_from_half_bits,  # unused here; kept because bench/tracer.py hooks this name
     _max_cyclic_run_bits,
+    _reverse_bits,
     _smallest_period_bits,
     canonical_form,
     from_composition,
@@ -143,20 +146,12 @@ def _bounded_run_words(t: int, bound: int) -> Iterator[int]:
             bits |= 1 << ones
 
 
-def reciprocal_classes(
-    t: int,
-    m: Optional[int] = None,
-    *,
-    primitive: bool = False,
-) -> Iterator[HalfTurnWord]:
-    """Yield one representative per conjugacy class of reciprocal words.
+def _reciprocal_bits(t: int, m: Optional[int] = None) -> Iterator[int]:
+    """Packed bits of the canonical mirrored words of ``reciprocal_classes``.
 
-    The free first half ranges over all 2^t sign patterns; each mirrored word
-    pairs with exactly one rotation partner of the same shape, and the
-    lexicographically smaller of the pair is emitted, giving 2^(t-1) classes.
-    With ``m`` set, only words with cyclic runs at most m survive, and the
-    number of survivors equals the number of compositions of t with parts
-    at most m.  ``primitive`` keeps the classes whose return shift is t.
+    Same words in the same order, with no object and no period per word: the
+    callers check each word and find its k0.  Arguments are checked on the
+    first pull.
 
     Canonicity is read off the two halves, with no period and no rotation.
     Let s be reverse-complement on t entries, so the word is h.s(h).  Its
@@ -174,18 +169,47 @@ def reciprocal_classes(
         raise ValueError("t must be >= 1")
     if m is not None and m < 1:
         raise ValueError("run bound m must be >= 1")
-    length = 2 * t
+    mask = (1 << t) - 1
+    # s(h) = ~rev_t(h) reverses h's two parts and swaps them: with h = hi.lo,
+    # lo of `low` bits, rev_t(h) = rev(lo).rev(hi)
+    low = t >> 1
+    high = t - low
+    low_mask = (1 << low) - 1
+    rev_high = [_reverse_bits(x, high) for x in range(1 << high)]
+    rev_low = [_reverse_bits(x, low) << high for x in range(1 << low)]
     # both junctions of a mirrored word change sign, so its cyclic runs are
     # the runs of its half
     for half in _bounded_run_words(t, t if m is None else m):
-        full = _full_from_half_bits(half, t)
-        head, tail, n = half, full & ((1 << t) - 1), t
+        mirror = mask ^ (rev_low[half & low_mask] | rev_high[half >> low])
+        head, tail, n = half, mirror, t
         while head == tail:
             n >>= 1
             head, tail = head >> n, head & ((1 << n) - 1)
-        if head > tail:
-            continue
-        h = HalfTurnWord(BinaryWord(full, length))
+        if head < tail:
+            yield (half << t) | mirror
+
+
+def reciprocal_classes(
+    t: int,
+    m: Optional[int] = None,
+    *,
+    primitive: bool = False,
+) -> Iterator[HalfTurnWord]:
+    """Yield one representative per conjugacy class of reciprocal words.
+
+    The free first half ranges over all 2^t sign patterns; each mirrored word
+    pairs with exactly one rotation partner of the same shape, and the
+    lexicographically smaller of the pair is emitted, giving 2^(t-1) classes.
+    With ``m`` set, only words with cyclic runs at most m survive, and the
+    number of survivors equals the number of compositions of t with parts
+    at most m.  ``primitive`` keeps the classes whose return shift is t.
+
+    The words come from ``_reciprocal_bits``; each goes through the checked
+    ``HalfTurnWord`` constructor, which finds its k0 with one period scan.
+    """
+    length = 2 * t
+    for bits in _reciprocal_bits(t, m):
+        h = HalfTurnWord(BinaryWord(bits, length))
         if primitive and h.k0 != t:
             continue
         yield h

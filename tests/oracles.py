@@ -81,7 +81,8 @@ def is_mirrored_tuple(entries):
 
 def smaller_mirrored_reps(t):
     """The smaller mirrored member of each orbit of mirrored words of 2t entries."""
-    mirrored = [w for w in all_words(2 * t) if is_mirrored_tuple(w)]
+    # every free half h of t entries, followed by its reverse negated
+    mirrored = [h + tuple(-e for e in reversed(h)) for h in all_words(t)]
     return {
         min(r for r in all_rotations(w) if is_mirrored_tuple(r)) for w in mirrored
     }

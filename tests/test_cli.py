@@ -11,7 +11,8 @@ import pytest
 
 import oracles
 
-from modgeod.cli import _emit_rows, _fmt, main
+from modgeod import cli
+from modgeod.cli import _emit_rows, _fmt, _write_rows, main
 from modgeod.counting import (
     bounded_compositions,
     cumulative,
@@ -183,18 +184,87 @@ def test_emit_rows_csv_is_one_line_per_row(capsys, rows):
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
 
+# the chunk test's fields: "extra" mixes str and int in one column
+_CHUNK_FIELDS = [*_AWKWARD_FIELDS, "extra"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n", [0, 1, 3, 4])
+def test_write_rows_in_chunks_matches_whole_output(capsys, monkeypatch, fmt, n):
+    # n = 0, 1, one chunk and one chunk plus a row
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    rows = [_AWKWARD_ROWS[i % len(_AWKWARD_ROWS)] for i in range(n)]
+    _write_rows(([row[k] for k in _CHUNK_FIELDS] for row in rows), _CHUNK_FIELDS, fmt)
+    out = capsys.readouterr().out
+    if fmt == "json":
+        cut = [{k: row[k] for k in _CHUNK_FIELDS} for row in rows]
+        assert out == json.dumps(cut, indent=2) + "\n"
+    else:
+        lines = [",".join(_CHUNK_FIELDS)]
+        lines += [",".join(_fmt(row[k]) for k in _CHUNK_FIELDS) for row in rows]
+        assert out == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_write_rows_writes_each_chunk_as_it_fills(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+
+    def rows():
+        for i in range(5):
+            yield f"w{i}", i
+        raise RuntimeError("the fifth row is the last one")
+
+    with pytest.raises(RuntimeError):
+        _write_rows(rows(), ["word", "n"], fmt)
+    # two whole chunks went out before the third one failed
+    out = capsys.readouterr().out
+    written = [{"word": f"w{i}", "n": i} for i in range(4)]
+    if fmt == "json":
+        assert out == json.dumps(written, indent=2)[: -len("\n]")]
+    else:
+        assert out == "word,n\n" + "\n".join(f"w{i},{i}" for i in range(4))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("enumerate", "--family", "classes", "--t", "0"),
         ("enumerate", "--family", "classes", "--t", "4", "--m", "0"),
         ("enumerate", "--family", "reciprocal", "--t", "0"),
+        ("enumerate", "--family", "classes", "--t", "31"),
+        ("enumerate", "--family", "reciprocal", "--t", "4", "--m", "0", "--format", "json"),
+        ("enumerate", "--family", "reciprocal", "--t", "31", "--format", "json"),
     ],
 )
 def test_enumerate_bad_sizes_exit_2(capsys, argv):
+    # rows stream, so the sizes must be refused before the first byte
     code = main(list(argv))
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert code == 2
+    assert out == ""
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone and which has no file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_without_a_descriptor_ends_quietly(monkeypatch):
+    dup2 = os.dup2
+    moved = []
+
+    def recorded_dup2(*args):
+        moved.append(args)
+        return dup2(*args)
+
+    monkeypatch.setattr(os, "dup2", recorded_dup2)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["enumerate", "--family", "classes", "--t", "3"])
+    monkeypatch.undo()
+    assert code == 0
+    assert moved == []
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +611,8 @@ def _python(*args):
         ("alpha", "--m", "40"),
         ("verify", "--suite", "binwords", "--tmax", "8"),
         ("verify", "--suite", "enumerate", "--tmax", "10"),
+        ("enumerate", "--family", "reciprocal", "--t", "9", "--format", "json"),
+        ("enumerate", "--family", "classes", "--t", "12", "--m", "3", "--format", "json"),
     ],
 )
 def test_same_output_under_python_O(argv):
@@ -549,6 +621,22 @@ def test_same_output_under_python_O(argv):
     optimised = _python("-O", "-m", "modgeod", *argv)
     assert plain.returncode == 0, plain.stderr
     assert (optimised.returncode, optimised.stdout) == (plain.returncode, plain.stdout)
+
+
+def test_closed_pipe_ends_quietly():
+    # like `modgeod enumerate ... | head -1`: the reader closes the pipe after
+    # one line, long before the 1 MB of rows is written
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "modgeod", "enumerate", "--family", "classes", "--t", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert (first, err) == (b"word,tau\n", b"")
 
 
 def test_k0_check_survives_python_O():

@@ -174,6 +174,27 @@ def test_reciprocal_classes_find_each_period_once(monkeypatch):
             assert calls == built, (t, m, primitive)
 
 
+def test_reciprocal_bits_match_generator_and_tuple_oracle():
+    # the core yields the public generator's words, in its order; through
+    # t = 12 they are also the tuple oracle's smaller mirrored members
+    for t in range(1, 17):
+        smaller = sorted(oracles.smaller_mirrored_reps(t)) if t <= 12 else None
+        for m in (None, *range(1, 7)):
+            core = list(enumeration._reciprocal_bits(t, m))
+            assert core == [h.word.bits for h in reciprocal_classes(t, m)], (t, m)
+            if smaller is not None:
+                expected = [
+                    w for w in smaller if m is None or oracles.max_cyclic_run_tuple(w) <= m
+                ]
+                assert [BinaryWord(bits, 2 * t).entries for bits in core] == expected, (t, m)
+
+
+@pytest.mark.parametrize("t, m", [(0, None), (-1, 2), (3, 0)])
+def test_reciprocal_bits_validation(t, m):
+    with pytest.raises(ValueError):
+        next(enumeration._reciprocal_bits(t, m))
+
+
 def test_reciprocal_lowlying_matches_compositions():
     for t in range(1, 11):
         for m in range(1, t + 1):
