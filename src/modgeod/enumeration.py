@@ -52,7 +52,11 @@ __all__ = [
 
 
 class ContractViolationError(RuntimeError):
-    """A structural bijection failed to round-trip on a canonical input."""
+    """A proven structural guarantee failed on a valid input.
+
+    A bijection did not round-trip on a canonical input, or a walk outran the
+    bound its termination argument gives.
+    """
 
 
 def _trailing_ones(bits: int) -> int:

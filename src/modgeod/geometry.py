@@ -6,18 +6,23 @@ at infinity, the first is its conjugate fixing 0.  All matrix arithmetic is
 exact; floats enter only via lengths, apex heights and depths.
 
 ``ProjectiveMatrix`` is the public type results are returned in.  The hot
-paths (``encode``, the rotation candidates of ``max_depth`` and the
-conjugation search ``_bfs_min_c``) run on plain ``(a, b, c, d)`` integer
-tuples instead, with the same determinant check and the same projective sign
-rule (``_canonical``), and build no intermediate matrix objects.  The
-matrices of all t rotations of a word come from one another by conjugation
-with a single letter, so the candidate set costs O(t) tuple operations, not
-t encodings.
+paths (``encode`` and the rotation candidates of ``max_depth``) run on plain
+``(a, b, c, d)`` integer tuples instead, with the same determinant check and
+the same projective sign rule (``_canonical``), and build no intermediate
+matrix objects.  The matrices of all t rotations of a word come from one
+another by conjugation with a single letter, so the candidate set costs O(t)
+tuple operations, not t encodings.
 
 Depth convention: with the cusp parabolic normalised to a unit translation,
 the axis of a hyperbolic matrix [[a,b],[c,d]] is the half-circle over its real
 fixed points, whose apex height is sqrt(trace^2-4)/(2|c|); the depth past the
-length-one horocycle is log of that apex.
+length-one horocycle is log of that apex.  The deepest excursion is set by the
+smallest |c| over the conjugacy class.  ``max_depth`` reads it off the
+candidate set and cross-checks it against an independent exact computation:
+the smallest |leading coefficient| in the reduced cycle of the fixed-point
+form (c, d - a, -b) (Buchmann and Vollmer, *Binary Quadratic Forms*, 2007,
+ch. 6).  The bounded conjugation search ``_bfs_min_c`` is kept as a third,
+heuristic witness for ``verify``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Iterable, Optional
 
 # rotate is unused here; the layer tracer in bench/tracer.py hooks geometry.rotate
 from .binwords import BinaryWord, max_cyclic_run, rotate
-from .enumeration import classes
+from .enumeration import ContractViolationError, classes
 
 __all__ = [
     "ProjectiveMatrix",
@@ -46,10 +51,6 @@ __all__ = [
     "in_thick_part",
     "audit_lemma71",
 ]
-
-# strictness margin for bracket membership; nearer hits are flagged as
-# boundary cases instead of being counted either way
-_EDGE_MARGIN = 1e-9
 
 Quad = tuple[int, int, int, int]
 
@@ -188,7 +189,14 @@ def in_thick_part(w: BinaryWord, m: int) -> bool:
 
 @dataclass(frozen=True)
 class DepthReport:
-    """Per-word geometric summary of the deepest cusp excursion."""
+    """Per-word geometric summary of the deepest cusp excursion.
+
+    ``winding_bracket`` is (floor(L), floor(L) + 1) for L = 2 * apex =
+    sqrt(trace^2 - 4) / min|c|, computed in integers.  ``cross_check_ok`` is
+    True when the candidate set's min|c| equals the reduced-cycle minimum,
+    False when the two exact computations disagree, and None when the check
+    was not run.
+    """
 
     word: BinaryWord
     trace_abs: int
@@ -268,20 +276,83 @@ def _bfs_min_c(
     return best, len(seen)
 
 
+def _rho(A: int, B: int, C: int, D: int, s: int) -> tuple[int, int, int]:
+    """The normalised step (A, B, C) -> (C, r, (r^2 - D) / 4C), s = isqrt(D).
+
+    r = -B mod 2|C|, taken in (sqrt(D) - 2|C|, sqrt(D)] when |C| < sqrt(D)
+    and in (-|C|, |C|] otherwise; the new form is properly equivalent to the
+    old one.
+    """
+    n = 2 * abs(C)
+    if abs(C) <= s:
+        r = s - (s + B) % n
+    else:
+        r = -B % n
+        if r > abs(C):
+            r -= n
+    return C, r, (r * r - D) // (4 * C)
+
+
+def _reduced_cycle_min_c(M: Quad, length: int) -> int:
+    """Smallest |c| over the conjugacy class of a hyperbolic M; exact.
+
+    Conjugation acts on the fixed-point form Q = (c, d - a, -b) of
+    M = [[a,b],[c,d]], of discriminant D = trace^2 - 4, by a proper change of
+    variables, so the smallest |c| over the class is the smallest |Q| on
+    primitive vectors.  That minimum is below sqrt(D)/2 (Markov), so it is
+    the smallest |leading coefficient| in the cycle of reduced forms
+    equivalent to Q (Buchmann and Vollmer, *Binary Quadratic Forms*, 2007,
+    ch. 6).  ``_rho`` reduces Q until |sqrt(D) - 2|A|| < B < sqrt(D), then
+    walks the cycle back to its first reduced form.  D is not a square, so
+    every comparison with sqrt(D) is an integer one with isqrt(D).
+
+    ``length`` is the number of letters M is a product of.  The cycle has at
+    most one form per cyclic sign run, so at most ``length`` forms, and the
+    reduction takes O(1 + log(|c| / sqrt(D))) steps; a walk longer than
+    ``length + D.bit_length()`` steps raises ContractViolationError.
+    Raises ValueError unless M has determinant one and |trace| > 2, which
+    also rules out a square D.
+    """
+    a, b, c, d = _canonical(*M)
+    if abs(a + d) <= 2:
+        raise ValueError(f"reduced cycle needs |trace| > 2: [[{a},{b}],[{c},{d}]]")
+    D = (a + d) ** 2 - 4
+    s = math.isqrt(D)
+    form = (c, d - a, -b)
+    first = None
+    for _ in range(length + D.bit_length() + 1):
+        A, B = form[0], form[1]
+        if first is None:
+            if 0 < B <= s < 2 * abs(A) + B and 2 * abs(A) - B <= s:
+                first, best = form, abs(A)
+        elif form == first:
+            return best
+        else:
+            best = min(best, abs(A))
+        form = _rho(*form, D, s)
+    raise ContractViolationError(
+        f"reduced cycle of [[{a},{b}],[{c},{d}]] not closed within "
+        f"{length + D.bit_length()} steps"
+    )
+
+
 def max_depth(w: BinaryWord, *, cross_validate: bool = True) -> DepthReport:
     """Deepest cusp excursion over the conjugacy class of w.
 
     Candidates are the matrices of all rotations of w together with their
-    conjugates swapping the two cusp-fixing parabolics; the apex is the
-    largest axis height among them and the depth its log.  A bounded
-    conjugation search cross-validates that no explored conjugate beats the
-    candidate set; disagreement is reported via ``cross_check_ok``, never
-    silently resolved.
+    conjugates swapping the two cusp-fixing parabolics; the apex is set by
+    the smallest |c| among them and the depth is its log.  With
+    ``cross_validate``, that minimum is compared with the smallest leading
+    coefficient in the reduced cycle of the fixed-point form
+    (``_reduced_cycle_min_c``), an exact computation that shares no code
+    with the candidate set; disagreement is reported via ``cross_check_ok``,
+    never silently resolved.
     """
     base = encode(w)
     if base.trace_abs <= 2:
         raise ValueError(f"word is not hyperbolic: {w}")
-    candidates = _rotation_candidates(w, _quad(base))
+    quad = _quad(base)
+    candidates = _rotation_candidates(w, quad)
     # hyperbolic integer matrices never have b or c zero, so every candidate
     # contributes a finite axis
     min_c = min(abs(M[2]) for M in candidates)
@@ -291,9 +362,7 @@ def max_depth(w: BinaryWord, *, cross_validate: bool = True) -> DepthReport:
 
     ok: Optional[bool] = None
     if cross_validate:
-        entry_cap = 4 * max(max(map(abs, M)) for M in candidates) + 8
-        found, _ = _bfs_min_c(candidates, entry_cap, node_cap=10000)
-        ok = found >= min_c
+        ok = _reduced_cycle_min_c(quad, w.length) == min_c
 
     return DepthReport(
         word=w,
@@ -331,26 +400,12 @@ class AuditReport:
     summary: dict
 
 
-def _bracket_hit(depth: float, lo: float, hi: float) -> tuple[bool, bool]:
-    # (strict hit with margin, boundary flag)
-    near_edge = abs(depth - lo) <= _EDGE_MARGIN or abs(depth - hi) <= _EDGE_MARGIN
-    return lo + _EDGE_MARGIN < depth < hi - _EDGE_MARGIN, near_edge
-
-
 def _audit_row(w: BinaryWord, cross_validate: bool) -> AuditRow:
     report = max_depth(w, cross_validate=cross_validate)
     k = report.max_run
-    paper_hit, edge1 = _bracket_hit(
-        report.depth, math.log(k / 2), math.log((k + 1) / 2)
-    )
-    shifted_hit, edge2 = _bracket_hit(
-        report.depth, math.log((k + 1) / 2), math.log((k + 2) / 2)
-    )
-    widened = (
-        math.log(k / 2) - _EDGE_MARGIN
-        < report.depth
-        < math.log((k + 2) / 2) + _EDGE_MARGIN
-    )
+    # depth = log(L/2) for the irrational L = sqrt(D)/min|c|, so each bracket
+    # test is exact on the lower winding bound floor(L) = isqrt(D) // min|c|
+    lo = report.winding_bracket[0]
     return AuditRow(
         word=str(w),
         tau=w.length,
@@ -359,10 +414,10 @@ def _audit_row(w: BinaryWord, cross_validate: bool) -> AuditRow:
         length=report.geo_length,
         apex=report.apex,
         depth=report.depth,
-        paper_bracket_hit=paper_hit,
-        shifted_bracket_hit=shifted_hit,
-        boundary_flag=edge1 or edge2,
-        widened_hit=widened,
+        paper_bracket_hit=lo == k,
+        shifted_bracket_hit=lo == k + 1,
+        boundary_flag=False,
+        widened_hit=k <= lo <= k + 1,
         cross_check_ok=report.cross_check_ok,
     )
 
@@ -373,7 +428,9 @@ def audit_lemma71(tau_max: int, *, cross_validate: bool = True) -> AuditReport:
     For each class with at most tau_max entries and largest cyclic run k, the
     depth from ``max_depth`` is scored against the bracket
     (log(k/2), log((k+1)/2)) and against the same bracket shifted up by one
-    unit of k.  This is a measurement command: it tabulates and never asserts
+    unit of k; both tests are integer comparisons of k with the lower winding
+    bound, so no depth sits on a bracket edge and ``boundary_flag`` is always
+    False.  This is a measurement command: it tabulates and never asserts
     which bracket ought to win.  Rows come in class order.
     """
     if tau_max < 2:

@@ -443,6 +443,27 @@ def check_widened_depth_bracket(tmax: int = 10) -> CheckResult:
     return _ok(name, f"{report.summary['classes']} classes through tau={tmax}")
 
 
+def check_reduced_cycle_certificate(tmax: int = 9) -> CheckResult:
+    name = "geometry.reduced_cycle_certificate"
+    n = 0
+    for tau in range(2, tmax + 1):
+        for w in en.classes(tau, hyperbolic=True):
+            quad = geo._quad(geo.encode(w))
+            candidates = geo._rotation_candidates(w, quad)
+            min_c = min(abs(M[2]) for M in candidates)
+            cert = geo._reduced_cycle_min_c(quad, tau)
+            if cert != min_c:
+                return _fail(name, f"reduced cycle gives {cert}, candidates {min_c} at {w}")
+            # the bounded conjugation search is a heuristic third witness: it
+            # may stop early, but it must never get below the exact minimum
+            entry_cap = 4 * max(max(map(abs, M)) for M in candidates) + 8
+            found, _ = geo._bfs_min_c(candidates, entry_cap, node_cap=10000)
+            if found < cert:
+                return _fail(name, f"conjugation search found |c| = {found} < {cert} at {w}")
+            n += 1
+    return _ok(name, f"{n} classes through tau={tmax}")
+
+
 # ---------------------------------------------------------------------------
 # suite registry and runner
 
@@ -484,6 +505,7 @@ SUITES: dict[str, tuple] = {
         check_apex_quadratic_oracle,
         check_sign_canonicalization,
         check_widened_depth_bracket,
+        check_reduced_cycle_certificate,
     ),
 }
 

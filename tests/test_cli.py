@@ -613,6 +613,9 @@ def _python(*args):
         ("verify", "--suite", "enumerate", "--tmax", "10"),
         ("enumerate", "--family", "reciprocal", "--t", "9", "--format", "json"),
         ("enumerate", "--family", "classes", "--t", "12", "--m", "3", "--format", "json"),
+        ("depth", "--word=+++++-----++-", "--format", "json"),
+        ("audit-lemma71", "--tmax", "9", "--format", "json"),
+        ("verify", "--suite", "geometry", "--tmax", "9"),
     ],
 )
 def test_same_output_under_python_O(argv):

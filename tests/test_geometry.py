@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import modgeod.geometry as geometry
 from modgeod.binwords import BinaryWord, rotate
-from modgeod.enumeration import classes
+from modgeod.enumeration import ContractViolationError, classes
 from modgeod.geometry import (
     GEN_A,
     GEN_B,
@@ -25,6 +26,7 @@ from modgeod.geometry import (
     _bfs_min_c,
     _conjugates,
     _mul,
+    _reduced_cycle_min_c,
     _rotation_candidates,
 )
 
@@ -274,6 +276,96 @@ def test_search_determinant_check_survives_python_O():
 
 
 # ---------------------------------------------------------------------------
+# the reduced-cycle certificate
+
+def _oracle_min_c(w):
+    return min(abs(m[2]) for m in oracles.depth_candidates(w.entries))
+
+
+def _random_hyperbolic_word(rng):
+    while True:
+        entries = [rng.choice((-1, 1)) for _ in range(rng.randint(2, 60))]
+        if len(set(entries)) == 2:
+            return BinaryWord.from_entries(entries)
+
+
+def test_reduced_cycle_matches_candidate_oracle():
+    rng = random.Random(13)
+    words = [w for tau in range(2, 15) for w in classes(tau, hyperbolic=True)]
+    assert len(words) == 2587
+    words += [_random_hyperbolic_word(rng) for _ in range(500)]
+    for w in words:
+        quad = oracles.projective_key(oracles.encode_tuple(w.entries))
+        assert _reduced_cycle_min_c(quad, w.length) == _oracle_min_c(w), str(w)
+
+
+def test_conjugation_search_never_beats_certificate():
+    rng = random.Random(17)
+    for _ in range(20):
+        w = _deep_word(rng, rng.randint(20, 32))
+        start = oracles.depth_candidates(w.entries)
+        cap = 4 * max(abs(x) for m in start for x in m) + 8
+        found, _ = oracles.conjugation_search(start, cap, 10000)
+        certificate = _reduced_cycle_min_c(_quad(encode(w)), w.length)
+        assert found >= certificate == _oracle_min_c(w), str(w)
+
+
+def test_reduced_cycle_rejects_non_hyperbolic():
+    # |trace| <= 2: elliptic, and parabolic with the square D = 0
+    for quad in ((0, -1, 1, 0), (1, 1, -1, 0), (1, -1, 0, 1), (1, 0, 0, 1)):
+        with pytest.raises(ValueError, match=r"needs \|trace\| > 2"):
+            _reduced_cycle_min_c(quad, 1)
+    with pytest.raises(ValueError, match="determinant must be 1"):
+        _reduced_cycle_min_c((2, 1, 1, 2), 1)
+
+
+def test_reduced_cycle_checks_survive_python_O():
+    script = (
+        "import modgeod.geometry as g\n"
+        "for quad in ((1, -1, 0, 1), (0, -1, 1, 0), (2, 1, 1, 2)):\n"
+        "    try:\n"
+        "        g._reduced_cycle_min_c(quad, 1)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(_SRC)},
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == [
+        "reduced cycle needs |trace| > 2: [[1,-1],[0,1]]",
+        "reduced cycle needs |trace| > 2: [[0,1],[-1,0]]",
+        "determinant must be 1: [[2,1],[1,2]]",
+    ]
+
+
+def test_reduced_cycle_walk_is_bounded():
+    # a budget of no steps at all cannot close any cycle
+    quad = _quad(encode(W("++-+--")))
+    D = (quad[0] + quad[3]) ** 2 - 4
+    with pytest.raises(ContractViolationError, match="not closed within 0 steps"):
+        _reduced_cycle_min_c(quad, -D.bit_length())
+
+
+def test_cross_check_fails_when_candidates_miss_the_minimum(monkeypatch):
+    full = geometry._rotation_candidates
+
+    def missing_minimum(w, base):
+        candidates = full(w, base)
+        low = min(abs(m[2]) for m in candidates)
+        return [m for m in candidates if abs(m[2]) != low] or candidates
+
+    monkeypatch.setattr(geometry, "_rotation_candidates", missing_minimum)
+    assert max_depth(W("++-")).cross_check_ok is False
+    report = audit_lemma71(6)
+    failures = sum(row.cross_check_ok is False for row in report.rows)
+    assert failures > 0
+    assert report.summary["cross_check_failures"] == failures
+
+
+# ---------------------------------------------------------------------------
 # thick part
 
 def test_in_thick_part_examples():
@@ -309,6 +401,18 @@ def test_audit_single_run_rows_sit_in_shifted_bracket():
     by_word = {row.word: row for row in report.rows}
     assert by_word["-+"].shifted_bracket_hit and not by_word["-+"].paper_bracket_hit
     assert by_word["-++"].shifted_bracket_hit and not by_word["-++"].paper_bracket_hit
+
+
+def test_audit_integer_scoring_matches_float_brackets():
+    # 2 * apex = sqrt(D) / min|c| is irrational, so no depth lies near a
+    # bracket edge and the integer rules agree with float comparisons
+    for row in audit_lemma71(12, cross_validate=False).rows:
+        lo, mid, hi = (math.log(j / 2) for j in range(row.max_run, row.max_run + 3))
+        assert min(abs(row.depth - edge) for edge in (lo, mid, hi)) > 1e-9
+        assert row.paper_bracket_hit == (lo < row.depth < mid)
+        assert row.shifted_bracket_hit == (mid < row.depth < hi)
+        assert row.widened_hit == (lo < row.depth < hi)
+        assert row.boundary_flag is False
 
 
 def test_audit_validation():
