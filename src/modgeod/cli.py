@@ -261,6 +261,8 @@ def cmd_alpha(args, parser) -> int:
 # verify
 
 def cmd_verify(args, parser) -> int:
+    if args.tmax is not None and args.tmax < 2:
+        parser.error("--tmax must be >= 2")
     try:
         results = vf.run_suite(args.suite, tmax=args.tmax)
     except ValueError as exc:

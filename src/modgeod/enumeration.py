@@ -11,7 +11,8 @@ than m is skipped together with every word that extends it.
 only those whose runs are at most m.  Both do a constant amount of big-integer
 work per class on average, and neither canonicalises a word by rotating it.
 ``reciprocal_classes`` wraps a private core that yields packed bits, which the
-CLI streams rows from and ``verify`` counts.
+CLI streams rows from and ``verify`` counts and checks the composition
+bijection on.
 
 Emission is in increasing bit order of the canonical representative, which is
 lexicographic order of the entries with -1 first, so output is sorted and

@@ -304,6 +304,16 @@ def test_verify_all_small(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("suite", ["binwords", "all"])
+@pytest.mark.parametrize("tmax", ["0", "-3", "1"])
+def test_verify_tmax_below_two_is_a_usage_error(capsys, suite, tmax):
+    code = main(["verify", "--suite", suite, "--tmax", tmax])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--tmax must be >= 2" in captured.err
+
+
 def test_verify_unknown_suite(capsys):
     code = main(["verify", "--suite", "nonsense"])
     capsys.readouterr()

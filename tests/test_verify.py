@@ -1,5 +1,7 @@
 import re
 
+from modgeod import binwords as bw
+from modgeod import enumeration as en
 from modgeod import verify
 
 
@@ -17,3 +19,52 @@ def test_tmax_caps_enumeration_ceilings_only():
     assert results["counting.burnside_integrality"].detail == "tau through 200"
     assert results["counting.closed_form_agreement"].detail == "t through 40, m through 10"
     assert results["counting.mobius_crosscheck"].detail == "tau through 64"
+
+
+# ---------------------------------------------------------------------------
+# the bits-level bijection and orbit checks, at their default ceilings and
+# against injected faults
+
+def test_bijection_and_orbit_checks_pass_at_default_ceilings():
+    bijection = verify.check_bijection_round_trip()
+    assert bijection.ok
+    assert bijection.detail == "t through 12, every m"
+    orbit = verify.check_orbit_meets_mirror_twice()
+    assert orbit.ok
+    assert orbit.detail == "exhaustive through half-length 12"
+
+
+def test_bijection_check_catches_a_broken_inverse(monkeypatch):
+    inverse = en.phi_inverse
+    monkeypatch.setattr(en, "phi_inverse", lambda c: bw.half_turn_partner(inverse(c))[0])
+    result = verify.check_bijection_round_trip(6)
+    assert not result.ok
+    assert result.detail == "round trip failed at -+"
+
+
+def test_bijection_check_catches_a_repeated_class(monkeypatch):
+    generate = en._reciprocal_bits
+
+    def twice_first(t, m=None):
+        words = list(generate(t, m))
+        return iter(words[:1] + words)
+
+    monkeypatch.setattr(en, "_reciprocal_bits", twice_first)
+    result = verify.check_bijection_round_trip(6)
+    assert not result.ok
+    assert result.detail == "t=1, m=1: run profiles collide"
+
+
+def test_bijection_check_catches_a_missing_class(monkeypatch):
+    generate = en._reciprocal_bits
+    monkeypatch.setattr(en, "_reciprocal_bits", lambda t, m=None: iter(list(generate(t, m))[1:]))
+    result = verify.check_bijection_round_trip(6)
+    assert not result.ok
+    assert result.detail == "t=1, m=1: 0 classes vs 1 compositions"
+
+
+def test_orbit_check_catches_a_mirror_test_that_accepts_too_much(monkeypatch):
+    monkeypatch.setattr(bw, "_is_half_turn_bits", lambda bits, length: length % 2 == 0)
+    result = verify.check_orbit_meets_mirror_twice(6)
+    assert not result.ok
+    assert result.detail == "orbit of --++ meets the family in 4 points"
