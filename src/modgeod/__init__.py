@@ -36,7 +36,6 @@ from .counting import (
     lowlying_lower_bound,
     necklace_count,
     primitive_class_count,
-    primitive_class_count_mobius,
     reciprocal_count,
 )
 from .enumeration import (

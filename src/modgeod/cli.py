@@ -310,10 +310,14 @@ def _growth_exacts(item: int, m, oracle_max: int) -> Iterator:
 def cmd_growth(args, parser) -> int:
     if args.item in (2, 4) and args.m is None:
         parser.error(f"growth item {args.item} needs --m")
+    if args.item in (1, 3) and args.m is not None:
+        parser.error(f"growth item {args.item} takes no --m")
     if args.tmax < 1:
         parser.error("--tmax must be >= 1")
     if args.oracle_max < 0:
         parser.error("--oracle-max must be >= 0")
+    if args.item == 4 and min(args.tmax, args.oracle_max) > _ENUMERATION_HARD_CAP:
+        parser.error(f"growth item 4 would enumerate past t={_ENUMERATION_HARD_CAP}; lower --oracle-max")
     rows = []
     try:
         exacts = _growth_exacts(args.item, args.m, args.oracle_max)
@@ -369,6 +373,9 @@ def cmd_table1(args, parser) -> int:
         parser.error("table1 needs --t >= 1 and --m >= 2")
     if args.oracle_max < 0:
         parser.error("--oracle-max must be >= 0")
+    enumerable = t <= args.oracle_max
+    if enumerable and t > _ENUMERATION_HARD_CAP:
+        parser.error(f"table1 would enumerate past t={_ENUMERATION_HARD_CAP}; set --oracle-max below --t")
     try:
         bound = ct.lowlying_lower_bound(t, m)
     except OverflowError:
@@ -377,7 +384,6 @@ def cmd_table1(args, parser) -> int:
             f"table1: the lowlying bound overflows a double at t={first} for --m {m}; "
             f"use --t {first - 1} or less"
         )
-    enumerable = t <= args.oracle_max
 
     def enum_count(gen):
         return sum(1 for _ in gen) if enumerable else ""

@@ -5,8 +5,9 @@ word length is 2*tau.  Reciprocal (half-turn) families are parameterised by
 ``t`` with 2t sign entries, i.e. group length 4t.
 
 Every count is an exact Python integer; floating point only appears in the
-growth-target formulas and in the float views of the root data.  Memoised
-recursions are pure, so cached and uncached evaluation agree.
+growth-target formulas and in the float views of the root data.  Every
+primitive count is one Mobius inversion of its family's totals by length
+(``_mobius_sum``), and no count is cached; the one cache holds ``alpha``.
 
 Two sums are linear in the length (Flajolet-Sedgewick, *Analytic
 Combinatorics* I.2 and IV.1):
@@ -23,7 +24,7 @@ Combinatorics* I.2 and IV.1):
 ``count_series`` yields one family's counts at t = 1, 2, ... and
 ``cumulative`` sums its first terms, so a cumulative count costs one count
 evaluation per length; the composition series costs one subtraction per
-length.
+length, and its primitive part one inversion over the terms already drawn.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "PrecisionLimitError",
     "necklace_count",
     "primitive_class_count",
-    "primitive_class_count_mobius",
     "reciprocal_count",
     "count",
     "count_series",
@@ -63,45 +63,34 @@ class PrecisionLimitError(ValueError):
     """Raised instead of silently returning an untrustworthy rounded integer."""
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _mobius(n: int) -> int:
-    mu = 1
+def _factorise(n: int) -> list[tuple[int, int]]:
+    # (prime, exponent) pairs of n >= 1, by trial division
+    factors = []
     p = 2
     while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        if k:
+            factors.append((p, k))
         p += 1
     if n > 1:
-        mu = -mu
-    return mu
+        factors.append((n, 1))
+    return factors
 
 
-def _totient(n: int) -> int:
-    phi = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            phi -= phi // p
-        p += 1
-    if n > 1:
-        phi -= phi // n
-    return phi
+def _mobius_sum(n: int, f: Callable[[int], int]) -> int:
+    """Sum of mu(e) * f(n/e) over the divisors e of n.
+
+    mu vanishes off the squarefree divisors, so each prime of n splits the
+    quotients n/e by the sign of mu(e): one term per squarefree divisor, at
+    most 16 for n <= 2000.  When f(n) sums g(d) over the divisors d of n, the
+    result is g(n): the primitive part of a per-length total.
+    """
+    plus, minus = [n], []
+    for p, _ in _factorise(n):
+        plus, minus = plus + [d // p for d in minus], minus + [d // p for d in plus]
+    return sum(map(f, plus)) - sum(map(f, minus))
 
 
 # ---------------------------------------------------------------------------
@@ -116,60 +105,46 @@ def necklace_count(tau: int) -> int:
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    total = sum(_totient(tau // d) << d for d in _divisors(tau))
+    terms = [(1, 1)]  # (e, phi(e)) for the divisors e = tau/d, built prime by prime
+    for p, k in _factorise(tau):
+        powers = [(1, 1)] + [(p**j, p**j - p ** (j - 1)) for j in range(1, k + 1)]
+        terms = [(e * q, phi * phi_q) for e, phi in terms for q, phi_q in powers]
+    total = sum(phi << (tau // e) for e, phi in terms)
     count, rem = divmod(total, tau)
     if rem:
         raise ArithmeticError(f"orbit-count sum {total} is not divisible by the group order {tau}")
     return count
 
 
-@lru_cache(maxsize=None)
-def _primitive_class_count(tau: int) -> int:
-    return necklace_count(tau) - sum(
-        _primitive_class_count(s) for s in _divisors(tau) if s < tau
-    )
-
-
 def primitive_class_count(tau: int) -> int:
     """Rotation classes with tau entries that are not proper powers.
 
-    Divisor recursion: subtract the primitive counts of every shorter length
-    dividing tau, including length 1 -- both one-entry classes are infinite
-    order as group words, so their powers do occur at longer lengths.
+    ``_mobius_sum`` over the 2**d words of each length d counts the words of
+    smallest period tau, and each primitive class holds tau of them.  Length 1
+    counts too: both one-entry classes are infinite order as group words.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    return _primitive_class_count(tau)
-
-
-def primitive_class_count_mobius(tau: int) -> int:
-    """Independent route to the primitive count via Mobius inversion."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    total = sum(_mobius(d) * (1 << (tau // d)) for d in _divisors(tau))
+    total = _mobius_sum(tau, lambda d: 1 << d)
     count, rem = divmod(total, tau)
     if rem:
         raise ArithmeticError(f"Mobius sum {total} is not divisible by tau = {tau}")
     return count
 
 
-@lru_cache(maxsize=None)
-def _primitive_reciprocal_count(t: int) -> int:
-    return (1 << (t - 1)) - sum(
-        _primitive_reciprocal_count(s) for s in _divisors(t) if s < t
-    )
+primitive_class_count_mobius = primitive_class_count  # the former name, for existing importers
 
 
 def reciprocal_count(t: int, primitive: bool = False) -> int:
     """Reciprocal classes of group length 4t: 2**(t-1), or the primitive part.
 
-    The primitive value follows the same divisor recursion as
-    ``primitive_class_count`` restricted to the reciprocal family.
+    Every reciprocal class at t is the t/d-th power of one primitive class at
+    a divisor d of t, so the primitive part is ``_mobius_sum`` over 2**(d-1).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if primitive:
-        return _primitive_reciprocal_count(t)
+        return _mobius_sum(t, lambda d: 1 << (d - 1))
     return 1 << (t - 1)
 
 
@@ -188,7 +163,7 @@ def _per_length(family: str, m: Optional[int], primitive: bool) -> Callable[[int
         return partial(reciprocal_count, primitive=primitive)
     if family not in _FORMULA_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {_FORMULA_FAMILIES}")
-    if primitive:
+    if primitive and family != "lowlying-reciprocal":
         raise ValueError(f"primitive counts are not defined for family {family!r}")
     if m is None:
         if family == "lowlying-reciprocal":
@@ -196,7 +171,8 @@ def _per_length(family: str, m: Optional[int], primitive: bool) -> Callable[[int
         return reciprocal_count
     if m < 1:
         raise ValueError("part bound m must be >= 1")
-    return partial(bounded_compositions, m=m)
+    compositions = partial(bounded_compositions, m=m)
+    return partial(_mobius_sum, f=compositions) if primitive else compositions
 
 
 def count(family: str, t: int, *, m: Optional[int] = None, primitive: bool = False) -> int:
@@ -206,7 +182,7 @@ def count(family: str, t: int, *, m: Optional[int] = None, primitive: bool = Fal
     reciprocal classes of group length 4t; both ignore m.  The bijection makes
     ``lowlying-reciprocal`` (runs at most m) and ``compositions`` (parts at
     most m) the same count; only ``compositions`` may omit m, counting all
-    2**(t-1) compositions.
+    2**(t-1) compositions.  ``primitive`` drops proper powers; ``compositions`` refuses it.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -224,8 +200,17 @@ def count_series(
     """
     counter = _per_length(family, m, primitive)  # checks the arguments
     if family in _COMPOSITION_FAMILIES and m is not None:
-        return _composition_series(m)
+        series = _composition_series(m)
+        return _primitive_series(series) if primitive else series
     return map(counter, itertools.count(1))
+
+
+def _primitive_series(totals: Iterator[int]) -> Iterator[int]:
+    # primitive parts of the totals f(1), f(2), ...; the totals seen live with the series
+    seen = [0]
+    for n, total in enumerate(totals, 1):
+        seen.append(total)
+        yield _mobius_sum(n, seen.__getitem__)
 
 
 def cumulative(

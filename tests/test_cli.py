@@ -49,6 +49,10 @@ def test_count_reciprocal_cumulative(capsys):
         (("count", "--family", "compositions", "--t", "5", "--m", "2"), "8"),
         (("count", "--family", "compositions", "--t", "5"), "16"),
         (("count", "--family", "reciprocal", "--t", "4", "--primitive"), "6"),
+        (("count", "--family", "lowlying-reciprocal", "--t", "6", "--m", "2", "--primitive"),
+         "9"),
+        (("count", "--family", "lowlying-reciprocal", "--t", "6", "--m", "2", "--primitive",
+          "--cumulative"), str(1 + 1 + 2 + 3 + 7 + 9)),
     ],
 )
 def test_count_families(capsys, argv, expected):
@@ -98,6 +102,13 @@ def test_count_json(capsys):
         ("growth", "--item", "1", "--tmax", "2048"),
         ("growth", "--item", "2", "--m", "3", "--tmax", "3000"),
         ("growth", "--item", "4", "--m", "0", "--oracle-max", "0", "--tmax", "1"),
+        ("table1", "--t", "31", "--m", "3", "--oracle-max", "31"),
+        ("growth", "--item", "4", "--m", "3", "--tmax", "31", "--oracle-max", "31"),
+        ("growth", "--item", "4", "--m", "3", "--tmax", "40", "--oracle-max", "99"),
+        ("growth", "--item", "1", "--tmax", "3", "--m", "9"),
+        ("growth", "--item", "3", "--tmax", "3", "--m", "2"),
+        ("count", "--family", "lowlying-reciprocal", "--t", "5", "--primitive"),
+        ("count", "--family", "lowlying-reciprocal", "--t", "5", "--m", "0", "--primitive"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -345,6 +356,22 @@ def test_growth_item3_subtracts_parabolic_pair(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert rows[1][1] == str(primitive_class_count(1) + primitive_class_count(2) - 2) == "1"
     assert rows[3][1] == str(cumulative("classes", 4, primitive=True) - 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table1", "--t", "31", "--m", "3"),
+        ("table1", "--t", "40", "--m", "3", "--oracle-max", "31"),
+        ("growth", "--item", "4", "--m", "3", "--tmax", "5", "--oracle-max", "31"),
+        ("growth", "--item", "4", "--m", "3", "--tmax", "40", "--oracle-max", "3"),
+    ],
+)
+def test_oracle_max_above_the_enumeration_cap_is_fine_when_unused(capsys, argv):
+    # only a length that would be enumerated is held to the cap
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out
 
 
 def test_growth_item4_mixes_oracle_and_bound(capsys):
@@ -626,6 +653,8 @@ def _python(*args):
         ("depth", "--word=+++++-----++-", "--format", "json"),
         ("audit-lemma71", "--tmax", "9", "--format", "json"),
         ("verify", "--suite", "geometry", "--tmax", "9"),
+        ("count", "--family", "lowlying-reciprocal", "--t", "60", "--m", "3", "--primitive",
+         "--cumulative"),
     ],
 )
 def test_same_output_under_python_O(argv):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from modgeod.counting import (
     reciprocal_count,
     rnd,
 )
+from modgeod.enumeration import reciprocal_classes
 
 import oracles
 
@@ -70,8 +72,36 @@ def test_primitive_against_filter_oracle(tau):
 
 
 def test_recursion_agrees_with_mobius_far_out():
+    # the old name of the inversion route is kept, bound to the one route
+    assert primitive_class_count_mobius is primitive_class_count
+    peeled = oracles.primitive_table([0] + [necklace_count(n) for n in range(1, 65)])
     for tau in range(1, 65):
-        assert primitive_class_count(tau) == primitive_class_count_mobius(tau)
+        assert primitive_class_count_mobius(tau) == peeled[tau]
+
+
+def test_inversion_matches_divisor_peel_to_2000():
+    T = 2000
+    necklaces = [0] + [necklace_count(n) for n in range(1, T + 1)]
+    reciprocal = [0] + [1 << (n - 1) for n in range(1, T + 1)]
+    assert [primitive_class_count(n) for n in range(1, T + 1)] == (
+        oracles.primitive_table(necklaces)[1:]
+    )
+    assert [reciprocal_count(n, primitive=True) for n in range(1, T + 1)] == (
+        oracles.primitive_table(reciprocal)[1:]
+    )
+
+
+def test_primitive_counts_retain_no_memory():
+    # nothing computed along the way outlives the call
+    cumulative("classes", 50, primitive=True)  # first-call set-up, if any
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cumulative("classes", 5000, primitive=True)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024, retained
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +120,18 @@ def test_reciprocal_against_mirrored_oracle(t):
     assert reciprocal_count(t) == len(reps)
     primitive = {w for w in reps if oracles.is_primitive_tuple(w)}
     assert reciprocal_count(t, primitive=True) == len(primitive)
+
+
+def test_lowlying_reciprocal_primitive_matches_enumeration():
+    for m in range(1, 7):
+        per_length = [
+            sum(1 for _ in reciprocal_classes(t, m, primitive=True)) for t in range(1, 17)
+        ]
+        sums = list(itertools.accumulate(per_length))
+        for t in range(1, 17):
+            assert count("lowlying-reciprocal", t, m=m, primitive=True) == per_length[t - 1]
+            got = cumulative("lowlying-reciprocal", t, m=m, primitive=True)
+            assert got == sums[t - 1], (t, m)
 
 
 # ---------------------------------------------------------------------------
