@@ -108,6 +108,21 @@ def _max_cyclic_run_bits(bits: int, t: int) -> int:
     return max(_longest_ones(doubled), _longest_ones(doubled ^ ((mask << t) | mask)))
 
 
+def _run_lengths_bits(bits: int, t: int) -> list[int]:
+    # linear run lengths, first entry's run first; bit i of edges is set iff
+    # entries t-2-i and t-1-i differ, i.e. a run ends there
+    edges = (bits ^ (bits >> 1)) & ((1 << (t - 1)) - 1)
+    parts = []
+    top = t - 1  # bit of the current run's first entry
+    while edges:
+        i = edges.bit_length() - 1
+        parts.append(top - i)
+        top = i
+        edges ^= 1 << i
+    parts.append(top + 1)
+    return parts
+
+
 def _is_half_turn_bits(bits: int, length: int) -> bool:
     if length % 2:
         return False
@@ -332,18 +347,7 @@ def runs_of(halfword: BinaryWord) -> Composition:
     a mirrored word, whereas ``max_cyclic_run`` reads the full word cyclically.
     The parts always sum to the word length.
     """
-    t = halfword.length
-    # bit i of edges is set iff entries t-2-i and t-1-i differ: a run ends there
-    edges = (halfword.bits ^ (halfword.bits >> 1)) & ((1 << (t - 1)) - 1)
-    parts = []
-    top = t - 1  # bit of the current run's first entry
-    while edges:
-        i = edges.bit_length() - 1
-        parts.append(top - i)
-        top = i
-        edges ^= 1 << i
-    parts.append(top + 1)
-    return Composition(tuple(parts))
+    return Composition(tuple(_run_lengths_bits(halfword.bits, halfword.length)))
 
 
 def from_composition(c: Composition, leading_sign: int) -> BinaryWord:

@@ -307,20 +307,30 @@ def _growth_exacts(item: int, m, oracle_max: int) -> Iterator:
             yield total
 
 
+def _oracle_max(args, parser) -> int:
+    """``--oracle-max``, or its default when it is not given."""
+    if args.oracle_max is None:
+        return _ORACLE_MAX_DEFAULT
+    if args.oracle_max < 0:
+        parser.error("--oracle-max must be >= 0")
+    return args.oracle_max
+
+
 def cmd_growth(args, parser) -> int:
     if args.item in (2, 4) and args.m is None:
         parser.error(f"growth item {args.item} needs --m")
     if args.item in (1, 3) and args.m is not None:
         parser.error(f"growth item {args.item} takes no --m")
+    if args.item != 4 and args.oracle_max is not None:
+        parser.error(f"growth item {args.item} takes no --oracle-max; only item 4 enumerates")
     if args.tmax < 1:
         parser.error("--tmax must be >= 1")
-    if args.oracle_max < 0:
-        parser.error("--oracle-max must be >= 0")
-    if args.item == 4 and min(args.tmax, args.oracle_max) > _ENUMERATION_HARD_CAP:
+    oracle_max = _oracle_max(args, parser)
+    if args.item == 4 and min(args.tmax, oracle_max) > _ENUMERATION_HARD_CAP:
         parser.error(f"growth item 4 would enumerate past t={_ENUMERATION_HARD_CAP}; lower --oracle-max")
     rows = []
     try:
-        exacts = _growth_exacts(args.item, args.m, args.oracle_max)
+        exacts = _growth_exacts(args.item, args.m, oracle_max)
         for t in range(1, args.tmax + 1):
             # the target rejects a bad item or m before any exact value or
             # bound is evaluated
@@ -371,9 +381,7 @@ def cmd_table1(args, parser) -> int:
     t, m = args.t, args.m
     if t < 1 or m < 2:
         parser.error("table1 needs --t >= 1 and --m >= 2")
-    if args.oracle_max < 0:
-        parser.error("--oracle-max must be >= 0")
-    enumerable = t <= args.oracle_max
+    enumerable = t <= _oracle_max(args, parser)
     if enumerable and t > _ENUMERATION_HARD_CAP:
         parser.error(f"table1 would enumerate past t={_ENUMERATION_HARD_CAP}; set --oracle-max below --t")
     try:
@@ -585,14 +593,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--item", type=int, required=True, choices=(1, 2, 3, 4))
     p.add_argument("--tmax", type=int, required=True)
     p.add_argument("--m", type=int)
-    p.add_argument("--oracle-max", type=int, default=_ORACLE_MAX_DEFAULT)
+    p.add_argument("--oracle-max", type=int)
     add_format(p)
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("table1", help="the four family rows at one length")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--oracle-max", type=int, default=_ORACLE_MAX_DEFAULT)
+    p.add_argument("--oracle-max", type=int)
     add_format(p)
     p.set_defaults(func=cmd_table1)
 

@@ -2,27 +2,24 @@
 
 A sign entry +1 maps to the parabolic product GEN_A * GEN_B and -1 to
 GEN_A * GEN_B^-1; the second of these is the unit translation fixing the cusp
-at infinity, the first is its conjugate fixing 0.  All matrix arithmetic is
-exact; floats enter only via lengths, apex heights and depths.
+at infinity, the first is its conjugate fixing 0.  Matrix arithmetic is exact,
+on ``(a, b, c, d)`` tuples a sign run at a time: n letters -1 are
+[[1,-n],[0,1]], n letters +1 are (-1)^n [[1,0],[-n,1]].  Floats enter only
+via lengths, apex heights and depths.
 
-``ProjectiveMatrix`` is the public type results are returned in.  The hot
-paths (``encode`` and the rotation candidates of ``max_depth``) run on plain
-``(a, b, c, d)`` integer tuples instead, with the same determinant check and
-the same projective sign rule (``_canonical``), and build no intermediate
-matrix objects.  The matrices of all t rotations of a word come from one
-another by conjugation with a single letter, so the candidate set costs O(t)
-tuple operations, not t encodings.
-
-Depth convention: with the cusp parabolic normalised to a unit translation,
-the axis of a hyperbolic matrix [[a,b],[c,d]] is the half-circle over its real
-fixed points, whose apex height is sqrt(trace^2-4)/(2|c|); the depth past the
-length-one horocycle is log of that apex.  The deepest excursion is set by the
-smallest |c| over the conjugacy class.  ``max_depth`` reads it off the
-candidate set and cross-checks it against an independent exact computation:
-the smallest |leading coefficient| in the reduced cycle of the fixed-point
-form (c, d - a, -b) (Buchmann and Vollmer, *Binary Quadratic Forms*, 2007,
-ch. 6).  The bounded conjugation search ``_bfs_min_c`` is kept as a third,
-heuristic witness for ``verify``.
+Depth convention: the axis of a hyperbolic [[a,b],[c,d]] is the half-circle
+over its real fixed points, with apex height sqrt(trace^2-4)/(2|c|); the depth
+past the length-one horocycle is log of that apex.  The deepest excursion is
+set by the smallest |c| over the rotations of the word and their conjugates
+by A, which turns c into -b, so by the smallest |b| or |c| over the rotations.
+Only rotations starting at a run boundary are needed: conjugated by
+diag(1,-1), which keeps |b| and |c|, a rotation is up to sign a product of
+R = [[1,1],[0,1]] and [[1,0],[1,1]].  So inside a -1 run of n letters the
+rotations read R^(n-k) Q R^k, Q = [[p,q],[u,v]] >= 0: the c-entry u is fixed
+and the b-entry q + (n-k)v + kp + k(n-k)u is concave in k, so least at
+k = 0 or n.  Inside a +1 run, swap b and c.  ``max_depth`` checks the minimum
+against the reduced cycle of the form (c, d - a, -b) (Buchmann and Vollmer,
+*Binary Quadratic Forms*, 2007, ch. 6), ``verify`` against ``_bfs_min_c``.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 # rotate is unused here; the layer tracer in bench/tracer.py hooks geometry.rotate
-from .binwords import BinaryWord, max_cyclic_run, rotate
+from .binwords import BinaryWord, _run_lengths_bits, max_cyclic_run, rotate
 from .enumeration import ContractViolationError, classes
 
 __all__ = [
@@ -121,18 +118,22 @@ def _quad(M: ProjectiveMatrix) -> Quad:
     return M.a, M.b, M.c, M.d
 
 
-_LETTER = {
-    1: _quad(GEN_A * GEN_B),               # [[-1,0],[1,-1]] mod sign, fixes 0
-    -1: _quad(GEN_A * GEN_B.inverse()),    # [[1,-1],[0,1]], unit translation
-}
-_LETTER_INV = {e: (d, -b, -c, a) for e, (a, b, c, d) in _LETTER.items()}
+def _runs(w: BinaryWord) -> tuple[bool, list[int]]:
+    """Whether w starts with +1, and its linear run lengths, first to last."""
+    t = w.length
+    return bool(w.bits >> (t - 1)), _run_lengths_bits(w.bits, t)
 
 
-def _mul(x: Quad, y: Quad) -> Quad:
-    """Checked, sign-canonical product of two determinant-one 4-tuples."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return _canonical(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+def _run_product(plus: bool, runs: list[int]) -> Quad:
+    """Product of the run matrices given by ``_runs``, unchecked and up to sign."""
+    a, b, c, d = 1, 0, 0, 1
+    for n in runs:
+        if plus:
+            a, c = a - n * b, c - n * d
+        else:
+            b, d = b - n * a, d - n * c
+        plus = not plus
+    return a, b, c, d
 
 
 def encode(w: BinaryWord) -> ProjectiveMatrix:
@@ -140,10 +141,7 @@ def encode(w: BinaryWord) -> ProjectiveMatrix:
 
     Multiplicative on concatenation of words.
     """
-    out = (1, 0, 0, 1)
-    for e in w.entries:
-        out = _mul(out, _LETTER[e])
-    return ProjectiveMatrix(*out)
+    return ProjectiveMatrix(*_run_product(*_runs(w)))
 
 
 def classify(M: ProjectiveMatrix) -> str:
@@ -157,9 +155,17 @@ def classify(M: ProjectiveMatrix) -> str:
 
 def geodesic_length(M: ProjectiveMatrix) -> float:
     """Translation length 2*arccosh(|trace|/2); hyperbolic matrices only."""
-    if M.trace_abs <= 2:
-        raise ValueError(f"geodesic length needs |trace| > 2, got {M.trace_abs}")
-    return 2.0 * math.acosh(M.trace_abs / 2.0)
+    tr = M.trace_abs
+    if tr <= 2:
+        raise ValueError(f"geodesic length needs |trace| > 2, got {tr}")
+    # past a double's range, arccosh(x) = log(2x) to within its resolution
+    return 2.0 * (math.acosh(tr / 2.0) if tr.bit_length() < 1024 else math.log(tr))
+
+
+def _apex(tr: int, c: int) -> float:
+    """sqrt(tr^2 - 4) / (2|c|) for c != 0; past a double's range, from the quotient."""
+    D = tr * tr - 4
+    return math.sqrt(D) / (2 * abs(c)) if D.bit_length() < 1024 else math.sqrt(D / (4 * c * c))
 
 
 def apex_height(M: ProjectiveMatrix) -> float:
@@ -172,8 +178,7 @@ def apex_height(M: ProjectiveMatrix) -> float:
         raise ValueError("apex height needs a hyperbolic matrix")
     if M.c == 0:
         raise ValueError("axis passes through infinity (c == 0)")
-    tr = M.trace_abs
-    return math.sqrt(tr * tr - 4) / (2 * abs(M.c))
+    return _apex(M.trace_abs, M.c)
 
 
 def in_thick_part(w: BinaryWord, m: int) -> bool:
@@ -193,7 +198,7 @@ class DepthReport:
 
     ``winding_bracket`` is (floor(L), floor(L) + 1) for L = 2 * apex =
     sqrt(trace^2 - 4) / min|c|, computed in integers.  ``cross_check_ok`` is
-    True when the candidate set's min|c| equals the reduced-cycle minimum,
+    True when the run walk's min|c| equals the reduced-cycle minimum,
     False when the two exact computations disagree, and None when the check
     was not run.
     """
@@ -208,26 +213,22 @@ class DepthReport:
     cross_check_ok: Optional[bool]
 
 
-def _rotation_candidates(w: BinaryWord, base: Quad) -> list[Quad]:
-    """The matrix of every rotation of w, each followed by its A-conjugate.
+def _boundary_rotations(base: Quad, plus: bool, runs: list[int]) -> list[Quad]:
+    """Matrices of the rotations starting at each linear run, signs as they fall.
 
-    ``base`` is ``encode(w)``.  Rotations come in the order of
-    ``rotate(w, k)`` for k = 0..t-1, and ``rotate(w, k)`` starts at entry
-    (t-k) % t.  The rotation starting at entry i+1 is L^-1 M L, for M the
-    rotation starting at entry i and L the letter at entry i, so the whole
-    set costs O(t) products.  The A-conjugate [[d,-c],[-b,a]] swaps the
-    roles of the cusps at 0 and infinity.
+    ``base`` is the word's matrix and ``plus, runs`` its ``_runs``.  Each step
+    is L^-1 M L in closed form, for L a run matrix.  The first rotation may
+    start inside a cyclic run (first and last runs of one sign); harmless.
     """
-    entries = w.entries
-    t = len(entries)
-    by_start = [base]
-    for e in entries[:-1]:
-        by_start.append(_mul(_mul(_LETTER_INV[e], by_start[-1]), _LETTER[e]))
-    out = []
-    for k in range(t):
-        a, b, c, d = M = by_start[(t - k) % t]
-        out.append(M)
-        out.append(_canonical(d, -c, -b, a))
+    a, b, c, d = base
+    out = [base]
+    for n in runs[:-1]:
+        if plus:
+            a, c, d = a - n * b, c - n * (d - a) - n * n * b, d + n * b
+        else:
+            a, b, d = a + n * c, b - n * (a - d) - n * n * c, d - n * c
+        out.append((a, b, c, d))
+        plus = not plus
     return out
 
 
@@ -339,26 +340,24 @@ def _reduced_cycle_min_c(M: Quad, length: int) -> int:
 def max_depth(w: BinaryWord, *, cross_validate: bool = True) -> DepthReport:
     """Deepest cusp excursion over the conjugacy class of w.
 
-    Candidates are the matrices of all rotations of w together with their
-    conjugates swapping the two cusp-fixing parabolics; the apex is set by
-    the smallest |c| among them and the depth is its log.  With
-    ``cross_validate``, that minimum is compared with the smallest leading
-    coefficient in the reduced cycle of the fixed-point form
-    (``_reduced_cycle_min_c``), an exact computation that shares no code
-    with the candidate set; disagreement is reported via ``cross_check_ok``,
-    never silently resolved.
+    The apex is set by the smallest |b| or |c| over the rotations of w that
+    start at a run boundary (the module docstring says why no other conjugate
+    goes lower).  With ``cross_validate``, that minimum is compared with the
+    exact ``_reduced_cycle_min_c``, which shares no code with the run walk;
+    disagreement is reported via ``cross_check_ok``, never silently resolved.
     """
-    base = encode(w)
+    plus, runs = _runs(w)
+    base = ProjectiveMatrix(*_run_product(plus, runs))
     if base.trace_abs <= 2:
         raise ValueError(f"word is not hyperbolic: {w}")
     quad = _quad(base)
-    candidates = _rotation_candidates(w, quad)
-    # hyperbolic integer matrices never have b or c zero, so every candidate
-    # contributes a finite axis
-    min_c = min(abs(M[2]) for M in candidates)
+    # a hyperbolic integer matrix has b and c nonzero
+    min_c = min(min(abs(b), abs(c)) for _, b, c, _ in _boundary_rotations(quad, plus, runs))
     tr = base.trace_abs
-    apex = math.sqrt(tr * tr - 4) / (2 * min_c)
+    apex = _apex(tr, min_c)
     winding = math.isqrt(tr * tr - 4) // min_c
+    # two runs or more; with an odd count the first and last join cyclically
+    max_run = max(runs[0] + runs[-1] if len(runs) % 2 else 0, *runs)
 
     ok: Optional[bool] = None
     if cross_validate:
@@ -368,7 +367,7 @@ def max_depth(w: BinaryWord, *, cross_validate: bool = True) -> DepthReport:
         word=w,
         trace_abs=tr,
         geo_length=geodesic_length(base),
-        max_run=max_cyclic_run(w),
+        max_run=max_run,
         apex=apex,
         depth=math.log(apex),
         winding_bracket=(winding, winding + 1),

@@ -8,6 +8,7 @@ registration order.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -28,12 +29,40 @@ class CheckResult:
     detail: str = ""
 
 
-def _ok(name: str, detail: str = "") -> CheckResult:
-    return CheckResult(name, True, detail)
+# what a check body returns: whether it passed, and its detail
+Outcome = tuple[bool, str]
 
 
-def _fail(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, False, detail)
+def _ok(detail: str = "") -> Outcome:
+    return True, detail
+
+
+def _fail(detail: str) -> Outcome:
+    return False, detail
+
+
+def _check(name: str):
+    """Name a check body; the check returns its outcome as a ``CheckResult``.
+
+    A body that raises gives a failed result whose detail is the exception's
+    type and message, with the traceback on stderr, so the checks after it
+    still run.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            try:
+                return CheckResult(name, *body(*args, **kwargs))
+            except Exception as exc:
+                # imported only here, so that start-up does not pay for it
+                import traceback
+
+                traceback.print_exc()
+                return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+
+        return check
+
+    return register
 
 
 def _all_words(tau: int):
@@ -47,43 +76,43 @@ def _mirrored_words(t: int):
 # ---------------------------------------------------------------------------
 # binwords invariants
 
-def check_rotation_action(tmax: int = 8) -> CheckResult:
-    name = "binwords.rotation_group_action"
+@_check("binwords.rotation_group_action")
+def check_rotation_action(tmax: int = 8) -> Outcome:
     for tau in range(1, tmax + 1):
         for w in _all_words(tau):
             canon = bw.canonical_form(w)
             for i in range(tau):
                 ri = bw.rotate(w, i)
                 if bw.canonical_form(ri) != canon:
-                    return _fail(name, f"canonical form not rotation-invariant at {w}")
+                    return _fail(f"canonical form not rotation-invariant at {w}")
                 for j in range(tau):
                     if bw.rotate(ri, j) != bw.rotate(w, i + j):
-                        return _fail(name, f"rotation not additive at {w}, i={i}, j={j}")
-    return _ok(name, f"exhaustive through {tmax} entries")
+                        return _fail(f"rotation not additive at {w}, i={i}, j={j}")
+    return _ok(f"exhaustive through {tmax} entries")
 
 
-def check_orbit_size(tmax: int = 12) -> CheckResult:
-    name = "binwords.orbit_size_matches_exponent"
+@_check("binwords.orbit_size_matches_exponent")
+def check_orbit_size(tmax: int = 12) -> Outcome:
     for tau in range(1, tmax + 1):
         for w in _all_words(tau):
             _, exponent = bw.primitive_root(w)
             orbit = {bw.rotate(w, k).bits for k in range(tau)}
             if len(orbit) != tau // exponent:
-                return _fail(name, f"orbit of {w} has {len(orbit)} points")
-    return _ok(name, f"exhaustive through {tmax} entries")
+                return _fail(f"orbit of {w} has {len(orbit)} points")
+    return _ok(f"exhaustive through {tmax} entries")
 
 
-def check_half_turn_closure(tmax: int = 12) -> CheckResult:
-    name = "binwords.half_turn_closure"
+@_check("binwords.half_turn_closure")
+def check_half_turn_closure(tmax: int = 12) -> Outcome:
     for t in range(1, tmax + 1):
         for h in _mirrored_words(t):
             if not bw.is_half_turn(bw.rotate(h.word, t)):
-                return _fail(name, f"rotation by {t} left the family at {h.word}")
-    return _ok(name, f"exhaustive through half-length {tmax}")
+                return _fail(f"rotation by {t} left the family at {h.word}")
+    return _ok(f"exhaustive through half-length {tmax}")
 
 
-def check_orbit_meets_mirror_twice(tmax: int = 12) -> CheckResult:
-    name = "binwords.orbit_meets_mirror_twice"
+@_check("binwords.orbit_meets_mirror_twice")
+def check_orbit_meets_mirror_twice(tmax: int = 12) -> Outcome:
     for t in range(1, tmax + 1):
         length = 2 * t
         for h in _mirrored_words(t):
@@ -94,60 +123,58 @@ def check_orbit_meets_mirror_twice(tmax: int = 12) -> CheckResult:
                 if bw._is_half_turn_bits(rotated, length)
             }
             if len(hits) != 2:
-                return _fail(
-                    name, f"orbit of {h.word} meets the family in {len(hits)} points"
-                )
-    return _ok(name, f"exhaustive through half-length {tmax}")
+                return _fail(f"orbit of {h.word} meets the family in {len(hits)} points")
+    return _ok(f"exhaustive through half-length {tmax}")
 
 
-def check_primitivity_iff_k0(tmax: int = 10) -> CheckResult:
-    name = "binwords.primitivity_iff_k0"
+@_check("binwords.primitivity_iff_k0")
+def check_primitivity_iff_k0(tmax: int = 10) -> Outcome:
     for t in range(1, tmax + 1):
         for h in _mirrored_words(t):
             _, exponent = bw.primitive_root(h.word)
             partner, k0 = bw.half_turn_partner(h)
             if (exponent == 1) != (k0 == t):
-                return _fail(name, f"k0={k0} vs exponent={exponent} at {h.word}")
+                return _fail(f"k0={k0} vs exponent={exponent} at {h.word}")
             if partner.word == h.word:
-                return _fail(name, f"partner equals the word itself at {h.word}")
-    return _ok(name, f"exhaustive through half-length {tmax}")
+                return _fail(f"partner equals the word itself at {h.word}")
+    return _ok(f"exhaustive through half-length {tmax}")
 
 
-def check_runs_two_preimages(tmax: int = 12) -> CheckResult:
-    name = "binwords.runs_two_preimages"
+@_check("binwords.runs_two_preimages")
+def check_runs_two_preimages(tmax: int = 12) -> Outcome:
     for t in range(1, tmax + 1):
         buckets: dict[tuple[int, ...], int] = {}
         for w in _all_words(t):
             parts = bw.runs_of(w).parts
             buckets[parts] = buckets.get(parts, 0) + 1
         if len(buckets) != 1 << (t - 1):
-            return _fail(name, f"{len(buckets)} run profiles at length {t}")
+            return _fail(f"{len(buckets)} run profiles at length {t}")
         bad = [p for p, n in buckets.items() if n != 2]
         if bad:
-            return _fail(name, f"profile {bad[0]} has {buckets[bad[0]]} preimages")
-    return _ok(name, f"exhaustive through {tmax} entries")
+            return _fail(f"profile {bad[0]} has {buckets[bad[0]]} preimages")
+    return _ok(f"exhaustive through {tmax} entries")
 
 
-def check_max_run_rotation_invariant(tmax: int = 10) -> CheckResult:
-    name = "binwords.max_run_rotation_invariant"
+@_check("binwords.max_run_rotation_invariant")
+def check_max_run_rotation_invariant(tmax: int = 10) -> Outcome:
     for tau in range(1, tmax + 1):
         for w in _all_words(tau):
             runs = {bw.max_cyclic_run(bw.rotate(w, k)) for k in range(tau)}
             if len(runs) != 1:
-                return _fail(name, f"cyclic run varies across rotations of {w}")
-    return _ok(name, f"exhaustive through {tmax} entries")
+                return _fail(f"cyclic run varies across rotations of {w}")
+    return _ok(f"exhaustive through {tmax} entries")
 
 
 # ---------------------------------------------------------------------------
 # counting invariants
 
-def check_burnside_integrality(tmax: int = 200) -> CheckResult:
-    name = "counting.burnside_integrality"
+@_check("counting.burnside_integrality")
+def check_burnside_integrality(tmax: int = 200) -> Outcome:
     for tau in range(1, tmax + 1):
         total = sum(1 << math.gcd(j, tau) for j in range(1, tau + 1))
         if total % tau:
-            return _fail(name, f"orbit sum not divisible at tau={tau}")
-    return _ok(name, f"tau through {tmax}")
+            return _fail(f"orbit sum not divisible at tau={tau}")
+    return _ok(f"tau through {tmax}")
 
 
 def _peeled_primitive_counts(tmax: int) -> list[int]:
@@ -160,72 +187,72 @@ def _peeled_primitive_counts(tmax: int) -> list[int]:
     return peeled
 
 
-def check_mobius_crosscheck(tmax: int = 64) -> CheckResult:
-    name = "counting.mobius_crosscheck"
+@_check("counting.mobius_crosscheck")
+def check_mobius_crosscheck(tmax: int = 64) -> Outcome:
     for tau, peeled in enumerate(_peeled_primitive_counts(tmax)[1:], 1):
         if peeled != ct.primitive_class_count(tau):
-            return _fail(name, f"recursion and inversion disagree at tau={tau}")
-    return _ok(name, f"tau through {tmax}")
+            return _fail(f"recursion and inversion disagree at tau={tau}")
+    return _ok(f"tau through {tmax}")
 
 
-def check_nonprimitive_bounds(tmax: int = 40) -> CheckResult:
-    name = "counting.nonprimitive_bounds"
+@_check("counting.nonprimitive_bounds")
+def check_nonprimitive_bounds(tmax: int = 40) -> Outcome:
     for tau in range(1, tmax + 1):
         np_classes = ct.necklace_count(tau) - ct.primitive_class_count(tau)
         # exact comparison with (tau/2) * 2^(tau/2): square both sides
         if (2 * np_classes) ** 2 > tau * tau * (1 << tau):
-            return _fail(name, f"class bound violated at tau={tau}: {np_classes}")
+            return _fail(f"class bound violated at tau={tau}: {np_classes}")
     for t in range(1, tmax + 1):
         np_rec = ct.reciprocal_count(t) - ct.reciprocal_count(t, primitive=True)
         if (4 * np_rec) ** 2 > t * t * (1 << t):
-            return _fail(name, f"reciprocal bound violated at t={t}: {np_rec}")
-    return _ok(name, f"lengths through {tmax}")
+            return _fail(f"reciprocal bound violated at t={t}: {np_rec}")
+    return _ok(f"lengths through {tmax}")
 
 
-def check_closed_form_agreement(tmax: int = 40, mmax: int = 10) -> CheckResult:
-    name = "counting.closed_form_agreement"
+@_check("counting.closed_form_agreement")
+def check_closed_form_agreement(tmax: int = 40, mmax: int = 10) -> Outcome:
     for m in range(2, mmax + 1):
         for t in range(1, tmax + 1):
             rec = ct.bounded_compositions(t, m)
             closed = ct.closed_form_compositions(t, m)
             if rec != closed:
-                return _fail(name, f"t={t}, m={m}: recursion {rec} vs formula {closed}")
-    return _ok(name, f"t through {tmax}, m through {mmax}")
+                return _fail(f"t={t}, m={m}: recursion {rec} vs formula {closed}")
+    return _ok(f"t through {tmax}, m through {mmax}")
 
 
-def check_unbounded_parts(tmax: int = 24) -> CheckResult:
-    name = "counting.unbounded_parts_degeneration"
+@_check("counting.unbounded_parts_degeneration")
+def check_unbounded_parts(tmax: int = 24) -> Outcome:
     for t in range(1, tmax + 1):
         for m in (t, t + 1, t + 7):
             if ct.bounded_compositions(t, m) != 1 << (t - 1):
-                return _fail(name, f"t={t}, m={m} misses 2^(t-1)")
-    return _ok(name, f"t through {tmax}")
+                return _fail(f"t={t}, m={m} misses 2^(t-1)")
+    return _ok(f"t through {tmax}")
 
 
-def check_alpha_solver(mmax: int = 40) -> CheckResult:
-    name = "counting.alpha_bracket_residual_monotone"
+@_check("counting.alpha_bracket_residual_monotone")
+def check_alpha_solver(mmax: int = 40) -> Outcome:
     prev = None
     for m in range(2, mmax + 1):
         data = ct.alpha(m)
         if not 2 * (1 - 2.0 ** -m) <= data.alpha < 2:
-            return _fail(name, f"alpha({m}) outside bracket: {data.alpha}")
+            return _fail(f"alpha({m}) outside bracket: {data.alpha}")
         if abs(data.residual) > 1e-12:
-            return _fail(name, f"alpha({m}) residual {data.residual}")
+            return _fail(f"alpha({m}) residual {data.residual}")
         if data.d <= 0:
-            return _fail(name, f"d({m}) nonpositive")
+            return _fail(f"d({m}) nonpositive")
         if prev is not None and not data.alpha_exact > prev:
-            return _fail(name, f"alpha not strictly increasing at m={m}")
+            return _fail(f"alpha not strictly increasing at m={m}")
         prev = data.alpha_exact
     if not ct.alpha(40).alpha > 2 - 1e-11:
-        return _fail(name, "alpha(40) not within 1e-11 of 2")
+        return _fail("alpha(40) not within 1e-11 of 2")
     golden = (1 + math.sqrt(5)) / 2
     if abs(ct.alpha(2).alpha - golden) > 1e-10:
-        return _fail(name, "alpha(2) misses the golden ratio")
-    return _ok(name, f"m through {mmax}")
+        return _fail("alpha(2) misses the golden ratio")
+    return _ok(f"m through {mmax}")
 
 
-def check_ratio_trend(points: tuple[int, ...] = (10, 18, 26)) -> CheckResult:
-    name = "counting.ratio_trend_toward_one"
+@_check("counting.ratio_trend_toward_one")
+def check_ratio_trend(points: tuple[int, ...] = (10, 18, 26)) -> Outcome:
     cum_gaps = []
     prim_gaps = []
     for tau in points:
@@ -236,34 +263,34 @@ def check_ratio_trend(points: tuple[int, ...] = (10, 18, 26)) -> CheckResult:
         )
     for gaps, label in ((cum_gaps, "cumulative"), (prim_gaps, "primitive share")):
         if not all(a > b for a, b in zip(gaps, gaps[1:])):
-            return _fail(name, f"{label} ratios not improving: {gaps}")
-    return _ok(name, f"checkpoints {points}")
+            return _fail(f"{label} ratios not improving: {gaps}")
+    return _ok(f"checkpoints {points}")
 
 
 # ---------------------------------------------------------------------------
 # enumeration invariants
 
-def check_class_count_oracle(tmax: int = 16) -> CheckResult:
-    name = "enumerate.class_count_oracle"
+@_check("enumerate.class_count_oracle")
+def check_class_count_oracle(tmax: int = 16) -> Outcome:
     for tau in range(1, tmax + 1):
         n = sum(1 for _ in en.classes(tau))
         if n != ct.necklace_count(tau):
-            return _fail(name, f"tau={tau}: enumerated {n} vs formula {ct.necklace_count(tau)}")
-    return _ok(name, f"tau through {tmax}")
+            return _fail(f"tau={tau}: enumerated {n} vs formula {ct.necklace_count(tau)}")
+    return _ok(f"tau through {tmax}")
 
 
-def check_primitive_count_oracle(tmax: int = 16) -> CheckResult:
-    name = "enumerate.primitive_count_oracle"
+@_check("enumerate.primitive_count_oracle")
+def check_primitive_count_oracle(tmax: int = 16) -> Outcome:
     for tau, rec in enumerate(_peeled_primitive_counts(tmax)[1:], 1):
         n = sum(1 for _ in en.classes(tau, primitive=True))
         mob = ct.primitive_class_count(tau)
         if not n == rec == mob:
-            return _fail(name, f"tau={tau}: enumerated {n}, recursion {rec}, inversion {mob}")
-    return _ok(name, f"tau through {tmax}")
+            return _fail(f"tau={tau}: enumerated {n}, recursion {rec}, inversion {mob}")
+    return _ok(f"tau through {tmax}")
 
 
-def check_reciprocal_count_oracle(tmax: int = 16) -> CheckResult:
-    name = "enumerate.reciprocal_count_oracle"
+@_check("enumerate.reciprocal_count_oracle")
+def check_reciprocal_count_oracle(tmax: int = 16) -> Outcome:
     for t in range(1, tmax + 1):
         # one pass over the generators' core: a class is primitive iff k0 = t
         n = p = 0
@@ -271,14 +298,14 @@ def check_reciprocal_count_oracle(tmax: int = 16) -> CheckResult:
             n += 1
             p += bw._k0_bits(bits, 2 * t) == t
         if n != 1 << (t - 1):
-            return _fail(name, f"t={t}: enumerated {n} vs 2^(t-1)")
+            return _fail(f"t={t}: enumerated {n} vs 2^(t-1)")
         if p != ct.reciprocal_count(t, primitive=True):
-            return _fail(name, f"t={t}: primitive enumerated {p} vs recursion")
-    return _ok(name, f"t through {tmax}")
+            return _fail(f"t={t}: primitive enumerated {p} vs recursion")
+    return _ok(f"t through {tmax}")
 
 
-def check_bijection_round_trip(tmax: int = 12) -> CheckResult:
-    name = "enumerate.composition_bijection"
+@_check("enumerate.composition_bijection")
+def check_bijection_round_trip(tmax: int = 12) -> Outcome:
     for t in range(1, tmax + 1):
         length = 2 * t
         edge_mask = (1 << (t - 1)) - 1
@@ -291,10 +318,9 @@ def check_bijection_round_trip(tmax: int = 12) -> CheckResult:
             # the edge bits of the half determine its run profile at fixed t
             profiles = {(bits >> t ^ bits >> (t + 1)) & edge_mask for bits in reps}
             if len(profiles) != len(reps):
-                return _fail(name, f"t={t}, m={m}: run profiles collide")
+                return _fail(f"t={t}, m={m}: run profiles collide")
             if len(reps) != ct.bounded_compositions(t, m):
                 return _fail(
-                    name,
                     f"t={t}, m={m}: {len(reps)} classes vs "
                     f"{ct.bounded_compositions(t, m)} compositions",
                 )
@@ -305,52 +331,50 @@ def check_bijection_round_trip(tmax: int = 12) -> CheckResult:
                 h = HalfTurnWord(BinaryWord(bits, length))
                 c = en.phi(h)
                 if max(c.parts) != bw.max_cyclic_run(h.word):
-                    return _fail(name, f"largest part mismatch at {h.word}")
+                    return _fail(f"largest part mismatch at {h.word}")
                 if en.phi_inverse(c) != h:
-                    return _fail(name, f"round trip failed at {h.word}")
-    return _ok(name, f"t through {tmax}, every m")
+                    return _fail(f"round trip failed at {h.word}")
+    return _ok(f"t through {tmax}, every m")
 
 
-def check_lowlying_lower_bound(tmax: int = 16) -> CheckResult:
-    name = "enumerate.lowlying_lower_bound"
+@_check("enumerate.lowlying_lower_bound")
+def check_lowlying_lower_bound(tmax: int = 16) -> Outcome:
     for m in (2, 3, 4):
         for tau in range(1, tmax + 1):
             n = sum(1 for _ in en.classes(tau, m=m))
             if n < ct.lowlying_lower_bound(tau, m):
-                return _fail(name, f"tau={tau}, m={m}: {n} below bound")
-    return _ok(name, f"tau through {tmax}, m in 2..4")
+                return _fail(f"tau={tau}, m={m}: {n} below bound")
+    return _ok(f"tau through {tmax}, m in 2..4")
 
 
-def check_witness_generator(tmax: int = 16) -> CheckResult:
-    name = "enumerate.witness_generator_bound"
+@_check("enumerate.witness_generator_bound")
+def check_witness_generator(tmax: int = 16) -> Outcome:
     for m in (2, 3, 4):
         for tau in range(1, tmax + 1):
             words = list(en.lower_bound_witnesses(tau, m))
             for w in words:
                 if bw.max_cyclic_run(w) > m:
-                    return _fail(name, f"witness {w} breaks the run bound m={m}")
+                    return _fail(f"witness {w} breaks the run bound m={m}")
             distinct = {bw.canonical_form(w).bits for w in words}
             need = -(-(1 << max(tau - tau // m - 1, 0)) // tau)  # ceil
             if len(distinct) < need:
-                return _fail(
-                    name, f"tau={tau}, m={m}: {len(distinct)} classes < {need}"
-                )
-    return _ok(name, f"tau through {tmax}, m in 2..4")
+                return _fail(f"tau={tau}, m={m}: {len(distinct)} classes < {need}")
+    return _ok(f"tau through {tmax}, m in 2..4")
 
 
-def check_filter_monotone(tmax: int = 12) -> CheckResult:
-    name = "enumerate.filter_monotone"
+@_check("enumerate.filter_monotone")
+def check_filter_monotone(tmax: int = 12) -> Outcome:
     for tau in range(1, tmax + 1):
         counts = [sum(1 for _ in en.classes(tau, m=m)) for m in range(1, tau + 1)]
         if any(a > b for a, b in zip(counts, counts[1:])):
-            return _fail(name, f"tau={tau}: counts decrease: {counts}")
+            return _fail(f"tau={tau}: counts decrease: {counts}")
         if counts[-1] != ct.necklace_count(tau):
-            return _fail(name, f"tau={tau}: m=tau filter is not the full count")
-    return _ok(name, f"tau through {tmax}")
+            return _fail(f"tau={tau}: m=tau filter is not the full count")
+    return _ok(f"tau through {tmax}")
 
 
-def check_power_map_partition(tmax: int = 12) -> CheckResult:
-    name = "enumerate.power_map_partition"
+@_check("enumerate.power_map_partition")
+def check_power_map_partition(tmax: int = 12) -> Outcome:
     for tau in range(2, tmax + 1):
         nonprimitive = {
             w.bits for w in en.classes(tau) if bw.primitive_root(w)[1] > 1
@@ -362,27 +386,27 @@ def check_power_map_partition(tmax: int = 12) -> CheckResult:
             for z in en.classes(s, primitive=True):
                 img = en.power_map(z, tau // s).bits
                 if img in images:
-                    return _fail(name, f"power-map collision at tau={tau}")
+                    return _fail(f"power-map collision at tau={tau}")
                 images.add(img)
         if images != nonprimitive:
-            return _fail(name, f"images miss the nonprimitive classes at tau={tau}")
-    return _ok(name, f"tau through {tmax}")
+            return _fail(f"images miss the nonprimitive classes at tau={tau}")
+    return _ok(f"tau through {tmax}")
 
 
-def check_half_run_equals_full_run(tmax: int = 12) -> CheckResult:
-    name = "enumerate.half_run_equals_full_run"
+@_check("enumerate.half_run_equals_full_run")
+def check_half_run_equals_full_run(tmax: int = 12) -> Outcome:
     for t in range(1, tmax + 1):
         for h in _mirrored_words(t):
             if max(bw.runs_of(h.half).parts) != bw.max_cyclic_run(h.word):
-                return _fail(name, f"profile/run mismatch at {h.word}")
-    return _ok(name, f"half-length through {tmax}")
+                return _fail(f"profile/run mismatch at {h.word}")
+    return _ok(f"half-length through {tmax}")
 
 
-def check_primitive_halfbound_report(tmax: int = 16) -> CheckResult:
+@_check("enumerate.primitive_halfbound_report")
+def check_primitive_halfbound_report(tmax: int = 16) -> Outcome:
     # informational: smallest tau where the primitive bounded-run count
     # reaches half the lower bound, reported per m instead of asserting any
     # particular threshold
-    name = "enumerate.primitive_halfbound_report"
     firsts = {}
     for m in (3, 4):
         for tau in range(1, tmax + 1):
@@ -391,14 +415,14 @@ def check_primitive_halfbound_report(tmax: int = 16) -> CheckResult:
                 firsts[m] = tau
                 break
     detail = ", ".join(f"m={m}: tau={tau}" for m, tau in sorted(firsts.items()))
-    return _ok(name, f"first tau with primitive count >= half the bound: {detail}")
+    return _ok(f"first tau with primitive count >= half the bound: {detail}")
 
 
 # ---------------------------------------------------------------------------
 # geometry invariants
 
-def check_concat_homomorphism(tmax: int = 8) -> CheckResult:
-    name = "geometry.concatenation_homomorphism"
+@_check("geometry.concatenation_homomorphism")
+def check_concat_homomorphism(tmax: int = 8) -> Outcome:
     for total in range(2, tmax + 1):
         for split in range(1, total):
             for bits in range(1 << total):
@@ -406,36 +430,36 @@ def check_concat_homomorphism(tmax: int = 8) -> CheckResult:
                 u = BinaryWord(bits >> (total - split), split)
                 v = BinaryWord(bits & ((1 << (total - split)) - 1), total - split)
                 if geo.encode(w) != geo.encode(u) * geo.encode(v):
-                    return _fail(name, f"encode not multiplicative at {w} = {u}|{v}")
-    return _ok(name, f"words through {tmax} entries, all splits")
+                    return _fail(f"encode not multiplicative at {w} = {u}|{v}")
+    return _ok(f"words through {tmax} entries, all splits")
 
 
-def check_conjugation_invariance(tmax: int = 10) -> CheckResult:
-    name = "geometry.conjugation_invariance"
+@_check("geometry.conjugation_invariance")
+def check_conjugation_invariance(tmax: int = 10) -> Outcome:
     for tau in range(1, tmax + 1):
         for w in en.classes(tau):
             traces = {geo.encode(bw.rotate(w, k)).trace_abs for k in range(tau)}
             if len(traces) != 1:
-                return _fail(name, f"trace varies across rotations of {w}")
-    return _ok(name, f"tau through {tmax}")
+                return _fail(f"trace varies across rotations of {w}")
+    return _ok(f"tau through {tmax}")
 
 
-def check_parabolic_classification(tmax: int = 12) -> CheckResult:
-    name = "geometry.parabolic_exactly_constants"
+@_check("geometry.parabolic_exactly_constants")
+def check_parabolic_classification(tmax: int = 12) -> Outcome:
     for tau in range(1, tmax + 1):
         for w in en.classes(tau):
             kind = geo.classify(geo.encode(w))
             if kind == "elliptic":
-                return _fail(name, f"elliptic word class {w}")
+                return _fail(f"elliptic word class {w}")
             if (kind == "parabolic") != w.is_constant:
-                return _fail(name, f"{w} classified {kind}")
+                return _fail(f"{w} classified {kind}")
             if tau >= 2 and bw.primitive_root(w)[1] == 1 and kind != "hyperbolic":
-                return _fail(name, f"primitive class {w} not hyperbolic")
-    return _ok(name, f"tau through {tmax}")
+                return _fail(f"primitive class {w} not hyperbolic")
+    return _ok(f"tau through {tmax}")
 
 
-def check_apex_quadratic_oracle(tmax: int = 8) -> CheckResult:
-    name = "geometry.apex_quadratic_oracle"
+@_check("geometry.apex_quadratic_oracle")
+def check_apex_quadratic_oracle(tmax: int = 8) -> Outcome:
     for tau in range(1, tmax + 1):
         for w in en.classes(tau, hyperbolic=True):
             M = geo.encode(w)
@@ -443,48 +467,54 @@ def check_apex_quadratic_oracle(tmax: int = 8) -> CheckResult:
             disc = (M.d - M.a) ** 2 + 4 * M.c * M.b
             gap = math.sqrt(disc) / abs(M.c)
             if abs(geo.apex_height(M) - gap / 2) > 1e-12:
-                return _fail(name, f"apex disagrees with the quadratic roots at {w}")
-    return _ok(name, f"tau through {tmax}")
+                return _fail(f"apex disagrees with the quadratic roots at {w}")
+    return _ok(f"tau through {tmax}")
 
 
-def check_sign_canonicalization(tmax: int = 6) -> CheckResult:
-    name = "geometry.sign_canonicalization"
+@_check("geometry.sign_canonicalization")
+def check_sign_canonicalization(tmax: int = 6) -> Outcome:
     for tau in range(1, tmax + 1):
         for w in _all_words(tau):
             M = geo.encode(w)
             if geo.ProjectiveMatrix(-M.a, -M.b, -M.c, -M.d) != M:
-                return _fail(name, f"negation canonicalizes differently at {w}")
-    return _ok(name, f"tau through {tmax}")
+                return _fail(f"negation canonicalizes differently at {w}")
+    return _ok(f"tau through {tmax}")
 
 
-def check_widened_depth_bracket(tmax: int = 10) -> CheckResult:
-    name = "geometry.widened_depth_bracket"
+@_check("geometry.widened_depth_bracket")
+def check_widened_depth_bracket(tmax: int = 10) -> Outcome:
     report = geo.audit_lemma71(tmax, cross_validate=False)
     misses = [r for r in report.rows if not r.widened_hit]
     if misses:
-        return _fail(name, f"{misses[0].word} at depth {misses[0].depth:.6f}")
-    return _ok(name, f"{report.summary['classes']} classes through tau={tmax}")
+        return _fail(f"{misses[0].word} at depth {misses[0].depth:.6f}")
+    return _ok(f"{report.summary['classes']} classes through tau={tmax}")
 
 
-def check_reduced_cycle_certificate(tmax: int = 9) -> CheckResult:
-    name = "geometry.reduced_cycle_certificate"
+@_check("geometry.reduced_cycle_certificate")
+def check_reduced_cycle_certificate(tmax: int = 9) -> Outcome:
     n = 0
     for tau in range(2, tmax + 1):
         for w in en.classes(tau, hyperbolic=True):
             quad = geo._quad(geo.encode(w))
-            candidates = geo._rotation_candidates(w, quad)
-            min_c = min(abs(M[2]) for M in candidates)
+            # the run walk's rotations and their A-conjugates, whose least |c|
+            # is the kernel's min|c|
+            start = [
+                M
+                for a, b, c, d in geo._boundary_rotations(quad, *geo._runs(w))
+                for M in ((a, b, c, d), (d, -c, -b, a))
+            ]
+            min_c = min(abs(M[2]) for M in start)
             cert = geo._reduced_cycle_min_c(quad, tau)
             if cert != min_c:
-                return _fail(name, f"reduced cycle gives {cert}, candidates {min_c} at {w}")
+                return _fail(f"reduced cycle gives {cert}, run walk {min_c} at {w}")
             # the bounded conjugation search is a heuristic third witness: it
             # may stop early, but it must never get below the exact minimum
-            entry_cap = 4 * max(max(map(abs, M)) for M in candidates) + 8
-            found, _ = geo._bfs_min_c(candidates, entry_cap, node_cap=10000)
+            entry_cap = 4 * max(max(map(abs, M)) for M in start) + 8
+            found, _ = geo._bfs_min_c(start, entry_cap, node_cap=10000)
             if found < cert:
-                return _fail(name, f"conjugation search found |c| = {found} < {cert} at {w}")
+                return _fail(f"conjugation search found |c| = {found} < {cert} at {w}")
             n += 1
-    return _ok(name, f"{n} classes through tau={tmax}")
+    return _ok(f"{n} classes through tau={tmax}")
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +569,7 @@ def run_suite(suite: str, tmax=None) -> list[CheckResult]:
     ``tmax`` caps every check outside the counting suite at the smaller of
     ``tmax`` and the check's own ``tmax`` default; the counting checks' ranges
     are formula sizes, not enumeration ceilings, so they keep their defaults.
+    A check that raises is a failed result (see ``_check``).
     """
     if suite == "all":
         names = list(SUITES)

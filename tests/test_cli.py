@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -466,6 +467,22 @@ def test_growth_missing_m_exits_2(capsys):
         assert code == 2
 
 
+@pytest.mark.parametrize("item,extra", [(1, ()), (2, ("--m", "3")), (3, ())])
+def test_growth_oracle_max_is_only_for_item_4(capsys, item, extra):
+    code = main(["growth", "--item", str(item), "--tmax", "5", *extra, "--oracle-max", "16"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"growth item {item} takes no --oracle-max" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [("growth", "--item", "4", "--m", "3", "--tmax", "18"), ("table1", "--t", "16", "--m", "3")]
+)
+def test_oracle_max_defaults_to_16(capsys, argv):
+    assert run(capsys, *argv) == run(capsys, *argv, "--oracle-max", "16")
+
+
 def test_growth_deterministic(capsys):
     _, first = run(capsys, "growth", "--item", "2", "--tmax", "12", "--m", "3")
     _, second = run(capsys, "growth", "--item", "2", "--tmax", "12", "--m", "3")
@@ -550,6 +567,23 @@ def test_depth_syllables_equivalent(capsys):
     code, by_syll = run(capsys, "depth", "--syllables", "ababaB")
     assert code == 0
     assert by_word == by_syll
+
+
+def test_depth_of_a_long_word(capsys):
+    # thousands of letters: the trace is far past a double, the depth is not
+    rng = random.Random(4000)
+    word = "".join(rng.choice("+-") for _ in range(4000))
+    code, out = run(capsys, "depth", f"--word={word}", "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["cross_check_ok"] is True
+    assert row["tau"] == 4000
+    assert row["max_run"] == oracles.max_cyclic_run_tuple(tuple(word))
+    assert row["trace_abs"].bit_length() > 1024
+    assert abs(row["length"] - 2 * math.log(row["trace_abs"])) < 1e-9
+    # winding_lo is the exact floor of 2 * apex
+    assert row["winding_lo"] < 2 * row["apex"] < row["winding_hi"]
+    assert abs(row["depth"] - math.log(row["apex"])) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -24,10 +24,12 @@ from modgeod.geometry import (
     in_thick_part,
     max_depth,
     _bfs_min_c,
+    _boundary_rotations,
+    _canonical,
     _conjugates,
-    _mul,
     _reduced_cycle_min_c,
-    _rotation_candidates,
+    _run_product,
+    _runs,
 )
 
 import oracles
@@ -213,17 +215,6 @@ def test_conjugates_match_matrix_products():
         assert [ProjectiveMatrix(*n) for n in _conjugates(*raw)] == want
 
 
-def test_rotation_candidates_match_encoded_rotations():
-    for t in range(1, 11):
-        for entries in oracles.all_words(t):
-            w = BinaryWord.from_entries(entries)
-            want = []
-            for k in range(t):
-                M = encode(rotate(w, k))
-                want += [_quad(M), _quad(GEN_A * M * GEN_A.inverse())]
-            assert _rotation_candidates(w, _quad(encode(w))) == want
-
-
 def _deep_word(rng, length):
     # runs of 4 to 9 equal signs: deep excursions, large searches
     entries, sign = [], rng.choice((-1, 1))
@@ -248,11 +239,17 @@ def test_bfs_matches_naive_search_oracle():
             ), (str(w), node_cap)
 
 
-def test_kernel_rejects_determinant_other_than_one():
+def test_kernel_rejects_determinant_other_than_one(monkeypatch):
     with pytest.raises(ValueError, match="determinant must be 1"):
-        _mul((1, 0, 0, 1), (1, 0, 0, 2))
+        _canonical(1, 0, 0, 2)
     with pytest.raises(ValueError, match="determinant must be 1"):
         _bfs_min_c([(2, 1, 1, 1), (1, 0, 0, 2)], 100, 100)
+    # the run products are unchecked; encode's one check catches a bad one
+    monkeypatch.setattr(geometry, "_run_product", lambda plus, runs: (1, 0, 0, 2))
+    with pytest.raises(ValueError, match="determinant must be 1"):
+        encode(W("++-"))
+    with pytest.raises(ValueError, match="determinant must be 1"):
+        max_depth(W("++-"))
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -275,19 +272,69 @@ def test_search_determinant_check_survives_python_O():
     assert "ValueError: determinant must be 1: [[2,1],[1,2]]" in result.stderr
 
 
+def test_encode_determinant_check_survives_python_O():
+    script = (
+        "import modgeod.geometry as g\n"
+        "from modgeod.binwords import BinaryWord\n"
+        "g._run_product = lambda plus, runs: (2, 1, 1, 2)\n"
+        "g.encode(BinaryWord.from_text('+-'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(_SRC)},
+    )
+    assert result.returncode == 1
+    assert "ValueError: determinant must be 1: [[2,1],[1,2]]" in result.stderr
+
+
 # ---------------------------------------------------------------------------
-# the reduced-cycle certificate
+# the run kernel
 
 def _oracle_min_c(w):
     return min(abs(m[2]) for m in oracles.depth_candidates(w.entries))
 
 
-def _random_hyperbolic_word(rng):
+def _random_hyperbolic_word(rng, max_length=60):
     while True:
-        entries = [rng.choice((-1, 1)) for _ in range(rng.randint(2, 60))]
+        entries = [rng.choice((-1, 1)) for _ in range(rng.randint(2, max_length))]
         if len(set(entries)) == 2:
             return BinaryWord.from_entries(entries)
 
+
+def _kernel_min_c(w):
+    plus, runs = _runs(w)
+    base = _canonical(*_run_product(plus, runs))
+    return min(min(abs(b), abs(c)) for _, b, c, _ in _boundary_rotations(base, plus, runs))
+
+
+def test_run_kernel_matches_letter_oracles():
+    rng = random.Random(19)
+    words = [w for tau in range(2, 13) for w in classes(tau, hyperbolic=True)]
+    words += [_random_hyperbolic_word(rng, 120) for _ in range(60)]
+    words += [_deep_word(rng, rng.randint(30, 120)) for _ in range(30)]
+    for w in words:
+        raw = oracles.encode_tuple(w.entries)
+        assert encode(w) == ProjectiveMatrix(*raw), str(w)
+        assert _kernel_min_c(w) == _oracle_min_c(w), str(w)
+
+
+def test_boundary_rotations_are_the_run_start_rotations():
+    # each walked matrix is, up to sign, the product of the letters from a
+    # linear run's first entry round the word
+    for w in (w for tau in range(2, 13) for w in classes(tau, hyperbolic=True)):
+        entries = w.entries
+        plus, runs = _runs(w)
+        starts = [sum(runs[:j]) for j in range(len(runs))]
+        walked = _boundary_rotations(_quad(encode(w)), plus, runs)
+        assert len(walked) == len(starts)
+        for i, M in zip(starts, walked):
+            want = oracles.encode_tuple(entries[i:] + entries[:i])
+            assert oracles.projective_key(M) == oracles.projective_key(want), (str(w), i)
+
+
+# ---------------------------------------------------------------------------
+# the reduced-cycle certificate
 
 def test_reduced_cycle_matches_candidate_oracle():
     rng = random.Random(13)
@@ -350,15 +397,17 @@ def test_reduced_cycle_walk_is_bounded():
 
 
 def test_cross_check_fails_when_candidates_miss_the_minimum(monkeypatch):
-    full = geometry._rotation_candidates
+    full = geometry._boundary_rotations
 
-    def missing_minimum(w, base):
-        candidates = full(w, base)
-        low = min(abs(m[2]) for m in candidates)
-        return [m for m in candidates if abs(m[2]) != low] or candidates
+    def missing_minimum(base, plus, runs):
+        rotations = full(base, plus, runs)
+        low = min(min(abs(m[1]), abs(m[2])) for m in rotations)
+        return [m for m in rotations if min(abs(m[1]), abs(m[2])) != low] or rotations
 
-    monkeypatch.setattr(geometry, "_rotation_candidates", missing_minimum)
-    assert max_depth(W("++-")).cross_check_ok is False
+    monkeypatch.setattr(geometry, "_boundary_rotations", missing_minimum)
+    # every rotation of ++- has an entry of size 1, so nothing can be left out
+    assert max_depth(W("++-")).cross_check_ok is True
+    assert max_depth(W("--+-+")).cross_check_ok is False
     report = audit_lemma71(6)
     failures = sum(row.cross_check_ok is False for row in report.rows)
     assert failures > 0

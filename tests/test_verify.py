@@ -3,6 +3,7 @@ import re
 from modgeod import binwords as bw
 from modgeod import enumeration as en
 from modgeod import verify
+from modgeod.cli import main
 
 
 def test_tmax_caps_enumeration_ceilings_only():
@@ -68,3 +69,23 @@ def test_orbit_check_catches_a_mirror_test_that_accepts_too_much(monkeypatch):
     result = verify.check_orbit_meets_mirror_twice(6)
     assert not result.ok
     assert result.detail == "orbit of --++ meets the family in 4 points"
+
+
+# ---------------------------------------------------------------------------
+# a check that raises
+
+def test_a_check_that_raises_fails_and_the_later_checks_still_run(monkeypatch, capsys):
+    def broken(w):
+        raise RuntimeError(f"no canonical form for {w}")
+
+    # binwords.rotation_group_action, the first registered check, calls it
+    monkeypatch.setattr(bw, "canonical_form", broken)
+    code = main(["verify", "--suite", "binwords", "--tmax", "4"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1
+    assert lines[0] == "FAIL binwords.rotation_group_action: RuntimeError: no canonical form for -"
+    assert len(lines) == len(verify.SUITES["binwords"]) + 1
+    assert all(line.startswith("PASS ") for line in lines[1:-1])
+    assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed"
+    assert "Traceback" in captured.err and "RuntimeError" in captured.err
