@@ -32,7 +32,6 @@ from .binwords import _SIGN_CHARS, BinaryWord, _is_half_turn_bits, _k0_bits
 
 __all__ = ["main"]
 
-_ORACLE_MAX_DEFAULT = 16
 _ENUMERATION_HARD_CAP = 30
 
 
@@ -156,18 +155,6 @@ def _count_value(args) -> int:
         if args.primitive:
             raise ValueError("classes+torsion takes no --primitive")
         return ct.cumulative("classes", t, include_torsion=True)
-    if family == "lowlying":
-        if m is None:
-            raise ValueError("family 'lowlying' needs --m")
-        if t < 1:
-            raise ValueError("t must be >= 1")
-        if t > _ENUMERATION_HARD_CAP:
-            raise ValueError(f"lowlying counts are enumerated; --t above {_ENUMERATION_HARD_CAP} is out of range")
-        lengths = range(1, t + 1) if args.cumulative else (t,)
-        return sum(
-            sum(1 for _ in en.classes(tau, m=m, primitive=args.primitive))
-            for tau in lengths
-        )
     primitive = args.primitive or family in _PRIMITIVE_ALIASES
     family = _PRIMITIVE_ALIASES.get(family, family)
     if args.cumulative:
@@ -178,20 +165,21 @@ def _count_value(args) -> int:
 def cmd_count(args, parser) -> int:
     try:
         value = _count_value(args)
-    except ValueError as exc:
+        if args.format == "json":
+            record = {
+                "family": args.family,
+                "t": args.t,
+                "m": args.m,
+                "cumulative": args.cumulative,
+                "primitive": args.primitive,
+                "exact": value,
+            }
+            text = json.dumps(record, indent=2)
+        else:
+            text = str(value)
+    except ValueError as exc:  # also an int past the interpreter's int-to-str digit limit
         parser.error(str(exc))
-    if args.format == "json":
-        record = {
-            "family": args.family,
-            "t": args.t,
-            "m": args.m,
-            "cumulative": args.cumulative,
-            "primitive": args.primitive,
-            "exact": value,
-        }
-        print(json.dumps(record, indent=2))
-    else:
-        print(value)
+    print(text)
     return 0
 
 
@@ -281,7 +269,7 @@ def cmd_verify(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # growth
 
-def _growth_exacts(item: int, m, oracle_max: int) -> Iterator:
+def _growth_exacts(item: int, m) -> Iterator[int]:
     """Yield the ``exact`` column at t = 1, 2, ..., one running sum per item."""
     if item == 1:
         for t in itertools.count(1):
@@ -293,27 +281,11 @@ def _growth_exacts(item: int, m, oracle_max: int) -> Iterator:
         for total in itertools.accumulate(ct.count_series("lowlying-reciprocal", m=m)):
             yield total
             yield total
-    elif item == 3:
-        for total in itertools.accumulate(ct.count_series("classes", primitive=True)):
-            yield total - 2
     else:
-        # enumerate while the oracle reaches, use the bound formula beyond
-        total: float | int = 0
-        for tau in itertools.count(1):
-            if tau <= oracle_max:
-                total += sum(1 for _ in en.classes(tau, primitive=True, m=m, hyperbolic=True))
-            else:
-                total += ct.lowlying_lower_bound(tau, m)
-            yield total
-
-
-def _oracle_max(args, parser) -> int:
-    """``--oracle-max``, or its default when it is not given."""
-    if args.oracle_max is None:
-        return _ORACLE_MAX_DEFAULT
-    if args.oracle_max < 0:
-        parser.error("--oracle-max must be >= 0")
-    return args.oracle_max
+        # primitive hyperbolic classes: the primitive ones less the two constant ones
+        family, bound = ("classes", None) if item == 3 else ("lowlying", m)
+        for total in itertools.accumulate(ct.count_series(family, m=bound, primitive=True)):
+            yield total - 2
 
 
 def cmd_growth(args, parser) -> int:
@@ -321,16 +293,11 @@ def cmd_growth(args, parser) -> int:
         parser.error(f"growth item {args.item} needs --m")
     if args.item in (1, 3) and args.m is not None:
         parser.error(f"growth item {args.item} takes no --m")
-    if args.item != 4 and args.oracle_max is not None:
-        parser.error(f"growth item {args.item} takes no --oracle-max; only item 4 enumerates")
     if args.tmax < 1:
         parser.error("--tmax must be >= 1")
-    oracle_max = _oracle_max(args, parser)
-    if args.item == 4 and min(args.tmax, oracle_max) > _ENUMERATION_HARD_CAP:
-        parser.error(f"growth item 4 would enumerate past t={_ENUMERATION_HARD_CAP}; lower --oracle-max")
     rows = []
     try:
-        exacts = _growth_exacts(args.item, args.m, oracle_max)
+        exacts = _growth_exacts(args.item, args.m)
         for t in range(1, args.tmax + 1):
             # the target rejects a bad item or m before any exact value or
             # bound is evaluated
@@ -381,7 +348,9 @@ def cmd_table1(args, parser) -> int:
     t, m = args.t, args.m
     if t < 1 or m < 2:
         parser.error("table1 needs --t >= 1 and --m >= 2")
-    enumerable = t <= _oracle_max(args, parser)
+    if args.oracle_max < 0:
+        parser.error("--oracle-max must be >= 0")
+    enumerable = t <= args.oracle_max
     if enumerable and t > _ENUMERATION_HARD_CAP:
         parser.error(f"table1 would enumerate past t={_ENUMERATION_HARD_CAP}; set --oracle-max below --t")
     try:
@@ -482,7 +451,10 @@ def cmd_depth(args, parser) -> int:
         "winding_hi": report.winding_bracket[1],
         "cross_check_ok": bool(report.cross_check_ok),
     }
-    _emit_rows([row], _DEPTH_FIELDS, args.format)
+    try:
+        _emit_rows([row], _DEPTH_FIELDS, args.format)
+    except ValueError as exc:  # an integer past the interpreter's int-to-str digit limit
+        parser.error(f"trace_abs is too long to print: {exc}, or set PYTHONINTMAXSTRDIGITS")
     return 0
 
 
@@ -515,7 +487,6 @@ def cmd_audit(args, parser) -> int:
         "paper_bracket_hits",
         "shifted_bracket_hits",
         "widened_hits",
-        "boundary_flags",
         "cross_check_failures",
     ):
         print(f"# {key}: {report.summary[key]}")
@@ -593,14 +564,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--item", type=int, required=True, choices=(1, 2, 3, 4))
     p.add_argument("--tmax", type=int, required=True)
     p.add_argument("--m", type=int)
-    p.add_argument("--oracle-max", type=int)
     add_format(p)
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("table1", help="the four family rows at one length")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--oracle-max", type=int)
+    p.add_argument("--oracle-max", type=int, default=16)
     add_format(p)
     p.set_defaults(func=cmd_table1)
 

@@ -16,10 +16,15 @@ Combinatorics* I.2 and IV.1):
   1 / (1 - z - ... - z^m), so c_0 = 1, c_1 = 1 and, for k >= 2,
   c_k = 2 c_(k-1) - c_(k-1-m) with c_j = 0 for j < 0: one big-integer
   subtraction per length, with the last m + 1 values live.
-- Burnside's sum over the tau shifts groups by gcd(shift, tau) = d, which
-  occurs phi(tau/d) times, so the necklace count is
-  (1/tau) * sum over d | tau of phi(tau/d) * 2^d: O(sqrt(tau) + d(tau))
-  terms instead of tau.
+- Non-constant cyclic words of length d with every run at most m number
+  W(d) = p_d + q_d: p_0 = m, p_d = p_(d-1) + ... + p_(d-min(m,d-1)) + d [d <= m]
+  (power sums of the roots of z^m - z^(m-1) - ... - 1) and q_d = m if m + 1
+  divides d, else -1; one running window sum makes this one step per length.
+
+Every class count is one orbit step, ``_orbit_count``: Burnside's sum groups
+the tau shifts by d = gcd(shift, tau), so it is (1/tau) * sum over d | tau of
+phi(tau/d) * fixed(d), O(sqrt(tau) + d(tau)) terms, with fixed(d) the words
+of period d: 2^d, or W(d) + 2 [tau <= m] with runs at most m.
 
 ``count_series`` yields one family's counts at t = 1, 2, ... and
 ``cumulative`` sums its first terms, so a cumulative count costs one count
@@ -96,40 +101,44 @@ def _mobius_sum(n: int, f: Callable[[int], int]) -> int:
 # ---------------------------------------------------------------------------
 # necklace and primitive-class counts
 
+def _orbit_count(n: int, fixed: Callable[[int], int], primitive: bool = False) -> int:
+    # rotation classes of a shift-closed set of n-entry words with fixed(d) words of
+    # period d, those the shifts of gcd d fix; ``primitive`` keeps least period n
+    if primitive:
+        total = _mobius_sum(n, fixed)
+    else:
+        terms = [(n, 1)]  # (n/e, phi(e)) for the divisors e of n, built prime by prime
+        for p, k in _factorise(n):
+            step, factor = terms, p - 1  # phi(e p^j) = phi(e) (p - 1) p^(j-1)
+            for _ in range(k):
+                step = [(d // p, phi * factor) for d, phi in step]
+                terms, factor = terms + step, p
+        total = sum(phi * fixed(d) for d, phi in terms)
+    count, rem = divmod(total, n)
+    if rem:
+        raise ArithmeticError(f"orbit-count sum {total} is not divisible by the group order {n}")
+    return count
+
+
 def necklace_count(tau: int) -> int:
     """Number of rotation classes of sign words with tau entries.
 
     Orbit counting for the cyclic shift action, with the shifts grouped by
     d = gcd(shift, tau): (1/tau) * sum over d | tau of phi(tau/d) * 2**d.
-    The sum is always divisible by tau.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    terms = [(1, 1)]  # (e, phi(e)) for the divisors e = tau/d, built prime by prime
-    for p, k in _factorise(tau):
-        powers = [(1, 1)] + [(p**j, p**j - p ** (j - 1)) for j in range(1, k + 1)]
-        terms = [(e * q, phi * phi_q) for e, phi in terms for q, phi_q in powers]
-    total = sum(phi << (tau // e) for e, phi in terms)
-    count, rem = divmod(total, tau)
-    if rem:
-        raise ArithmeticError(f"orbit-count sum {total} is not divisible by the group order {tau}")
-    return count
+    return _orbit_count(tau, (1).__lshift__)  # 2**d words of period d
 
 
 def primitive_class_count(tau: int) -> int:
     """Rotation classes with tau entries that are not proper powers.
 
-    ``_mobius_sum`` over the 2**d words of each length d counts the words of
-    smallest period tau, and each primitive class holds tau of them.  Length 1
-    counts too: both one-entry classes are infinite order as group words.
+    Length 1 counts too: both one-entry classes are infinite order as group words.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    total = _mobius_sum(tau, lambda d: 1 << d)
-    count, rem = divmod(total, tau)
-    if rem:
-        raise ArithmeticError(f"Mobius sum {total} is not divisible by tau = {tau}")
-    return count
+    return _orbit_count(tau, (1).__lshift__, primitive=True)
 
 
 primitive_class_count_mobius = primitive_class_count  # the former name, for existing importers
@@ -152,7 +161,7 @@ def reciprocal_count(t: int, primitive: bool = False) -> int:
 _TORSION_CLASSES = 3
 
 _COMPOSITION_FAMILIES = ("lowlying-reciprocal", "compositions")
-_FORMULA_FAMILIES = ("classes", "reciprocal", *_COMPOSITION_FAMILIES)
+_FORMULA_FAMILIES = ("classes", "reciprocal", "lowlying", *_COMPOSITION_FAMILIES)
 
 
 def _per_length(family: str, m: Optional[int], primitive: bool) -> Callable[[int], int]:
@@ -163,14 +172,16 @@ def _per_length(family: str, m: Optional[int], primitive: bool) -> Callable[[int
         return partial(reciprocal_count, primitive=primitive)
     if family not in _FORMULA_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {_FORMULA_FAMILIES}")
-    if primitive and family != "lowlying-reciprocal":
+    if primitive and family == "compositions":
         raise ValueError(f"primitive counts are not defined for family {family!r}")
     if m is None:
-        if family == "lowlying-reciprocal":
+        if family != "compositions":
             raise ValueError(f"family {family!r} needs the run bound m")
         return reciprocal_count
     if m < 1:
-        raise ValueError("part bound m must be >= 1")
+        raise ValueError("run bound m must be >= 1")
+    if family == "lowlying":
+        return partial(_lowlying_count, m=m, primitive=primitive)
     compositions = partial(bounded_compositions, m=m)
     return partial(_mobius_sum, f=compositions) if primitive else compositions
 
@@ -179,10 +190,11 @@ def count(family: str, t: int, *, m: Optional[int] = None, primitive: bool = Fal
     """Exact count of one formula-backed family at length t.
 
     ``classes`` counts rotation classes with t entries and ``reciprocal`` the
-    reciprocal classes of group length 4t; both ignore m.  The bijection makes
-    ``lowlying-reciprocal`` (runs at most m) and ``compositions`` (parts at
-    most m) the same count; only ``compositions`` may omit m, counting all
-    2**(t-1) compositions.  ``primitive`` drops proper powers; ``compositions`` refuses it.
+    reciprocal classes of group length 4t; both ignore m.  ``lowlying`` keeps the
+    classes with cyclic runs at most m; by the bijection ``lowlying-reciprocal`` (runs
+    at most m) and ``compositions`` (parts at most m) are the same count, and only
+    ``compositions`` may omit m, counting all 2**(t-1) compositions.  ``primitive``
+    drops proper powers; ``compositions`` refuses it.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -195,10 +207,12 @@ def count_series(
     """Yield ``count(family, t, m=m, primitive=primitive)`` for t = 1, 2, ... .
 
     The arguments are checked before the first term.  Bounded compositions
-    cost one big-integer step per term; every other family costs one count
-    evaluation per term.
+    cost one big-integer step per term, ``lowlying`` one step and one orbit
+    step; every other family costs one count evaluation per term.
     """
     counter = _per_length(family, m, primitive)  # checks the arguments
+    if family == "lowlying":
+        return _lowlying_series(m, primitive)
     if family in _COMPOSITION_FAMILIES and m is not None:
         series = _composition_series(m)
         return _primitive_series(series) if primitive else series
@@ -237,7 +251,7 @@ def cumulative(
 
 
 # ---------------------------------------------------------------------------
-# bounded compositions
+# bounded compositions and bounded-run words
 
 def _composition_series(m: int) -> Iterator[int]:
     # c_1, c_2, ... by c_k = 2 c_(k-1) - c_(k-1-m).  ``window`` holds
@@ -250,6 +264,33 @@ def _composition_series(m: int) -> Iterator[int]:
         c = 2 * window[-1] - (window.popleft() if len(window) > m else 0)
         window.append(c)
         yield c
+
+
+def _run_bounded_words(m: int) -> Iterator[int]:
+    # W(1), W(2), ... (module docstring); ``window`` holds the last min(m, d - 1)
+    # p's and ``total`` their sum, trimmed by hand as in ``_composition_series``
+    window, total = deque(), 0
+    for d in itertools.count(1):
+        p = total + (d if d <= m else 0)
+        window.append(p)
+        total += p - (window.popleft() if len(window) > m else 0)
+        yield p + (m if d % (m + 1) == 0 else -1)
+
+
+def _lowlying_count(n: int, m: int, primitive: bool, words: Optional[dict[int, int]] = None) -> int:
+    # classes of n entries with runs at most m from words[d] = W(d) for d | n,
+    # drawn here when not given; a constant word's run is n
+    if words is None:
+        series = enumerate(itertools.islice(_run_bounded_words(m), n), 1)
+        words = {d: w for d, w in series if n % d == 0}
+    return _orbit_count(n, lambda d: words[d] + 2 * (n <= m), primitive)
+
+
+def _lowlying_series(m: int, primitive: bool) -> Iterator[int]:
+    words: dict[int, int] = {}  # W(1), ..., W(n): the divisors of every length
+    for n, w in enumerate(_run_bounded_words(m), 1):
+        words[n] = w
+        yield _lowlying_count(n, m, primitive, words)
 
 
 def bounded_compositions(t: int, m: int) -> int:

@@ -388,7 +388,6 @@ class AuditRow:
     depth: float
     paper_bracket_hit: bool
     shifted_bracket_hit: bool
-    boundary_flag: bool
     widened_hit: bool
     cross_check_ok: Optional[bool]
 
@@ -415,7 +414,6 @@ def _audit_row(w: BinaryWord, cross_validate: bool) -> AuditRow:
         depth=report.depth,
         paper_bracket_hit=lo == k,
         shifted_bracket_hit=lo == k + 1,
-        boundary_flag=False,
         widened_hit=k <= lo <= k + 1,
         cross_check_ok=report.cross_check_ok,
     )
@@ -428,9 +426,9 @@ def audit_lemma71(tau_max: int, *, cross_validate: bool = True) -> AuditReport:
     depth from ``max_depth`` is scored against the bracket
     (log(k/2), log((k+1)/2)) and against the same bracket shifted up by one
     unit of k; both tests are integer comparisons of k with the lower winding
-    bound, so no depth sits on a bracket edge and ``boundary_flag`` is always
-    False.  This is a measurement command: it tabulates and never asserts
-    which bracket ought to win.  Rows come in class order.
+    bound, so no depth sits on a bracket edge.  This is a measurement command:
+    it tabulates and never asserts which bracket ought to win.  Rows come in
+    class order.
     """
     if tau_max < 2:
         raise ValueError("tau_max must be >= 2")
@@ -457,7 +455,6 @@ def audit_lemma71(tau_max: int, *, cross_validate: bool = True) -> AuditReport:
         "paper_bracket_hits": sum(r.paper_bracket_hit for r in rows),
         "shifted_bracket_hits": sum(r.shifted_bracket_hit for r in rows),
         "widened_hits": sum(r.widened_hit for r in rows),
-        "boundary_flags": sum(r.boundary_flag for r in rows),
         "cross_check_failures": sum(r.cross_check_ok is False for r in rows),
         "by_max_run": {k: by_run[k] for k in sorted(by_run)},
     }

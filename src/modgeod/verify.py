@@ -342,8 +342,8 @@ def check_lowlying_lower_bound(tmax: int = 16) -> Outcome:
     for m in (2, 3, 4):
         for tau in range(1, tmax + 1):
             n = sum(1 for _ in en.classes(tau, m=m))
-            if n < ct.lowlying_lower_bound(tau, m):
-                return _fail(f"tau={tau}, m={m}: {n} below bound")
+            if n != ct.count("lowlying", tau, m=m) or n < ct.lowlying_lower_bound(tau, m):
+                return _fail(f"tau={tau}, m={m}: {n} classes, off the formula or below bound")
     return _ok(f"tau through {tmax}, m in 2..4")
 
 
@@ -366,6 +366,8 @@ def check_witness_generator(tmax: int = 16) -> Outcome:
 def check_filter_monotone(tmax: int = 12) -> Outcome:
     for tau in range(1, tmax + 1):
         counts = [sum(1 for _ in en.classes(tau, m=m)) for m in range(1, tau + 1)]
+        if counts != [ct.count("lowlying", tau, m=m) for m in range(1, tau + 1)]:
+            return _fail(f"tau={tau}: enumerated counts {counts} differ from the formula")
         if any(a > b for a, b in zip(counts, counts[1:])):
             return _fail(f"tau={tau}: counts decrease: {counts}")
         if counts[-1] != ct.necklace_count(tau):

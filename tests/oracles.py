@@ -175,6 +175,44 @@ def necklace_count_shifts(tau):
     return count
 
 
+def run_bounded_word_table(d_max, m):
+    """[0, W(1), ..., W(d_max)]: non-constant cyclic words with cyclic runs at most m.
+
+    W(d) counts the sign words of length d.  It is the trace of T^d for the
+    automaton whose states are (sign, length of the run so far), that length at
+    most m: a non-constant word reads one closed walk of d steps from the state
+    of its first entry, and a constant word closes none.
+    """
+    states = [(s, r) for s in (-1, 1) for r in range(1, m + 1)]
+    step = [
+        [int((s2, r2) in ((s, r + 1), (-s, 1))) for s2, r2 in states] for s, r in states
+    ]
+    table, power = [0], step
+    for _ in range(d_max):
+        table.append(sum(power[i][i] for i in range(len(states))))
+        power = [
+            [sum(row[k] * step[k][j] for k in range(len(states))) for j in range(len(states))]
+            for row in power
+        ]
+    return table
+
+
+def run_bounded_hyperbolic_table(n_max, m):
+    """[0, H(1), ..., H(n_max)]: classes of non-constant words with runs at most m.
+
+    H(n) counts the rotation classes of n entries, by Burnside's lemma over
+    every shift on ``run_bounded_word_table``.
+    """
+    words = run_bounded_word_table(n_max, m)
+    table = [0]
+    for n in range(1, n_max + 1):
+        count, rem = divmod(sum(words[gcd(j, n)] for j in range(1, n + 1)), n)
+        if rem:
+            raise ArithmeticError(f"shift sum not divisible by {n}")
+        table.append(count)
+    return table
+
+
 def composition_table(t_max, m):
     """[c_0, ..., c_t_max], c_k the compositions of k with parts at most m.
 

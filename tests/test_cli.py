@@ -17,7 +17,6 @@ from modgeod.cli import _emit_rows, _fmt, _write_rows, main
 from modgeod.counting import (
     bounded_compositions,
     cumulative,
-    lowlying_lower_bound,
     primitive_class_count,
 )
 
@@ -79,7 +78,7 @@ def test_count_json(capsys):
         ("count", "--family", "nonsense", "--t", "3"),
         ("count", "--family", "lowlying", "--t", "3"),
         ("count", "--family", "classes+torsion", "--t", "3"),
-        ("count", "--family", "lowlying", "--t", "99", "--m", "2"),
+        ("count", "--family", "lowlying", "--t", "5", "--m", "0"),
         ("count", "--family", "classes"),
         ("count", "--family", "classes", "--t", "0"),
         ("count", "--family", "compositions", "--t", "0"),
@@ -364,8 +363,6 @@ def test_growth_item3_subtracts_parabolic_pair(capsys):
     [
         ("table1", "--t", "31", "--m", "3"),
         ("table1", "--t", "40", "--m", "3", "--oracle-max", "31"),
-        ("growth", "--item", "4", "--m", "3", "--tmax", "5", "--oracle-max", "31"),
-        ("growth", "--item", "4", "--m", "3", "--tmax", "40", "--oracle-max", "3"),
     ],
 )
 def test_oracle_max_above_the_enumeration_cap_is_fine_when_unused(capsys, argv):
@@ -375,19 +372,21 @@ def test_oracle_max_above_the_enumeration_cap_is_fine_when_unused(capsys, argv):
     assert out
 
 
-def test_growth_item4_mixes_oracle_and_bound(capsys):
-    code, out = run(
-        capsys, "growth", "--item", "4", "--tmax", "8", "--m", "3", "--oracle-max", "6"
-    )
+def test_growth_item4_exact_column_is_integer(capsys):
+    code, out = run(capsys, "growth", "--item", "4", "--tmax", "40", "--m", "3")
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
-    # integer while enumerated, real once the bound takes over
-    assert "." not in rows[5][1]
-    assert "." in rows[7][1]
+    assert len(rows) == 40
+    assert all(row[1].isdigit() for row in rows)
+    assert int(rows[-1][1]) == cumulative("lowlying", 40, m=3, primitive=True) - 2
 
 
 def _oracle_growth_exacts(item, tmax, m=None, oracle_max=None):
-    """Per-row sums from the naive oracles, each row summed anew."""
+    """Per-row sums from the naive oracles, each row summed anew.
+
+    Item 4 counts the classes of each length tau <= ``oracle_max`` one by one,
+    and takes the longer ones from the transfer-matrix shift-sum oracle.
+    """
     if item == 1:
         per_length = [oracles.composition_table(n, n)[n] for n in range(tmax // 2 + 1)]
         return [sum(per_length[1:t // 2 + 1]) for t in range(1, tmax + 1)]
@@ -403,9 +402,9 @@ def _oracle_growth_exacts(item, tmax, m=None, oracle_max=None):
         return (len(set(w)) == 2 and oracles.is_primitive_tuple(w)
                 and oracles.max_cyclic_run_tuple(w) <= m)
 
+    shift_sums = oracles.primitive_table(oracles.run_bounded_hyperbolic_table(tmax, m))
     per_length = [
-        len(oracles.class_reps(tau, kept)) if tau <= oracle_max
-        else lowlying_lower_bound(tau, m)
+        len(oracles.class_reps(tau, kept)) if tau <= oracle_max else shift_sums[tau]
         for tau in range(1, tmax + 1)
     ]
     rows = []
@@ -432,7 +431,6 @@ def _oracle_growth_exacts(item, tmax, m=None, oracle_max=None):
 def test_growth_exact_column_matches_oracle_sums(capsys, item, tmax, m, oracle_max):
     argv = ["growth", "--item", str(item), "--tmax", str(tmax), "--format", "json"]
     argv += ["--m", str(m)] if m is not None else []
-    argv += ["--oracle-max", str(oracle_max)] if oracle_max is not None else []
     code, out = run(capsys, *argv)
     assert code == 0
     exacts = [row["exact"] for row in json.loads(out)]
@@ -445,7 +443,7 @@ def test_growth_exact_column_matches_oracle_sums(capsys, item, tmax, m, oracle_m
         (1, (), 2048),
         (2, ("--m", "3"), 2330),
         (3, (), 1023),
-        (4, ("--m", "3", "--oracle-max", "3"), 1536),
+        (4, ("--m", "3"), 1176),
     ],
 )
 def test_growth_past_the_double_range_names_item_and_t(capsys, item, extra, first_t):
@@ -467,18 +465,19 @@ def test_growth_missing_m_exits_2(capsys):
         assert code == 2
 
 
-@pytest.mark.parametrize("item,extra", [(1, ()), (2, ("--m", "3")), (3, ())])
-def test_growth_oracle_max_is_only_for_item_4(capsys, item, extra):
+@pytest.mark.parametrize(
+    "item,extra", [(1, ()), (2, ("--m", "3")), (3, ()), (4, ("--m", "3"))]
+)
+def test_growth_refuses_oracle_max(capsys, item, extra):
+    # every growth column is formula-backed, so growth has no oracle to bound
     code = main(["growth", "--item", str(item), "--tmax", "5", *extra, "--oracle-max", "16"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"growth item {item} takes no --oracle-max" in captured.err
+    assert "unrecognized arguments: --oracle-max 16" in captured.err
 
 
-@pytest.mark.parametrize(
-    "argv", [("growth", "--item", "4", "--m", "3", "--tmax", "18"), ("table1", "--t", "16", "--m", "3")]
-)
+@pytest.mark.parametrize("argv", [("table1", "--t", "16", "--m", "3")])
 def test_oracle_max_defaults_to_16(capsys, argv):
     assert run(capsys, *argv) == run(capsys, *argv, "--oracle-max", "16")
 
@@ -569,10 +568,14 @@ def test_depth_syllables_equivalent(capsys):
     assert by_word == by_syll
 
 
+def _seeded_word(length):
+    rng = random.Random(length)
+    return "".join(rng.choice("+-") for _ in range(length))
+
+
 def test_depth_of_a_long_word(capsys):
     # thousands of letters: the trace is far past a double, the depth is not
-    rng = random.Random(4000)
-    word = "".join(rng.choice("+-") for _ in range(4000))
+    word = _seeded_word(4000)
     code, out = run(capsys, "depth", f"--word={word}", "--format", "json")
     assert code == 0
     (row,) = json.loads(out)
@@ -584,6 +587,36 @@ def test_depth_of_a_long_word(capsys):
     # winding_lo is the exact floor of 2 * apex
     assert row["winding_lo"] < 2 * row["apex"] < row["winding_hi"]
     assert abs(row["depth"] - math.log(row["apex"])) < 1e-12
+
+
+@pytest.fixture
+def int_str_limit_640():
+    # the interpreter-wide limit on int-to-str digits, lowered for one test
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the trace of this word has more than 640 digits
+        ("depth", f"--word={_seeded_word(4000)}"),
+        ("depth", "--format", "json", f"--word={_seeded_word(4000)}"),
+        ("count", "--family", "lowlying", "--t", "3000", "--m", "3"),
+        ("count", "--family", "classes", "--t", "3000", "--format", "json"),
+    ],
+)
+def test_past_the_int_to_str_limit_exits_2(capsys, int_str_limit_640, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Exceeds the limit (640 digits)" in captured.err
+    assert sys.get_int_max_str_digits() == 640  # modgeod leaves the setting alone
 
 
 @pytest.mark.parametrize(
@@ -650,8 +683,6 @@ def test_oracle_max_zero_never_enumerates(capsys):
     code, out = run(capsys, "table1", "--t", "5", "--m", "2", "--oracle-max", "0")
     assert code == 0
     assert all(line.endswith("skipped") for line in out.splitlines()[1:])
-    code, _ = run(capsys, "growth", "--item", "4", "--m", "3", "--tmax", "3", "--oracle-max", "0")
-    assert code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +720,8 @@ def _python(*args):
         ("verify", "--suite", "geometry", "--tmax", "9"),
         ("count", "--family", "lowlying-reciprocal", "--t", "60", "--m", "3", "--primitive",
          "--cumulative"),
+        ("growth", "--item", "4", "--m", "3", "--tmax", "40"),
+        ("count", "--family", "lowlying", "--t", "60", "--m", "4", "--primitive", "--cumulative"),
     ],
 )
 def test_same_output_under_python_O(argv):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from modgeod.counting import (
     PrecisionLimitError,
     _alpha_cached,
+    _run_bounded_words,
     alpha,
     bounded_compositions,
     closed_form_compositions,
@@ -25,7 +26,7 @@ from modgeod.counting import (
     reciprocal_count,
     rnd,
 )
-from modgeod.enumeration import reciprocal_classes
+from modgeod.enumeration import classes, reciprocal_classes
 
 import oracles
 
@@ -135,6 +136,67 @@ def test_lowlying_reciprocal_primitive_matches_enumeration():
 
 
 # ---------------------------------------------------------------------------
+# bounded-run (lowlying) classes
+
+def test_run_bounded_words_match_transfer_matrix_trace():
+    for m in range(1, 9):
+        expected = oracles.run_bounded_word_table(80, m)[1:]
+        assert list(itertools.islice(_run_bounded_words(m), 80)) == expected, m
+
+
+def test_lowlying_matches_class_oracle():
+    for n in range(1, 13):
+        reps = oracles.class_reps(n)
+        primitive = {w for w in reps if oracles.is_primitive_tuple(w)}
+        for m in range(1, 7):
+            for primitive_only, words in ((False, reps), (True, primitive)):
+                kept = sum(oracles.max_cyclic_run_tuple(w) <= m for w in words)
+                assert count("lowlying", n, m=m, primitive=primitive_only) == kept, (n, m)
+
+
+def test_lowlying_matches_enumeration():
+    for n in range(1, 17):
+        for m in range(1, 8):
+            for primitive in (False, True):
+                enumerated = sum(1 for _ in classes(n, m=m, primitive=primitive))
+                assert count("lowlying", n, m=m, primitive=primitive) == enumerated
+
+
+def test_lowlying_matches_shift_sum_oracle_far_out():
+    # the constant classes add 2 while n <= m, and only at n = 1 when primitive
+    for m in range(1, 9):
+        hyperbolic = oracles.run_bounded_hyperbolic_table(90, m)
+        primitive = oracles.primitive_table(hyperbolic)
+        for n in range(1, 91):
+            assert count("lowlying", n, m=m) == hyperbolic[n] + 2 * (n <= m)
+            assert count("lowlying", n, m=m, primitive=True) == primitive[n] + 2 * (n == 1)
+
+
+def test_lowlying_without_a_binding_run_bound_is_every_class():
+    for n in range(1, 201):
+        for m in (n, n + 1):
+            assert count("lowlying", n, m=m) == necklace_count(n)
+            assert count("lowlying", n, m=m, primitive=True) == primitive_class_count(n)
+    huge = 10**30
+    head = list(itertools.islice(count_series("lowlying", m=huge, primitive=True), 60))
+    assert head == [primitive_class_count(n) for n in range(1, 61)]
+    assert count("lowlying", 500, m=huge) == necklace_count(500)
+
+
+def test_lowlying_examples():
+    assert count("lowlying", 30, m=3) == 2900108
+    assert count("lowlying", 30, m=6) == 27951505
+    # m = 1 keeps only the alternating class, at even lengths
+    assert [count("lowlying", n, m=1) for n in range(1, 7)] == [2, 1, 0, 1, 0, 1]
+
+
+def test_lowlying_domain_errors():
+    for m, t in ((None, 3), (0, 3), (-2, 3), (3, 0)):
+        with pytest.raises(ValueError):
+            count("lowlying", t, m=m)
+
+
+# ---------------------------------------------------------------------------
 # cumulative
 
 def test_cumulative_examples():
@@ -171,6 +233,10 @@ def test_cumulative_matches_naive_sums_for_every_family():
         table = oracles.composition_table(T, m)[1:]
         expected["compositions", m, False] = table
         expected["lowlying-reciprocal", m, False] = table
+        hyperbolic = oracles.run_bounded_hyperbolic_table(T, m)
+        primitive = oracles.primitive_table(hyperbolic)
+        expected["lowlying", m, False] = [hyperbolic[n] + 2 * (n <= m) for n in range(1, T + 1)]
+        expected["lowlying", m, True] = [primitive[n] + 2 * (n == 1) for n in range(1, T + 1)]
     for (family, m, primitive), per_length in expected.items():
         sums = list(itertools.accumulate(per_length))
         for t in range(1, T + 1):
@@ -184,7 +250,8 @@ def test_cumulative_matches_naive_sums_for_every_family():
 def test_count_series_yields_count_at_each_length():
     cases = [("classes", None, False), ("classes", None, True), ("reciprocal", None, True),
              ("compositions", None, False), ("compositions", 1, False),
-             ("lowlying-reciprocal", 4, False)]
+             ("lowlying-reciprocal", 4, False), ("lowlying", 1, False), ("lowlying", 3, False),
+             ("lowlying", 3, True), ("lowlying", 50, True)]
     for family, m, primitive in cases:
         head = list(itertools.islice(count_series(family, m=m, primitive=primitive), 40))
         assert head == [count(family, t, m=m, primitive=primitive) for t in range(1, 41)]
@@ -192,7 +259,8 @@ def test_count_series_yields_count_at_each_length():
 
 def test_count_series_checks_arguments_before_the_first_term():
     for family, m, primitive in (("geodesics", None, False), ("lowlying-reciprocal", None, False),
-                                 ("compositions", 0, False), ("compositions", 3, True)):
+                                 ("compositions", 0, False), ("compositions", 3, True),
+                                 ("lowlying", None, True), ("lowlying", 0, False)):
         with pytest.raises(ValueError):
             count_series(family, m=m, primitive=primitive)
 

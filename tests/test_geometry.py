@@ -435,7 +435,6 @@ def test_audit_smoke():
         len(oracles.class_reps(tau)) - 2 for tau in range(2, 7)
     )
     assert report.summary["widened_hits"] == report.summary["classes"]
-    assert report.summary["boundary_flags"] == 0
     assert (
         report.summary["paper_bracket_hits"] + report.summary["shifted_bracket_hits"]
         <= report.summary["classes"]
@@ -461,7 +460,6 @@ def test_audit_integer_scoring_matches_float_brackets():
         assert row.paper_bracket_hit == (lo < row.depth < mid)
         assert row.shifted_bracket_hit == (mid < row.depth < hi)
         assert row.widened_hit == (lo < row.depth < hi)
-        assert row.boundary_flag is False
 
 
 def test_audit_validation():

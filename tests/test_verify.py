@@ -1,6 +1,7 @@
 import re
 
 from modgeod import binwords as bw
+from modgeod import counting as ct
 from modgeod import enumeration as en
 from modgeod import verify
 from modgeod.cli import main
@@ -69,6 +70,21 @@ def test_orbit_check_catches_a_mirror_test_that_accepts_too_much(monkeypatch):
     result = verify.check_orbit_meets_mirror_twice(6)
     assert not result.ok
     assert result.detail == "orbit of --++ meets the family in 4 points"
+
+
+def test_enumeration_checks_catch_an_off_by_one_lowlying_formula(monkeypatch):
+    count = ct.count
+
+    def off_by_one(family, t, **kwargs):
+        return count(family, t, **kwargs) + (family == "lowlying")
+
+    monkeypatch.setattr(ct, "count", off_by_one)
+    bound = verify.check_lowlying_lower_bound(6)
+    assert not bound.ok
+    assert bound.detail == "tau=1, m=2: 2 classes, off the formula or below bound"
+    monotone = verify.check_filter_monotone(6)
+    assert not monotone.ok
+    assert monotone.detail == "tau=1: enumerated counts [2] differ from the formula"
 
 
 # ---------------------------------------------------------------------------
