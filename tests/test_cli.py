@@ -477,7 +477,9 @@ def test_growth_refuses_oracle_max(capsys, item, extra):
     assert "unrecognized arguments: --oracle-max 16" in captured.err
 
 
-@pytest.mark.parametrize("argv", [("table1", "--t", "16", "--m", "3")])
+@pytest.mark.parametrize(
+    "argv", [("table1", "--t", "18", "--m", "2"), ("table1", "--t", "16", "--m", "3")]
+)
 def test_oracle_max_defaults_to_16(capsys, argv):
     assert run(capsys, *argv) == run(capsys, *argv, "--oracle-max", "16")
 
