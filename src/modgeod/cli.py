@@ -5,7 +5,8 @@ reals are printed with 12 significant digits in CSV mode, and JSON mode
 mirrors the CSV rows as an array of objects with the same field names.
 Tables are written a chunk of rows at a time, and ``enumerate`` streams its
 rows as the generators make them, so its memory does not grow with the class
-count.
+count.  Reciprocal rows come checked from ``enumeration._reciprocal_chunks``
+a chunk of ``_CHUNK_ROWS`` words at a time; this module only formats them.
 
 Exit codes: 0 on success, and also when the reader of stdout closes it early
 (as ``| head`` does); 1 when a verification or dual-source cross-check fails;
@@ -28,7 +29,7 @@ from . import counting as ct
 from . import enumeration as en
 from . import geometry as geo
 from . import verify as vf
-from .binwords import _SIGN_CHARS, BinaryWord, _is_half_turn_bits, _k0_bits
+from .binwords import _SIGN_CHARS, BinaryWord
 
 __all__ = ["main"]
 
@@ -189,7 +190,8 @@ def cmd_count(args, parser) -> int:
 def _enumerate_rows(args) -> Iterator[tuple]:
     """The rows of ``enumerate``; words are formatted from their packed bits.
 
-    Reciprocal rows come from the bits-level core and build no word object.
+    Reciprocal rows come checked from the bits-level core, ``_CHUNK_ROWS``
+    words at a time, and build no word object.
     """
     t = args.t
     if args.family == "classes":
@@ -197,17 +199,10 @@ def _enumerate_rows(args) -> Iterator[tuple]:
         for w in en.classes(t, primitive=args.primitive, m=args.m, hyperbolic=args.hyperbolic):
             yield format(w.bits, spec).translate(_SIGN_CHARS), t
         return
-    length = 2 * t
-    spec = f"0{length}b"
-    for bits in en._reciprocal_bits(t, args.m):
-        # the checks the HalfTurnWord constructor makes
-        if not _is_half_turn_bits(bits, length):
-            word = format(bits, spec).translate(_SIGN_CHARS)
-            raise en.ContractViolationError(f"not a mirrored word: {word}")
-        k0 = _k0_bits(bits, length)
-        if args.primitive and k0 != t:
-            continue
-        yield format(bits, spec).translate(_SIGN_CHARS), t, k0
+    spec = f"0{2 * t}b"
+    for words, k0s in en._reciprocal_chunks(t, args.m, args.primitive, _CHUNK_ROWS):
+        texts = [format(bits, spec).translate(_SIGN_CHARS) for bits in words]
+        yield from zip(texts, itertools.repeat(t), k0s)
 
 
 def cmd_enumerate(args, parser) -> int:

@@ -10,9 +10,12 @@ than m is skipped together with every word that extends it.
 ``reciprocal_classes`` walks the free first halves, and under a run bound
 only those whose runs are at most m.  Both do a constant amount of big-integer
 work per class on average, and neither canonicalises a word by rotating it.
-``reciprocal_classes`` wraps a private core that yields packed bits, which the
-CLI streams rows from and ``verify`` counts and checks the composition
-bijection on.
+``reciprocal_classes`` wraps a private core that yields packed bits, which
+``verify`` counts and checks the composition bijection on.  The CLI streams
+its rows from ``_reciprocal_chunks``, which makes the checks of the
+``HalfTurnWord`` constructor on the core's words a chunk at a time: the mirror
+test, and k0 from one period test per prime dividing 2t, with ``_k0_bits``
+only for the few words that have a proper period.
 
 Emission is in increasing bit order of the canonical representative, which is
 lexicographic order of the entries with -1 first, so output is sorted and
@@ -23,7 +26,7 @@ test suite.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Optional
 
 from .binwords import (
@@ -31,6 +34,7 @@ from .binwords import (
     Composition,
     HalfTurnWord,
     _full_from_half_bits,  # unused here; kept because bench/tracer.py hooks this name
+    _k0_bits,
     _max_cyclic_run_bits,
     _reverse_bits,
     _smallest_period_bits,
@@ -39,6 +43,7 @@ from .binwords import (
     half_turn_partner,
     runs_of,
 )
+from .counting import _factorise
 
 __all__ = [
     "ContractViolationError",
@@ -192,6 +197,62 @@ def _reciprocal_bits(t: int, m: Optional[int] = None) -> Iterator[int]:
             head, tail = head >> n, head & ((1 << n) - 1)
         if head < tail:
             yield (half << t) | mirror
+
+
+def _reciprocal_chunks(
+    t: int, m: Optional[int], primitive: bool, size: int
+) -> Iterator[tuple[list[int], list[int]]]:
+    """The words of ``_reciprocal_bits`` and their k0s, checked ``size`` at a time.
+
+    Yields non-empty pairs of equal-length lists, packed words and k0s, in the
+    core's order.  Each word gets the checks the ``HalfTurnWord`` constructor
+    makes, a chunk at a time: a word that is not mirrored raises
+    ``ContractViolationError`` naming it, and k0 equals ``_k0_bits``.  With
+    ``primitive`` only the words with k0 = t are kept.  Arguments are checked
+    on the first pull.
+
+    The rotations that fix a word of L = 2t entries form a subgroup of Z_L,
+    so the word has a proper period exactly when its rotation by L/r is the
+    identity for some prime r dividing L.  Only the words that pass such a
+    test, few in any chunk, go to ``_k0_bits``; every other word has smallest
+    period L and so k0 = t.
+    """
+    words = _reciprocal_bits(t, m)
+    chunk = list(islice(words, size))  # checks t and m before anything else
+    length = 2 * t
+    mask = (1 << t) - 1
+    # the reversal tables of _reciprocal_bits: h = hi.lo, lo of `low` bits, is
+    # the first half of the word, and rev_t(h) = rev(lo).rev(hi)
+    low = t >> 1
+    high = t - low
+    low_mask = (1 << low) - 1
+    rev_high = [_reverse_bits(x, high) for x in range(1 << high)]
+    rev_low = [_reverse_bits(x, low) << high for x in range(1 << low)]
+    hi_shift = t + low
+    # the rotation by d of a word of L entries is the identity iff its first
+    # L - d entries equal its last L - d ones
+    periods = [(length // r, (1 << (length - length // r)) - 1) for r, _ in _factorise(length)]
+    while chunk:
+        # mirrored iff rev_t(first half) = ~(second half), as _is_half_turn_bits
+        broken = [
+            bits for bits in chunk
+            if mask ^ (rev_low[bits >> t & low_mask] | rev_high[bits >> hi_shift]) != bits & mask
+        ]
+        if broken:
+            raise ContractViolationError(f"not a mirrored word: {BinaryWord(broken[0], length)}")
+        periodic = set()
+        for d, head in periods:
+            periodic.update([bits for bits in chunk if bits >> d == bits & head])
+        if not periodic:
+            yield chunk, [t] * len(chunk)
+        elif primitive:
+            chunk = [bits for bits in chunk if bits not in periodic]
+            if chunk:
+                yield chunk, [t] * len(chunk)
+        else:
+            k0 = {bits: _k0_bits(bits, length) for bits in periodic}
+            yield chunk, [k0.get(bits, t) for bits in chunk]
+        chunk = list(islice(words, size))
 
 
 def reciprocal_classes(

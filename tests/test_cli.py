@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import oracles
 
 from modgeod import cli
+from modgeod import enumeration as en
 from modgeod.cli import _emit_rows, _fmt, _write_rows, main
 from modgeod.counting import (
     bounded_compositions,
@@ -234,6 +236,69 @@ def test_write_rows_writes_each_chunk_as_it_fills(capsys, monkeypatch, fmt):
         assert out == json.dumps(written, indent=2)[: -len("\n]")]
     else:
         assert out == "word,n\n" + "\n".join(f"w{i},{i}" for i in range(4))
+
+
+def _reciprocal_csv_rows(capsys, t, m, primitive):
+    argv = ["enumerate", "--family", "reciprocal", "--t", str(t)]
+    argv += [] if m is None else ["--m", str(m)]
+    argv += ["--primitive"] if primitive else []
+    code, out = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "word,t,k0"
+    return [tuple(line.split(",")) for line in lines[1:]]
+
+
+def test_enumerate_reciprocal_rows_match_the_object_route(capsys, monkeypatch):
+    # the CLI checks the core's words a chunk at a time; the object route
+    # builds one checked HalfTurnWord per word.  2t = 30, 36 and 42 have two
+    # or more odd primes, so their periodic words reach the _k0_bits fallback,
+    # and t > 16 takes _reverse_bits' bytes path.  --primitive keeps the
+    # classes whose k0 is t, as reciprocal_classes(..., primitive=True) does
+    cases = [(t, m) for t in range(1, 15) for m in (None, 1, 2, 3, 4, 5, 6)]
+    cases += [(15, 2), (18, 2), (21, 2)]
+    for t, m in cases:
+        expected = [(str(h.word), str(t), str(h.k0)) for h in en.reciprocal_classes(t, m)]
+        assert _reciprocal_csv_rows(capsys, t, m, False) == expected, (t, m)
+        primitive = [row for row in expected if row[2] == str(t)]
+        assert _reciprocal_csv_rows(capsys, t, m, True) == primitive, (t, m)
+    # chunks of three words: periodic words fall on chunk edges, and with
+    # --primitive some chunks keep no word at all
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    for t in range(1, 9):
+        for primitive in (False, True):
+            expected = [
+                (str(h.word), str(t), str(h.k0))
+                for h in en.reciprocal_classes(t, primitive=primitive)
+            ]
+            assert _reciprocal_csv_rows(capsys, t, None, primitive) == expected, (t, primitive)
+
+
+# the words of enumerate --family reciprocal --t 4, the sixth made non-mirrored
+_BROKEN_CORE = """
+from modgeod import cli, enumeration as en
+words = list(en._reciprocal_bits(4))
+words[5] ^= 1
+en._reciprocal_bits = lambda t, m=None: iter(words)
+cli._CHUNK_ROWS = 4
+cli.main(["enumerate", "--family", "reciprocal", "--t", "4"])
+"""
+
+
+def test_enumerate_reciprocal_refuses_a_non_mirrored_word(capsys, monkeypatch):
+    words = list(en._reciprocal_bits(4))
+    assert len(words) == 8
+    words[5] ^= 1  # the second word of the second chunk
+    bad = format(words[5], "08b").translate(str.maketrans("01", "-+"))
+    monkeypatch.setattr(en, "_reciprocal_bits", lambda t, m=None: iter(words))
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    with pytest.raises(en.ContractViolationError, match=re.escape(f"not a mirrored word: {bad}")):
+        main(["enumerate", "--family", "reciprocal", "--t", "4"])
+    # the first chunk went out; nothing of the second did
+    assert capsys.readouterr().out.count("\n") == 4
+    result = _python("-O", "-c", _BROKEN_CORE)
+    assert result.returncode == 1
+    assert f"ContractViolationError: not a mirrored word: {bad}\n" in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -724,6 +789,8 @@ def _python(*args):
          "--cumulative"),
         ("growth", "--item", "4", "--m", "3", "--tmax", "40"),
         ("count", "--family", "lowlying", "--t", "60", "--m", "4", "--primitive", "--cumulative"),
+        ("enumerate", "--family", "reciprocal", "--t", "12", "--primitive", "--format", "json"),
+        ("enumerate", "--family", "reciprocal", "--t", "15", "--m", "3"),
     ],
 )
 def test_same_output_under_python_O(argv):
@@ -748,6 +815,22 @@ def test_closed_pipe_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert (first, err) == (b"word,tau\n", b"")
+
+
+def test_closed_pipe_ends_reciprocal_rows_quietly():
+    # the reciprocal rows come a checked chunk at a time; the reader closes
+    # the pipe after the header, long before the 24 MB of rows is written
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "modgeod", "enumerate", "--family", "reciprocal", "--t", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert (first, err) == (b"word,t,k0\n", b"")
 
 
 def test_k0_check_survives_python_O():
