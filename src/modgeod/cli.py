@@ -3,10 +3,10 @@
 Output is deterministic for a fixed argv: rows are emitted in sorted order,
 reals are printed with 12 significant digits in CSV mode, and JSON mode
 mirrors the CSV rows as an array of objects with the same field names.
-Tables are written a chunk of rows at a time, and ``enumerate`` streams its
-rows as the generators make them, so its memory does not grow with the class
-count.  Reciprocal rows come checked from ``enumeration._reciprocal_chunks``
-a chunk of ``_CHUNK_ROWS`` words at a time; this module only formats them.
+Rows are written a column chunk of ``_CHUNK_ROWS`` rows at a time, each
+column rendered whole, and ``enumerate`` streams its chunks as the generators
+make them, so its memory does not grow with the class count.  Reciprocal
+words come checked from ``enumeration._reciprocal_chunks``.
 
 Exit codes: 0 on success, and also when the reader of stdout closes it early
 (as ``| head`` does); 1 when a verification or dual-source cross-check fails;
@@ -44,58 +44,74 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_column(values: tuple) -> Iterable[str]:
-    # the text json.dumps gives each value; a column of str or of int, nearly
-    # every column printed, skips its per-call encoder set-up
+def _column(values: Sequence, fmt: str) -> Iterable[str]:
+    # the text json.dumps or _fmt gives each value; a column of str or of int,
+    # nearly every column printed, is rendered with no Python call per value
     kinds = set(map(type, values))
-    if kinds == {str}:
-        return map(_json_str, values)
     if kinds == {int}:
-        return map(int.__repr__, values)
-    return map(json.dumps, values)
-
-
-def _csv_column(values: tuple) -> Iterable[str]:
-    # the text _fmt gives each value
-    kinds = set(map(type, values))
+        return map(repr, values)
     if kinds == {str}:
-        return values
-    if kinds == {int}:
-        return map(int.__repr__, values)
-    return map(_fmt, values)
+        return map(_json_str, values) if fmt == "json" else values
+    return map(json.dumps if fmt == "json" else _fmt, values)
 
 
-# rows per write of ``_write_rows``
+# rows per chunk of tables and of ``enumerate``
 _CHUNK_ROWS = 4096
 
 
-def _write_rows(rows: Iterable[Sequence], fields: list[str], fmt: str) -> None:
-    """Write rows as CSV, or as ``json.dumps`` of the row objects with ``indent=2``.
+@functools.cache
+def _layout(fields: tuple[str, ...], fmt: str) -> tuple:
+    """The fixed text around the values of ``_write_columns``' rows, per field list.
 
-    Each row holds one JSON scalar per name in ``fields`` (non-empty, in
-    output order): a str, int, float, bool or None.  Rows are pulled and
-    written ``_CHUNK_ROWS`` at a time to the ``sys.stdout`` of the call, so
-    memory stays flat however many rows there are.  Nothing is written before
-    the first chunk is pulled, so an error a generator raises on its first
-    pull leaves stdout empty.  Each chunk is formatted a column at a time.
+    Returns ``(lead, first, glue, close, end, empty)``: the text before the
+    first row's first value; the text before a later row's first value; one
+    endless iterator per field of the text before that field's value, the
+    first repeating ``first``; a tuple of at most one endless iterator of the
+    text that closes a row; the text after the last row; and the whole output
+    for no rows.  ``itertools.repeat`` keeps no position, so calls share them.
     """
     if fmt == "json":
-        item = "  {\n" + ",\n".join(
-            f"    {_json_str(k).replace('%', '%%')}: %s" for k in fields
-        ) + "\n  }"
-        render, column = item.__mod__, _json_column
-        head, sep, end, empty = "[\n", ",\n", "\n]\n", "[]\n"
+        glue = [f",\n    {_json_str(k)}: " for k in fields]
+        lead, glue[0] = "[\n  {" + glue[0][1:], ",\n  {" + glue[0][1:]
+        close, end, empty = (itertools.repeat("\n  }"),), "\n]\n", "[]\n"
     else:
-        render, column = ",".join, _csv_column
-        head = empty = ",".join(fields) + "\n"
-        sep = end = "\n"
-    write = sys.stdout.write
+        glue = ["\n", *[","] * (len(fields) - 1)]
+        lead = empty = ",".join(fields) + "\n"
+        close, end = (), "\n"
+    return lead, glue[0], tuple(map(itertools.repeat, glue)), close, end, empty
+
+
+def _write_columns(chunks: Iterable[Sequence[Sequence]], fields: list[str], fmt: str) -> None:
+    """Write column chunks as CSV, or as ``json.dumps`` of the row objects with ``indent=2``.
+
+    A chunk holds one sequence per name in ``fields`` (non-empty, in output
+    order), all of one length, of JSON scalars: str, int, float, bool or None.
+    Each chunk is written to the ``sys.stdout`` of the call as soon as it is
+    pulled, so an error a generator raises on its first pull leaves stdout
+    empty.  Its columns are rendered whole and interleaved with fixed glue in
+    one join, with no Python call per row.
+    """
+    lead, first, glue, close, end, empty = _layout(tuple(fields), fmt)
+    wrote = False
+    for columns in chunks:
+        # glue, column, glue, column, ...: zipped, they give the pieces row by row
+        rendered = map(_column, columns, itertools.repeat(fmt))
+        pieces = itertools.chain.from_iterable(
+            zip(*itertools.chain.from_iterable(zip(glue, rendered)), *close)
+        )
+        if next(pieces, None) is not None:  # the first glue gives way to the lead
+            sys.stdout.write("".join(itertools.chain((first if wrote else lead,), pieces)))
+            wrote = True
+    sys.stdout.write(end if wrote else empty)
+
+
+def _write_rows(rows: Iterable[Sequence], fields: list[str], fmt: str) -> None:
+    """``_write_columns`` for rows of one value per name in ``fields``.
+
+    Rows are pulled ``_CHUNK_ROWS`` at a time, so memory stays flat.
+    """
     rows = iter(rows)
-    lead = head
-    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        write(lead + sep.join(map(render, zip(*map(column, zip(*chunk))))))
-        lead = sep
-    write(empty if lead is head else end)
+    _write_columns(iter(lambda: tuple(zip(*itertools.islice(rows, _CHUNK_ROWS))), ()), fields, fmt)
 
 
 def _emit_rows(rows: list[dict], fields: list[str], fmt: str) -> None:
@@ -187,22 +203,25 @@ def cmd_count(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # enumerate
 
-def _enumerate_rows(args) -> Iterator[tuple]:
-    """The rows of ``enumerate``; words are formatted from their packed bits.
+def _sign_texts(words: list[int], spec: str) -> list[str]:
+    # the sign strings of packed words, formatted and translated as one text
+    return "\n".join(map(format, words, itertools.repeat(spec))).translate(_SIGN_CHARS).split("\n")
 
-    Reciprocal rows come checked from the bits-level core, ``_CHUNK_ROWS``
-    words at a time, and build no word object.
+
+def _enumerate_columns(args) -> Iterator[tuple]:
+    """The rows of ``enumerate`` as column chunks of at most ``_CHUNK_ROWS`` rows.
+
+    Words are formatted from their packed bits.  Reciprocal words come checked
+    from the bits-level core and build no word object.
     """
     t = args.t
     if args.family == "classes":
-        spec = f"0{t}b"
-        for w in en.classes(t, primitive=args.primitive, m=args.m, hyperbolic=args.hyperbolic):
-            yield format(w.bits, spec).translate(_SIGN_CHARS), t
+        words = en.classes(t, primitive=args.primitive, m=args.m, hyperbolic=args.hyperbolic)
+        while chunk := [w.bits for w in itertools.islice(words, _CHUNK_ROWS)]:
+            yield _sign_texts(chunk, f"0{t}b"), [t] * len(chunk)
         return
-    spec = f"0{2 * t}b"
     for words, k0s in en._reciprocal_chunks(t, args.m, args.primitive, _CHUNK_ROWS):
-        texts = [format(bits, spec).translate(_SIGN_CHARS) for bits in words]
-        yield from zip(texts, itertools.repeat(t), k0s)
+        yield _sign_texts(words, f"0{2 * t}b"), [t] * len(words), k0s
 
 
 def cmd_enumerate(args, parser) -> int:
@@ -212,7 +231,7 @@ def cmd_enumerate(args, parser) -> int:
     try:
         # the generators check t and m on their first pull, which comes
         # before the first write
-        _write_rows(_enumerate_rows(args), fields, args.format)
+        _write_columns(_enumerate_columns(args), fields, args.format)
     except ValueError as exc:
         parser.error(str(exc))
     return 0
@@ -258,6 +277,8 @@ def cmd_verify(args, parser) -> int:
             failed += 1
             print(f"FAIL {r.name}: {r.detail}")
     print(f"{len(results) - failed}/{len(results)} checks passed")
+    # one JSON line of each check's seconds, for timing runs to read
+    print(json.dumps({r.name: r.seconds for r in results}), file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -366,34 +387,13 @@ def cmd_table1(args, parser) -> int:
     lowlying_rec_n = enum_count(en.reciprocal_classes(t, m))
 
     rows = [
-        {
-            "family": "classes",
-            "word_length": 2 * t,
-            "formula": ct.necklace_count(t),
-            "enumerated": classes_n,
-            "check": "",
-        },
-        {
-            "family": "reciprocal",
-            "word_length": 4 * t,
-            "formula": ct.reciprocal_count(t),
-            "enumerated": reciprocal_n,
-            "check": "",
-        },
-        {
-            "family": "lowlying",
-            "word_length": 2 * t,
-            "formula": bound,
-            "enumerated": lowlying_n,
-            "check": "",
-        },
-        {
-            "family": "lowlying-reciprocal",
-            "word_length": 4 * t,
-            "formula": ct.bounded_compositions(t, m),
-            "enumerated": lowlying_rec_n,
-            "check": "",
-        },
+        {"family": family, "word_length": length, "formula": formula, "enumerated": n, "check": ""}
+        for family, length, formula, n in (
+            ("classes", 2 * t, ct.necklace_count(t), classes_n),
+            ("reciprocal", 4 * t, ct.reciprocal_count(t), reciprocal_n),
+            ("lowlying", 2 * t, bound, lowlying_n),
+            ("lowlying-reciprocal", 4 * t, ct.bounded_compositions(t, m), lowlying_rec_n),
+        )
     ]
     failed = 0
     for row in rows:

@@ -7,15 +7,15 @@ Lyndon prefix, and it is a necklace exactly when that prefix length p divides
 tau, a Lyndon (primitive) word exactly when p equals tau.  A run bound m is
 applied to prefixes (Ruskey-Sawada, COCOON 2000): a prefix with a run longer
 than m is skipped together with every word that extends it.
-``reciprocal_classes`` walks the free first halves, and under a run bound
-only those whose runs are at most m.  Both do a constant amount of big-integer
-work per class on average, and neither canonicalises a word by rotating it.
-``reciprocal_classes`` wraps a private core that yields packed bits, which
-``verify`` counts and checks the composition bijection on.  The CLI streams
-its rows from ``_reciprocal_chunks``, which makes the checks of the
-``HalfTurnWord`` constructor on the core's words a chunk at a time: the mirror
-test, and k0 from one period test per prime dividing 2t, with ``_k0_bits``
-only for the few words that have a proper period.
+``reciprocal_classes`` walks the free first halves, under a run bound only
+those whose runs are at most m, through a private core that yields packed
+bits a block of halves at a time; ``verify`` counts these and checks the
+composition bijection on them.  Both do a constant amount of big-integer work
+per class on average, and neither canonicalises a word by rotating it.  The
+CLI streams its rows from ``_reciprocal_chunks``, which makes the
+``HalfTurnWord`` constructor's checks on the core's words a chunk at a time:
+the mirror test, and k0 from one period test per prime dividing 2t, with
+``_k0_bits`` only for the few words that have a proper period.
 
 Emission is in increasing bit order of the canonical representative, which is
 lexicographic order of the entries with -1 first, so output is sorted and
@@ -26,7 +26,7 @@ test suite.
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Iterator, Optional
 
 from .binwords import (
@@ -134,9 +134,6 @@ def _bounded_run_words(t: int, bound: int) -> Iterator[int]:
     Yielded in increasing order.  Every prefix with a longer run is skipped
     together with all its extensions.
     """
-    if bound >= t:
-        yield from range(1 << t)
-        return
     # least valid continuation after a +1 entry: blocks of bound -1 entries,
     # each closed by a +1, cut to length
     fill = 0
@@ -156,12 +153,26 @@ def _bounded_run_words(t: int, bound: int) -> Iterator[int]:
             bits |= 1 << ones
 
 
+def _mirror_tables(t: int) -> tuple[int, int, list[int], list[int]]:
+    # s(h) = ~rev_t(h) on t entries: with h = hi.lo, lo of `low` bits,
+    # rev_t(h) = rev(lo).rev(hi), so s(h) = mask ^ (rev_low[lo] | rev_high[hi])
+    low = t >> 1
+    high = t - low
+    rev_low = [_reverse_bits(x, low) << high for x in range(1 << low)]
+    return low, (1 << low) - 1, rev_low, [_reverse_bits(x, high) for x in range(1 << high)]
+
+
+# halves per block of _reciprocal_bits
+_RECIPROCAL_BLOCK = 4096
+
+
 def _reciprocal_bits(t: int, m: Optional[int] = None) -> Iterator[int]:
     """Packed bits of the canonical mirrored words of ``reciprocal_classes``.
 
     Same words in the same order, with no object and no period per word: the
     callers check each word and find its k0.  Arguments are checked on the
-    first pull.
+    first pull.  One list comprehension makes the words of each block of
+    ``_RECIPROCAL_BLOCK`` halves, so pulling words runs in C.
 
     Canonicity is read off the two halves, with no period and no rotation.
     Let s be reverse-complement on t entries, so the word is h.s(h).  Its
@@ -175,28 +186,36 @@ def _reciprocal_bits(t: int, m: Optional[int] = None) -> Iterator[int]:
     It ends, since the middle entry of an odd-length word is not its own
     negation, so such a word never equals its mirror.
     """
+    return chain.from_iterable(_reciprocal_blocks(t, m))
+
+
+def _reciprocal_blocks(t: int, m: Optional[int]) -> Iterator[list[int]]:
+    # the lists _reciprocal_bits chains, one per block of halves, maybe empty
     if t < 1:
         raise ValueError("t must be >= 1")
     if m is not None and m < 1:
         raise ValueError("run bound m must be >= 1")
     mask = (1 << t) - 1
-    # s(h) = ~rev_t(h) reverses h's two parts and swaps them: with h = hi.lo,
-    # lo of `low` bits, rev_t(h) = rev(lo).rev(hi)
-    low = t >> 1
-    high = t - low
-    low_mask = (1 << low) - 1
-    rev_high = [_reverse_bits(x, high) for x in range(1 << high)]
-    rev_low = [_reverse_bits(x, low) << high for x in range(1 << low)]
-    # both junctions of a mirrored word change sign, so its cyclic runs are
-    # the runs of its half
-    for half in _bounded_run_words(t, t if m is None else m):
-        mirror = mask ^ (rev_low[half & low_mask] | rev_high[half >> low])
-        head, tail, n = half, mirror, t
+    low, low_mask, rev_low, rev_high = _mirror_tables(t)
+
+    def halving_keeps(half: int) -> bool:
+        # half = s(half): compare its halves, then theirs while they are equal
+        head, tail, n = half, half, t
         while head == tail:
             n >>= 1
             head, tail = head >> n, head & ((1 << n) - 1)
-        if head < tail:
-            yield (half << t) | mirror
+        return head < tail
+
+    # both junctions of a mirrored word change sign, so its cyclic runs are
+    # the runs of its half
+    halves = iter(range(1 << t) if m is None or m >= t else _bounded_run_words(t, m))
+    while block := list(islice(halves, _RECIPROCAL_BLOCK)):
+        yield [
+            (half << t) | mirror
+            for half in block
+            if (mirror := mask ^ (rev_low[half & low_mask] | rev_high[half >> low])) > half
+            or mirror == half and halving_keeps(half)
+        ]
 
 
 def _reciprocal_chunks(
@@ -221,19 +240,13 @@ def _reciprocal_chunks(
     chunk = list(islice(words, size))  # checks t and m before anything else
     length = 2 * t
     mask = (1 << t) - 1
-    # the reversal tables of _reciprocal_bits: h = hi.lo, lo of `low` bits, is
-    # the first half of the word, and rev_t(h) = rev(lo).rev(hi)
-    low = t >> 1
-    high = t - low
-    low_mask = (1 << low) - 1
-    rev_high = [_reverse_bits(x, high) for x in range(1 << high)]
-    rev_low = [_reverse_bits(x, low) << high for x in range(1 << low)]
+    low, low_mask, rev_low, rev_high = _mirror_tables(t)
     hi_shift = t + low
     # the rotation by d of a word of L entries is the identity iff its first
     # L - d entries equal its last L - d ones
     periods = [(length // r, (1 << (length - length // r)) - 1) for r, _ in _factorise(length)]
     while chunk:
-        # mirrored iff rev_t(first half) = ~(second half), as _is_half_turn_bits
+        # mirrored iff s(first half) = second half, as _is_half_turn_bits
         broken = [
             bits for bits in chunk
             if mask ^ (rev_low[bits >> t & low_mask] | rev_high[bits >> hi_shift]) != bits & mask

@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter
 
 from . import binwords as bw
 from . import counting as ct
@@ -27,6 +28,8 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
+    # wall-clock seconds the check took; results compare equal without it
+    seconds: float = field(default=0.0, compare=False)
 
 
 # what a check body returns: whether it passed, and its detail
@@ -42,7 +45,7 @@ def _fail(detail: str) -> Outcome:
 
 
 def _check(name: str):
-    """Name a check body; the check returns its outcome as a ``CheckResult``.
+    """Name a check body; the check returns its outcome and time as a ``CheckResult``.
 
     A body that raises gives a failed result whose detail is the exception's
     type and message, with the traceback on stderr, so the checks after it
@@ -51,14 +54,16 @@ def _check(name: str):
     def register(body):
         @functools.wraps(body)
         def check(*args, **kwargs) -> CheckResult:
+            start = perf_counter()
             try:
-                return CheckResult(name, *body(*args, **kwargs))
+                ok, detail = body(*args, **kwargs)
             except Exception as exc:
                 # imported only here, so that start-up does not pay for it
                 import traceback
 
                 traceback.print_exc()
-                return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
+            return CheckResult(name, ok, detail, perf_counter() - start)
 
         return check
 

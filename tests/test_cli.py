@@ -15,7 +15,8 @@ import oracles
 
 from modgeod import cli
 from modgeod import enumeration as en
-from modgeod.cli import _emit_rows, _fmt, _write_rows, main
+from modgeod import verify as vf
+from modgeod.cli import _emit_rows, _fmt, _write_columns, _write_rows, main
 from modgeod.counting import (
     bounded_compositions,
     cumulative,
@@ -219,6 +220,29 @@ def test_write_rows_in_chunks_matches_whole_output(capsys, monkeypatch, fmt, n):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n", [0, 1, 3, 4])
+def test_write_columns_matches_json_dumps_and_fmt(capsys, monkeypatch, fmt, n):
+    # column chunks of _CHUNK_ROWS rows: none, one row, one chunk and one
+    # chunk plus a row; "extra" mixes str and int in one column
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    rows = [_AWKWARD_ROWS[i % len(_AWKWARD_ROWS)] for i in range(n)]
+    size = cli._CHUNK_ROWS
+    chunks = [
+        [[row[k] for row in rows[i:i + size]] for k in _CHUNK_FIELDS]
+        for i in range(0, n, size)
+    ]
+    _write_columns(iter(chunks), _CHUNK_FIELDS, fmt)
+    out = capsys.readouterr().out
+    if fmt == "json":
+        cut = [{k: row[k] for k in _CHUNK_FIELDS} for row in rows]
+        assert out == json.dumps(cut, indent=2) + "\n"
+    else:
+        lines = [",".join(_CHUNK_FIELDS)]
+        lines += [",".join(_fmt(row[k]) for k in _CHUNK_FIELDS) for row in rows]
+        assert out == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_write_rows_writes_each_chunk_as_it_fills(capsys, monkeypatch, fmt):
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
 
@@ -272,6 +296,23 @@ def test_enumerate_reciprocal_rows_match_the_object_route(capsys, monkeypatch):
                 for h in en.reciprocal_classes(t, primitive=primitive)
             ]
             assert _reciprocal_csv_rows(capsys, t, None, primitive) == expected, (t, primitive)
+
+
+@pytest.mark.parametrize("primitive", [False, True])
+@pytest.mark.parametrize("m", [None, 3])
+def test_enumerate_reciprocal_json_is_json_dumps_of_the_classes(capsys, m, primitive):
+    # the expected text comes from the object route and json.dumps alone
+    for t in range(1, 13):
+        argv = ["enumerate", "--family", "reciprocal", "--t", str(t), "--format", "json"]
+        argv += [] if m is None else ["--m", str(m)]
+        argv += ["--primitive"] if primitive else []
+        code, out = run(capsys, *argv)
+        assert code == 0
+        rows = [
+            {"word": str(h.word), "t": t, "k0": h.k0}
+            for h in en.reciprocal_classes(t, m, primitive=primitive)
+        ]
+        assert out == json.dumps(rows, indent=2) + "\n", (t, m, primitive)
 
 
 # the words of enumerate --family reciprocal --t 4, the sixth made non-mirrored
@@ -378,6 +419,21 @@ def test_verify_all_small(capsys):
     code, out = run(capsys, "verify", "--suite", "all", "--tmax", "5")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_writes_check_seconds_to_stderr(capsys):
+    code = main(["verify", "--suite", "all", "--tmax", "5"])
+    captured = capsys.readouterr()
+    assert code == 0
+    *_, last = captured.err.splitlines()
+    seconds = json.loads(last)
+    results = vf.run_suite("all", tmax=5)
+    assert len(results) == 31
+    assert list(seconds) == [r.name for r in results]
+    assert all(isinstance(s, float) and s >= 0 for s in seconds.values())
+    # stdout is the report alone
+    expected = [f"PASS {r.name}" + (f" ({r.detail})" if r.detail else "") for r in results]
+    assert captured.out == "".join(line + "\n" for line in expected) + "31/31 checks passed\n"
 
 
 @pytest.mark.parametrize("suite", ["binwords", "all"])

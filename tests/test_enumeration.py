@@ -189,6 +189,23 @@ def test_reciprocal_bits_match_generator_and_tuple_oracle():
                 assert [BinaryWord(bits, 2 * t).entries for bits in core] == expected, (t, m)
 
 
+def test_reciprocal_bits_blocks_match_tuple_oracle(monkeypatch):
+    # blocks of three halves: kept words fall on block edges, some blocks keep
+    # none, and at even t the halves equal to their own mirror take the
+    # halving test
+    monkeypatch.setattr(enumeration, "_RECIPROCAL_BLOCK", 3)
+    for t in range(1, 11):
+        smaller = sorted(oracles.smaller_mirrored_reps(t))
+        for m in (None, 1, 2, 3, 4, t):
+            expected = [w for w in smaller if m is None or oracles.max_cyclic_run_tuple(w) <= m]
+            core = enumeration._reciprocal_bits(t, m)
+            assert [BinaryWord(bits, 2 * t).entries for bits in core] == expected, (t, m)
+    for t, m in [(0, None), (3, 0)]:
+        words = enumeration._reciprocal_bits(t, m)  # checked on the first pull
+        with pytest.raises(ValueError):
+            next(words)
+
+
 @pytest.mark.parametrize("t, m", [(0, None), (-1, 2), (3, 0)])
 def test_reciprocal_bits_validation(t, m):
     with pytest.raises(ValueError):
