@@ -50,13 +50,15 @@ def _rotate_bits(bits: int, k: int, t: int) -> int:
     return (bits >> k) | ((bits & ((1 << k) - 1)) << (t - k))
 
 
+def _rotations_bits(bits: int, t: int) -> list[int]:
+    # the rotations by 0, 1, ..., t-1: the t-bit windows of the doubled word
+    mask = (1 << t) - 1
+    doubled = (bits << t) | bits
+    return [doubled >> k & mask for k in range(t)]
+
+
 def _min_rotation_bits(bits: int, t: int) -> int:
-    best = bits
-    for k in range(1, t):
-        r = _rotate_bits(bits, k, t)
-        if r < best:
-            best = r
-    return best
+    return min(_rotations_bits(bits, t))
 
 
 # byte i holds the eight bits of i in reverse order

@@ -49,7 +49,12 @@ def _column(values: Sequence, fmt: str) -> Iterable[str]:
     # nearly every column printed, is rendered with no Python call per value
     kinds = set(map(type, values))
     if kinds == {int}:
-        return map(repr, values)
+        # a column of few distinct values, such as enumerate's t and k0, looks
+        # each value's text up instead of formatting it again
+        distinct = set(values)
+        if 4 * len(distinct) > len(values):
+            return map(repr, values)
+        return map({v: repr(v) for v in distinct}.__getitem__, values)
     if kinds == {str}:
         return map(_json_str, values) if fmt == "json" else values
     return map(json.dumps if fmt == "json" else _fmt, values)

@@ -26,7 +26,7 @@ test suite.
 
 from __future__ import annotations
 
-from itertools import chain, islice, product
+from itertools import chain, islice
 from typing import Iterator, Optional
 
 from .binwords import (
@@ -35,6 +35,7 @@ from .binwords import (
     HalfTurnWord,
     _full_from_half_bits,  # unused here; kept because bench/tracer.py hooks this name
     _k0_bits,
+    _longest_ones,
     _max_cyclic_run_bits,
     _reverse_bits,
     _smallest_period_bits,
@@ -380,17 +381,33 @@ def lower_bound_witnesses(t: int, m: int) -> Iterator[BinaryWord]:
         raise ValueError("t must be >= 1")
     if m < 1:
         raise ValueError("run bound m must be >= 1")
-    forced = {g for g in range(m, t, m)}
-    forced.add(t - 1)
-    # entry j is bit t-1-j; slot lists run in entry order, so the first slot
-    # of each list is the most significant bit of its assignment index
+    forced = sorted({*range(m, t, m), t - 1})
+    # entry j is bit t-1-j; the free slots run in entry order, so the first
+    # is the most significant bit of the assignment index
     free_hi, free_lo = _subset_tables([1 << (t - 1 - j) for j in range(t) if j not in forced])
-    forced_hi, forced_lo = _subset_tables([1 << (t - 1 - j) for j in sorted(forced)])
+    slots = [1 << (t - 1 - g) for g in forced]
+    # once forced slot k is set, the entries before the next one are known
+    known = [(t - end, (1 << end) - 1) for end in (*forced[1:], t)]
+
+    def complete(bits: int, k: int) -> Optional[int]:
+        # the first setting of forced slots k, k+1, ... in sign order that
+        # keeps every cyclic run at most m, or None.  Depth first, -1 before
+        # +1, so the first leaf reached is the first combination; a branch
+        # whose known entries hold a linear run above m is dropped, since the
+        # cyclic run through those entries is at least as long.
+        if k == len(slots):
+            return bits if _max_cyclic_run_bits(bits, t) <= m else None
+        shift, full = known[k]
+        for choice in (bits, bits | slots[k]):
+            head = choice >> shift
+            if _longest_ones(head) <= m and _longest_ones(head ^ full) <= m:
+                found = complete(choice, k + 1)
+                if found is not None:
+                    return found
+        return None
+
     for hi in free_hi:
         for lo in free_lo:
-            free_bits = hi | lo
-            for f_hi, f_lo in product(forced_hi, forced_lo):
-                bits = free_bits | f_hi | f_lo
-                if _max_cyclic_run_bits(bits, t) <= m:
-                    yield BinaryWord(bits, t)
-                    break
+            bits = complete(hi | lo, 0)
+            if bits is not None:
+                yield BinaryWord(bits, t)

@@ -4,6 +4,18 @@ Each check scans a small exhaustive range and returns a named pass/fail
 result; a failure names the violated invariant and carries a witness word.
 Checks are independent pure functions and run one at a time, in
 registration order.
+
+The word-level checks run on the packed-bits kernels of ``binwords``, read
+as module attributes at call time: a word's rotations come from
+``_rotations_bits`` and mirrored words from ``_full_from_half_bits``.  The
+orbit, run and mirror checks build a ``BinaryWord`` only to print a failing
+witness, and the mirror-orbit and cyclic-run checks test each orbit once.  Some calls stay as they
+were, being what a check checks or what a test breaks it through:
+``canonical_form`` and ``rotate`` in the rotation check, the mirror test
+``_is_half_turn_bits``, ``phi`` and ``phi_inverse`` per class in the
+bijection check, and the ``HalfTurnWord`` constructor and
+``half_turn_partner`` in the k0 check.  The reciprocal count reads the
+checked rows that ``enumerate`` prints, from ``_reciprocal_chunks``.
 """
 
 from __future__ import annotations
@@ -35,6 +47,10 @@ class CheckResult:
 # what a check body returns: whether it passed, and its detail
 Outcome = tuple[bool, str]
 
+# the checks of each suite in registration order; a check's suite is the
+# first component of its name
+SUITES: dict[str, tuple] = {}
+
 
 def _ok(detail: str = "") -> Outcome:
     return True, detail
@@ -45,7 +61,9 @@ def _fail(detail: str) -> Outcome:
 
 
 def _check(name: str):
-    """Name a check body; the check returns its outcome and time as a ``CheckResult``.
+    """Name a check body and register it in its suite.
+
+    The check returns the body's outcome and time as a ``CheckResult``.
 
     A body that raises gives a failed result whose detail is the exception's
     type and message, with the traceback on stderr, so the checks after it
@@ -65,6 +83,8 @@ def _check(name: str):
                 ok, detail = False, f"{type(exc).__name__}: {exc}"
             return CheckResult(name, ok, detail, perf_counter() - start)
 
+        suite = name.partition(".")[0]
+        SUITES[suite] = (*SUITES.get(suite, ()), check)
         return check
 
     return register
@@ -74,8 +94,9 @@ def _all_words(tau: int):
     return (BinaryWord(bits, tau) for bits in range(1 << tau))
 
 
-def _mirrored_words(t: int):
-    return (HalfTurnWord.from_half(BinaryWord(h, t)) for h in range(1 << t))
+def _mirrored_bits(t: int):
+    # each mirrored word of 2t entries with its free first half
+    return ((h, bw._full_from_half_bits(h, t)) for h in range(1 << t))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +112,7 @@ def check_rotation_action(tmax: int = 8) -> Outcome:
                 if bw.canonical_form(ri) != canon:
                     return _fail(f"canonical form not rotation-invariant at {w}")
                 for j in range(tau):
-                    if bw.rotate(ri, j) != bw.rotate(w, i + j):
+                    if bw._rotate_bits(ri.bits, j, tau) != bw._rotate_bits(w.bits, i + j, tau):
                         return _fail(f"rotation not additive at {w}, i={i}, j={j}")
     return _ok(f"exhaustive through {tmax} entries")
 
@@ -99,20 +120,20 @@ def check_rotation_action(tmax: int = 8) -> Outcome:
 @_check("binwords.orbit_size_matches_exponent")
 def check_orbit_size(tmax: int = 12) -> Outcome:
     for tau in range(1, tmax + 1):
-        for w in _all_words(tau):
-            _, exponent = bw.primitive_root(w)
-            orbit = {bw.rotate(w, k).bits for k in range(tau)}
+        for bits in range(1 << tau):
+            exponent = tau // bw._smallest_period_bits(bits, tau)
+            orbit = set(bw._rotations_bits(bits, tau))
             if len(orbit) != tau // exponent:
-                return _fail(f"orbit of {w} has {len(orbit)} points")
+                return _fail(f"orbit of {BinaryWord(bits, tau)} has {len(orbit)} points")
     return _ok(f"exhaustive through {tmax} entries")
 
 
 @_check("binwords.half_turn_closure")
 def check_half_turn_closure(tmax: int = 12) -> Outcome:
     for t in range(1, tmax + 1):
-        for h in _mirrored_words(t):
-            if not bw.is_half_turn(bw.rotate(h.word, t)):
-                return _fail(f"rotation by {t} left the family at {h.word}")
+        for _, bits in _mirrored_bits(t):
+            if not bw._is_half_turn_bits(bw._rotate_bits(bits, t, 2 * t), 2 * t):
+                return _fail(f"rotation by {t} left the family at {BinaryWord(bits, 2 * t)}")
     return _ok(f"exhaustive through half-length {tmax}")
 
 
@@ -120,22 +141,24 @@ def check_half_turn_closure(tmax: int = 12) -> Outcome:
 def check_orbit_meets_mirror_twice(tmax: int = 12) -> Outcome:
     for t in range(1, tmax + 1):
         length = 2 * t
-        for h in _mirrored_words(t):
-            bits = h.word.bits
-            hits = {
-                rotated
-                for rotated in (bw._rotate_bits(bits, k, length) for k in range(length))
-                if bw._is_half_turn_bits(rotated, length)
-            }
+        # a word that is a hit of an earlier orbit lies on that same orbit
+        seen: set[int] = set()
+        for _, bits in _mirrored_bits(t):
+            if bits in seen:
+                continue
+            hits = {r for r in bw._rotations_bits(bits, length) if bw._is_half_turn_bits(r, length)}
             if len(hits) != 2:
-                return _fail(f"orbit of {h.word} meets the family in {len(hits)} points")
+                word = BinaryWord(bits, length)
+                return _fail(f"orbit of {word} meets the family in {len(hits)} points")
+            seen |= hits
     return _ok(f"exhaustive through half-length {tmax}")
 
 
 @_check("binwords.primitivity_iff_k0")
 def check_primitivity_iff_k0(tmax: int = 10) -> Outcome:
     for t in range(1, tmax + 1):
-        for h in _mirrored_words(t):
+        for _, bits in _mirrored_bits(t):
+            h = HalfTurnWord(BinaryWord(bits, 2 * t))
             _, exponent = bw.primitive_root(h.word)
             partner, k0 = bw.half_turn_partner(h)
             if (exponent == 1) != (k0 == t):
@@ -149,8 +172,8 @@ def check_primitivity_iff_k0(tmax: int = 10) -> Outcome:
 def check_runs_two_preimages(tmax: int = 12) -> Outcome:
     for t in range(1, tmax + 1):
         buckets: dict[tuple[int, ...], int] = {}
-        for w in _all_words(t):
-            parts = bw.runs_of(w).parts
+        for bits in range(1 << t):
+            parts = tuple(bw._run_lengths_bits(bits, t))
             buckets[parts] = buckets.get(parts, 0) + 1
         if len(buckets) != 1 << (t - 1):
             return _fail(f"{len(buckets)} run profiles at length {t}")
@@ -163,10 +186,14 @@ def check_runs_two_preimages(tmax: int = 12) -> Outcome:
 @_check("binwords.max_run_rotation_invariant")
 def check_max_run_rotation_invariant(tmax: int = 10) -> Outcome:
     for tau in range(1, tmax + 1):
-        for w in _all_words(tau):
-            runs = {bw.max_cyclic_run(bw.rotate(w, k)) for k in range(tau)}
-            if len(runs) != 1:
-                return _fail(f"cyclic run varies across rotations of {w}")
+        seen: set[int] = set()  # the words of the orbits checked so far
+        for bits in range(1 << tau):
+            if bits in seen:
+                continue
+            orbit = set(bw._rotations_bits(bits, tau))
+            if len({bw._max_cyclic_run_bits(r, tau) for r in orbit}) != 1:
+                return _fail(f"cyclic run varies across rotations of {BinaryWord(bits, tau)}")
+            seen |= orbit
     return _ok(f"exhaustive through {tmax} entries")
 
 
@@ -297,11 +324,11 @@ def check_primitive_count_oracle(tmax: int = 16) -> Outcome:
 @_check("enumerate.reciprocal_count_oracle")
 def check_reciprocal_count_oracle(tmax: int = 16) -> Outcome:
     for t in range(1, tmax + 1):
-        # one pass over the generators' core: a class is primitive iff k0 = t
+        # one pass over enumerate's checked rows: a class is primitive iff k0 = t
         n = p = 0
-        for bits in en._reciprocal_bits(t):
-            n += 1
-            p += bw._k0_bits(bits, 2 * t) == t
+        for words, k0s in en._reciprocal_chunks(t, None, False, en._RECIPROCAL_BLOCK):
+            n += len(words)
+            p += k0s.count(t)
         if n != 1 << (t - 1):
             return _fail(f"t={t}: enumerated {n} vs 2^(t-1)")
         if p != ct.reciprocal_count(t, primitive=True):
@@ -356,11 +383,11 @@ def check_lowlying_lower_bound(tmax: int = 16) -> Outcome:
 def check_witness_generator(tmax: int = 16) -> Outcome:
     for m in (2, 3, 4):
         for tau in range(1, tmax + 1):
-            words = list(en.lower_bound_witnesses(tau, m))
-            for w in words:
-                if bw.max_cyclic_run(w) > m:
-                    return _fail(f"witness {w} breaks the run bound m={m}")
-            distinct = {bw.canonical_form(w).bits for w in words}
+            words = [w.bits for w in en.lower_bound_witnesses(tau, m)]
+            for bits in words:
+                if bw._max_cyclic_run_bits(bits, tau) > m:
+                    return _fail(f"witness {BinaryWord(bits, tau)} breaks the run bound m={m}")
+            distinct = {bw._min_rotation_bits(bits, tau) for bits in words}
             need = -(-(1 << max(tau - tau // m - 1, 0)) // tau)  # ceil
             if len(distinct) < need:
                 return _fail(f"tau={tau}, m={m}: {len(distinct)} classes < {need}")
@@ -403,9 +430,9 @@ def check_power_map_partition(tmax: int = 12) -> Outcome:
 @_check("enumerate.half_run_equals_full_run")
 def check_half_run_equals_full_run(tmax: int = 12) -> Outcome:
     for t in range(1, tmax + 1):
-        for h in _mirrored_words(t):
-            if max(bw.runs_of(h.half).parts) != bw.max_cyclic_run(h.word):
-                return _fail(f"profile/run mismatch at {h.word}")
+        for half, bits in _mirrored_bits(t):
+            if max(bw._run_lengths_bits(half, t)) != bw._max_cyclic_run_bits(bits, 2 * t):
+                return _fail(f"profile/run mismatch at {BinaryWord(bits, 2 * t)}")
     return _ok(f"half-length through {tmax}")
 
 
@@ -525,50 +552,7 @@ def check_reduced_cycle_certificate(tmax: int = 9) -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# suite registry and runner
-
-SUITES: dict[str, tuple] = {
-    "binwords": (
-        check_rotation_action,
-        check_orbit_size,
-        check_half_turn_closure,
-        check_orbit_meets_mirror_twice,
-        check_primitivity_iff_k0,
-        check_runs_two_preimages,
-        check_max_run_rotation_invariant,
-    ),
-    "counting": (
-        check_burnside_integrality,
-        check_mobius_crosscheck,
-        check_nonprimitive_bounds,
-        check_closed_form_agreement,
-        check_unbounded_parts,
-        check_alpha_solver,
-        check_ratio_trend,
-    ),
-    "enumerate": (
-        check_class_count_oracle,
-        check_primitive_count_oracle,
-        check_reciprocal_count_oracle,
-        check_bijection_round_trip,
-        check_lowlying_lower_bound,
-        check_witness_generator,
-        check_filter_monotone,
-        check_power_map_partition,
-        check_half_run_equals_full_run,
-        check_primitive_halfbound_report,
-    ),
-    "geometry": (
-        check_concat_homomorphism,
-        check_conjugation_invariance,
-        check_parabolic_classification,
-        check_apex_quadratic_oracle,
-        check_sign_canonicalization,
-        check_widened_depth_bracket,
-        check_reduced_cycle_certificate,
-    ),
-}
-
+# runner
 
 def run_suite(suite: str, tmax=None) -> list[CheckResult]:
     """Run one named suite, or all of them with ``suite='all'``, in order.

@@ -19,6 +19,7 @@ from modgeod.binwords import (
     _is_half_turn_bits,
     _k0_bits,
     _max_cyclic_run_bits,
+    _min_rotation_bits,
     _reverse_bits,
 )
 
@@ -116,6 +117,14 @@ def test_canonical_form_examples():
 @given(words)
 def test_canonical_matches_tuple_oracle(w):
     assert canonical_form(w).entries == oracles.canonical_tuple(w.entries)
+
+
+def test_min_rotation_bits_matches_tuple_oracle_on_every_short_word():
+    for t in range(1, 13):
+        for entries in oracles.all_words(t):
+            bits = BinaryWord.from_entries(entries).bits
+            least = BinaryWord.from_entries(oracles.canonical_tuple(entries)).bits
+            assert _min_rotation_bits(bits, t) == least, (t, entries)
 
 
 @given(words, st.integers(0, 40))

@@ -1,9 +1,13 @@
+import inspect
 import re
+
+import pytest
 
 from modgeod import binwords as bw
 from modgeod import counting as ct
 from modgeod import enumeration as en
 from modgeod import verify
+from modgeod.binwords import BinaryWord
 from modgeod.cli import main
 
 
@@ -85,6 +89,150 @@ def test_enumeration_checks_catch_an_off_by_one_lowlying_formula(monkeypatch):
     monotone = verify.check_filter_monotone(6)
     assert not monotone.ok
     assert monotone.detail == "tau=1: enumerated counts [2] differ from the formula"
+
+
+# ---------------------------------------------------------------------------
+# every check at its default range, and the bits-level checks against faults
+# injected into the kernels and generators they run on
+
+# each check's parameter defaults and its detail there
+_DEFAULT_RANGES = {
+    "binwords.rotation_group_action": ({"tmax": 8}, "exhaustive through 8 entries"),
+    "binwords.orbit_size_matches_exponent": ({"tmax": 12}, "exhaustive through 12 entries"),
+    "binwords.half_turn_closure": ({"tmax": 12}, "exhaustive through half-length 12"),
+    "binwords.orbit_meets_mirror_twice": ({"tmax": 12}, "exhaustive through half-length 12"),
+    "binwords.primitivity_iff_k0": ({"tmax": 10}, "exhaustive through half-length 10"),
+    "binwords.runs_two_preimages": ({"tmax": 12}, "exhaustive through 12 entries"),
+    "binwords.max_run_rotation_invariant": ({"tmax": 10}, "exhaustive through 10 entries"),
+    "counting.burnside_integrality": ({"tmax": 200}, "tau through 200"),
+    "counting.mobius_crosscheck": ({"tmax": 64}, "tau through 64"),
+    "counting.nonprimitive_bounds": ({"tmax": 40}, "lengths through 40"),
+    "counting.closed_form_agreement": ({"tmax": 40, "mmax": 10}, "t through 40, m through 10"),
+    "counting.unbounded_parts_degeneration": ({"tmax": 24}, "t through 24"),
+    "counting.alpha_bracket_residual_monotone": ({"mmax": 40}, "m through 40"),
+    "counting.ratio_trend_toward_one": ({"points": (10, 18, 26)}, "checkpoints (10, 18, 26)"),
+    "enumerate.class_count_oracle": ({"tmax": 16}, "tau through 16"),
+    "enumerate.primitive_count_oracle": ({"tmax": 16}, "tau through 16"),
+    "enumerate.reciprocal_count_oracle": ({"tmax": 16}, "t through 16"),
+    "enumerate.composition_bijection": ({"tmax": 12}, "t through 12, every m"),
+    "enumerate.lowlying_lower_bound": ({"tmax": 16}, "tau through 16, m in 2..4"),
+    "enumerate.witness_generator_bound": ({"tmax": 16}, "tau through 16, m in 2..4"),
+    "enumerate.filter_monotone": ({"tmax": 12}, "tau through 12"),
+    "enumerate.power_map_partition": ({"tmax": 12}, "tau through 12"),
+    "enumerate.half_run_equals_full_run": ({"tmax": 12}, "half-length through 12"),
+    "enumerate.primitive_halfbound_report": (
+        {"tmax": 16},
+        "first tau with primitive count >= half the bound: m=3: tau=1, m=4: tau=1",
+    ),
+    "geometry.concatenation_homomorphism": ({"tmax": 8}, "words through 8 entries, all splits"),
+    "geometry.conjugation_invariance": ({"tmax": 10}, "tau through 10"),
+    "geometry.parabolic_exactly_constants": ({"tmax": 12}, "tau through 12"),
+    "geometry.apex_quadratic_oracle": ({"tmax": 8}, "tau through 8"),
+    "geometry.sign_canonicalization": ({"tmax": 6}, "tau through 6"),
+    "geometry.widened_depth_bracket": ({"tmax": 10}, "241 classes through tau=10"),
+    "geometry.reduced_cycle_certificate": ({"tmax": 9}, "135 classes through tau=9"),
+}
+
+_ALL_CHECKS = [check for suite in verify.SUITES.values() for check in suite]
+
+
+@pytest.mark.parametrize("check", _ALL_CHECKS, ids=[c.__name__ for c in _ALL_CHECKS])
+def test_every_check_passes_over_its_full_default_range(check):
+    # a range shrunk to buy speed changes a default or a detail
+    assert len(_ALL_CHECKS) == len(_DEFAULT_RANGES)
+    result = check()
+    defaults, detail = _DEFAULT_RANGES[result.name]
+    assert result.ok
+    assert result.detail == detail
+    params = inspect.signature(check).parameters
+    assert {name: p.default for name, p in params.items()} == defaults
+
+
+def _mirror_without_negation(half, t):
+    # h.rev(h): the second half is reversed but not negated
+    return (half << t) | bw._reverse_bits(half, t)
+
+
+def _runs_wrong_at_zero(run_lengths):
+    # the all -1 word gets the run profile of an alternating word
+    return lambda bits, t: run_lengths(bits, t) if bits else [1] * t
+
+
+def test_rotation_check_catches_a_rotation_that_does_not_wrap(monkeypatch):
+    rotate = bw._rotate_bits
+    monkeypatch.setattr(bw, "_rotate_bits", lambda bits, k, t: rotate(bits, min(k, t - 1), t))
+    result = verify.check_rotation_action(6)
+    assert not result.ok
+    assert result.detail == "rotation not additive at -+, i=1, j=1"
+
+
+def test_orbit_size_check_catches_a_wrong_smallest_period(monkeypatch):
+    monkeypatch.setattr(bw, "_smallest_period_bits", lambda bits, t: t)
+    result = verify.check_orbit_size(6)
+    assert not result.ok
+    assert result.detail == "orbit of -- has 1 points"
+
+
+def test_closure_check_catches_a_mirror_that_does_not_negate(monkeypatch):
+    monkeypatch.setattr(bw, "_full_from_half_bits", _mirror_without_negation)
+    result = verify.check_half_turn_closure(6)
+    assert not result.ok
+    assert result.detail == "rotation by 1 left the family at --"
+
+
+def test_orbit_check_catches_a_mirror_that_does_not_negate(monkeypatch):
+    monkeypatch.setattr(bw, "_full_from_half_bits", _mirror_without_negation)
+    result = verify.check_orbit_meets_mirror_twice(6)
+    assert not result.ok
+    assert result.detail == "orbit of -- meets the family in 0 points"
+
+
+def test_preimage_check_catches_a_wrong_run_profile(monkeypatch):
+    monkeypatch.setattr(bw, "_run_lengths_bits", _runs_wrong_at_zero(bw._run_lengths_bits))
+    result = verify.check_runs_two_preimages(6)
+    assert not result.ok
+    assert result.detail == "profile (1, 1) has 3 preimages"
+
+
+def test_max_run_check_catches_a_run_read_linearly(monkeypatch):
+    run_lengths = bw._run_lengths_bits
+    monkeypatch.setattr(bw, "_max_cyclic_run_bits", lambda bits, t: max(run_lengths(bits, t)))
+    result = verify.check_max_run_rotation_invariant(6)
+    assert not result.ok
+    assert result.detail == "cyclic run varies across rotations of --+"
+
+
+def test_half_run_check_catches_a_wrong_run_profile(monkeypatch):
+    monkeypatch.setattr(bw, "_run_lengths_bits", _runs_wrong_at_zero(bw._run_lengths_bits))
+    result = verify.check_half_run_equals_full_run(6)
+    assert not result.ok
+    assert result.detail == "profile/run mismatch at --++"
+
+
+def test_reciprocal_count_check_catches_a_dropped_row(monkeypatch):
+    chunks = en._reciprocal_chunks
+
+    def drop_last_row(t, m, primitive, size):
+        for words, k0s in chunks(t, m, primitive, size):
+            yield words[:-1], k0s[:-1]
+
+    monkeypatch.setattr(en, "_reciprocal_chunks", drop_last_row)
+    result = verify.check_reciprocal_count_oracle(6)
+    assert not result.ok
+    assert result.detail == "t=1: enumerated 0 vs 2^(t-1)"
+
+
+def test_witness_check_catches_a_word_with_a_long_run(monkeypatch):
+    witnesses = en.lower_bound_witnesses
+
+    def with_a_constant_word(t, m):
+        yield from witnesses(t, m)
+        yield BinaryWord(0, t)
+
+    monkeypatch.setattr(en, "lower_bound_witnesses", with_a_constant_word)
+    result = verify.check_witness_generator(6)
+    assert not result.ok
+    assert result.detail == "witness --- breaks the run bound m=2"
 
 
 # ---------------------------------------------------------------------------
