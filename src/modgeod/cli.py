@@ -11,6 +11,14 @@ words come checked from ``enumeration._reciprocal_chunks``.
 Exit codes: 0 on success, and also when the reader of stdout closes it early
 (as ``| head`` does); 1 when a verification or dual-source cross-check fails;
 2 on usage errors.
+
+Input rules live where the values are used.  The library refuses a bad
+argument with ``ValueError``; the few rules of the command line alone, such
+as the enumeration ceiling and the ``--tmax`` floors, raise it in their
+command.  ``main`` is the one place that turns it into a usage error: exit 2
+with its message, before anything is written to stdout.  Any other
+exception, such as ``ContractViolationError``, ends in exit 1 with its
+traceback.
 """
 
 from __future__ import annotations
@@ -34,6 +42,12 @@ from .binwords import _SIGN_CHARS, BinaryWord
 __all__ = ["main"]
 
 _ENUMERATION_HARD_CAP = 30
+
+
+def _check_enumerable(flag: str, t: int) -> None:
+    # 2^31 words take hours in pure Python; the formula columns take any size
+    if t > _ENUMERATION_HARD_CAP:
+        raise ValueError(f"{flag} above {_ENUMERATION_HARD_CAP} is out of range for enumeration")
 
 
 def _fmt(value) -> str:
@@ -140,20 +154,17 @@ def _parse_syllables(text: str) -> BinaryWord:
     return BinaryWord.from_entries(entries)
 
 
-def _word_from_args(args, parser) -> BinaryWord:
-    if args.syllables is None and not args.word:
+def _word_from_args(args) -> BinaryWord:
+    if args.syllables is not None:
+        return _parse_syllables(args.syllables)
+    if not args.word:
         # argparse drops a lone "--" from an option's value, so --word=-- lands
         # here with an empty list for its value
-        parser.error(
+        raise ValueError(
             "--word is empty; note that the option parser consumes a '--' value "
             "(as in --word=--), so spell that word with --syllables aBaB"
         )
-    try:
-        if args.syllables is not None:
-            return _parse_syllables(args.syllables)
-        return BinaryWord.from_text(args.word)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return BinaryWord.from_text(args.word)
 
 
 # ---------------------------------------------------------------------------
@@ -161,46 +172,34 @@ def _word_from_args(args, parser) -> BinaryWord:
 
 # CLI names for the primitive part of a formula family
 _PRIMITIVE_ALIASES = {"primitive": "classes", "reciprocal-primitive": "reciprocal"}
-# families whose count takes no run bound
-_UNBOUNDED_FAMILIES = (
-    "classes", "classes+torsion", "primitive", "reciprocal", "reciprocal-primitive"
-)
 
 
 def _count_value(args) -> int:
-    family, t, m = args.family, args.t, args.m
-    if m is not None and family in _UNBOUNDED_FAMILIES:
-        raise ValueError(f"family {family!r} takes no --m")
-    if family == "classes+torsion":
-        if not args.cumulative:
-            raise ValueError("classes+torsion only makes sense cumulatively")
-        if args.primitive:
-            raise ValueError("classes+torsion takes no --primitive")
-        return ct.cumulative("classes", t, include_torsion=True)
-    primitive = args.primitive or family in _PRIMITIVE_ALIASES
-    family = _PRIMITIVE_ALIASES.get(family, family)
+    torsion = args.family == "classes+torsion"
+    if torsion and not args.cumulative:
+        raise ValueError("classes+torsion only makes sense cumulatively")
+    primitive = args.primitive or args.family in _PRIMITIVE_ALIASES
+    family = "classes" if torsion else _PRIMITIVE_ALIASES.get(args.family, args.family)
     if args.cumulative:
-        return ct.cumulative(family, t, m=m, primitive=primitive)
-    return ct.count(family, t, m=m, primitive=primitive)
+        return ct.cumulative(family, args.t, m=args.m, primitive=primitive, include_torsion=torsion)
+    return ct.count(family, args.t, m=args.m, primitive=primitive)
 
 
-def cmd_count(args, parser) -> int:
-    try:
-        value = _count_value(args)
-        if args.format == "json":
-            record = {
-                "family": args.family,
-                "t": args.t,
-                "m": args.m,
-                "cumulative": args.cumulative,
-                "primitive": args.primitive,
-                "exact": value,
-            }
-            text = json.dumps(record, indent=2)
-        else:
-            text = str(value)
-    except ValueError as exc:  # also an int past the interpreter's int-to-str digit limit
-        parser.error(str(exc))
+def cmd_count(args) -> int:
+    value = _count_value(args)
+    # str and json.dumps refuse an int past the interpreter's int-to-str digit limit
+    if args.format == "json":
+        record = {
+            "family": args.family,
+            "t": args.t,
+            "m": args.m,
+            "cumulative": args.cumulative,
+            "primitive": args.primitive,
+            "exact": value,
+        }
+        text = json.dumps(record, indent=2)
+    else:
+        text = str(value)
     print(text)
     return 0
 
@@ -229,27 +228,20 @@ def _enumerate_columns(args) -> Iterator[tuple]:
         yield _sign_texts(words, f"0{2 * t}b"), [t] * len(words), k0s
 
 
-def cmd_enumerate(args, parser) -> int:
-    if args.t > _ENUMERATION_HARD_CAP:
-        parser.error(f"--t above {_ENUMERATION_HARD_CAP} is out of range for enumeration")
+def cmd_enumerate(args) -> int:
+    _check_enumerable("--t", args.t)
     fields = ["word", "tau"] if args.family == "classes" else ["word", "t", "k0"]
-    try:
-        # the generators check t and m on their first pull, which comes
-        # before the first write
-        _write_columns(_enumerate_columns(args), fields, args.format)
-    except ValueError as exc:
-        parser.error(str(exc))
+    # the generators check t and m on their first pull, which comes before
+    # the first write
+    _write_columns(_enumerate_columns(args), fields, args.format)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # alpha
 
-def cmd_alpha(args, parser) -> int:
-    try:
-        data = ct.alpha(args.m, args.tol)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_alpha(args) -> int:
+    data = ct.alpha(args.m, args.tol)
     row = {
         "m": data.m,
         "alpha": f"{data.alpha:.15g}",
@@ -267,13 +259,10 @@ def cmd_alpha(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     if args.tmax is not None and args.tmax < 2:
-        parser.error("--tmax must be >= 2")
-    try:
-        results = vf.run_suite(args.suite, tmax=args.tmax)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError("--tmax must be >= 2")
+    results = vf.run_suite(args.suite, tmax=args.tmax)
     failed = 0
     for r in results:
         if r.ok:
@@ -309,37 +298,22 @@ def _growth_exacts(item: int, m) -> Iterator[int]:
             yield total - 2
 
 
-def cmd_growth(args, parser) -> int:
-    if args.item in (2, 4) and args.m is None:
-        parser.error(f"growth item {args.item} needs --m")
-    if args.item in (1, 3) and args.m is not None:
-        parser.error(f"growth item {args.item} takes no --m")
+def cmd_growth(args) -> int:
     if args.tmax < 1:
-        parser.error("--tmax must be >= 1")
+        raise ValueError("--tmax must be >= 1")
+    # the target at t = 1 refuses a bad item or m, before any exact value is drawn
+    ct.growth_target(args.item, 1, args.m)
     rows = []
-    try:
-        exacts = _growth_exacts(args.item, args.m)
-        for t in range(1, args.tmax + 1):
-            # the target rejects a bad item or m before any exact value or
-            # bound is evaluated
+    for t, exact in zip(range(1, args.tmax + 1), _growth_exacts(args.item, args.m)):
+        try:
             target = ct.growth_target(args.item, t, args.m)
-            exact = next(exacts)
-            rows.append(
-                {
-                    "t": t,
-                    "exact": exact,
-                    "target": target,
-                    "ratio": exact / target if target else 0.0,
-                }
-            )
-    except ValueError as exc:
-        parser.error(str(exc))
-    except OverflowError:
-        t = len(rows) + 1
-        parser.error(
-            f"growth item {args.item}: the float columns overflow a double at t={t}; "
-            f"use --tmax {t - 1} or less"
-        )
+            ratio = exact / target if target else 0.0
+        except OverflowError:
+            raise ValueError(
+                f"growth item {args.item}: the float columns overflow a double at t={t}; "
+                f"use --tmax {t - 1} or less"
+            ) from None
+        rows.append({"t": t, "exact": exact, "target": target, "ratio": ratio})
     _emit_rows(rows, ["t", "exact", "target", "ratio"], args.format)
     return 0
 
@@ -365,23 +339,23 @@ def _first_overflow(f, t: int) -> int:
     return bad
 
 
-def cmd_table1(args, parser) -> int:
+def cmd_table1(args) -> int:
     t, m = args.t, args.m
     if t < 1 or m < 2:
-        parser.error("table1 needs --t >= 1 and --m >= 2")
+        raise ValueError("table1 needs --t >= 1 and --m >= 2")
     if args.oracle_max < 0:
-        parser.error("--oracle-max must be >= 0")
+        raise ValueError("--oracle-max must be >= 0")
     enumerable = t <= args.oracle_max
-    if enumerable and t > _ENUMERATION_HARD_CAP:
-        parser.error(f"table1 would enumerate past t={_ENUMERATION_HARD_CAP}; set --oracle-max below --t")
+    if enumerable:
+        _check_enumerable("--t", t)
     try:
         bound = ct.lowlying_lower_bound(t, m)
     except OverflowError:
         first = _first_overflow(lambda tau: ct.lowlying_lower_bound(tau, m), t)
-        parser.error(
+        raise ValueError(
             f"table1: the lowlying bound overflows a double at t={first} for --m {m}; "
             f"use --t {first - 1} or less"
-        )
+        ) from None
 
     def enum_count(gen):
         return sum(1 for _ in gen) if enumerable else ""
@@ -433,12 +407,8 @@ _DEPTH_FIELDS = [
 ]
 
 
-def cmd_depth(args, parser) -> int:
-    w = _word_from_args(args, parser)
-    try:
-        report = geo.max_depth(w)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_depth(args) -> int:
+    report = geo.max_depth(_word_from_args(args))
     row = {
         "word": str(report.word),
         "tau": report.word.length,
@@ -451,10 +421,9 @@ def cmd_depth(args, parser) -> int:
         "winding_hi": report.winding_bracket[1],
         "cross_check_ok": bool(report.cross_check_ok),
     }
-    try:
-        _emit_rows([row], _DEPTH_FIELDS, args.format)
-    except ValueError as exc:  # an integer past the interpreter's int-to-str digit limit
-        parser.error(f"trace_abs is too long to print: {exc}, or set PYTHONINTMAXSTRDIGITS")
+    # a trace_abs past the interpreter's int-to-str digit limit is refused
+    # before the row is written
+    _emit_rows([row], _DEPTH_FIELDS, args.format)
     return 0
 
 
@@ -471,11 +440,8 @@ _AUDIT_FIELDS = [
 ]
 
 
-def cmd_audit(args, parser) -> int:
-    if args.tmax < 2:
-        parser.error("--tmax must be >= 2")
-    if args.tmax > _ENUMERATION_HARD_CAP:
-        parser.error(f"--tmax above {_ENUMERATION_HARD_CAP} is out of range for the audit")
+def cmd_audit(args) -> int:
+    _check_enumerable("--tmax", args.tmax)
     report = geo.audit_lemma71(args.tmax)
     rows = [{k: getattr(r, k) for k in _AUDIT_FIELDS} for r in report.rows]
     if args.format == "json":
@@ -615,7 +581,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args, parser)
+        try:
+            code = args.func(args)
+        except ValueError as exc:
+            # the one place where a refused input becomes a usage error
+            parser.error(str(exc))
         if sys.stdout is sys.__stdout__:
             # the process's own stdout is otherwise flushed at exit, where a
             # closed pipe would fail outside this handler; a stream swapped

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +67,15 @@ _ROUND_CEILING = 1 << 52
 
 class PrecisionLimitError(ValueError):
     """Raised instead of silently returning an untrustworthy rounded integer."""
+
+
+def _check_size(name: str, n: int, least: int = 1) -> None:
+    # a length or run bound below ``least``, or past sys.maxsize, where the
+    # slices and shifts that the counters make refuse it
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if n > sys.maxsize:
+        raise ValueError(f"{name} must be <= sys.maxsize = {sys.maxsize}")
 
 
 def _factorise(n: int) -> list[tuple[int, int]]:
@@ -126,8 +136,7 @@ def necklace_count(tau: int) -> int:
     Orbit counting for the cyclic shift action, with the shifts grouped by
     d = gcd(shift, tau): (1/tau) * sum over d | tau of phi(tau/d) * 2**d.
     """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
+    _check_size("tau", tau)
     return _orbit_count(tau, (1).__lshift__)  # 2**d words of period d
 
 
@@ -136,8 +145,7 @@ def primitive_class_count(tau: int) -> int:
 
     Length 1 counts too: both one-entry classes are infinite order as group words.
     """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
+    _check_size("tau", tau)
     return _orbit_count(tau, (1).__lshift__, primitive=True)
 
 
@@ -150,8 +158,7 @@ def reciprocal_count(t: int, primitive: bool = False) -> int:
     Every reciprocal class at t is the t/d-th power of one primitive class at
     a divisor d of t, so the primitive part is ``_mobius_sum`` over 2**(d-1).
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_size("t", t)
     if primitive:
         return _mobius_sum(t, lambda d: 1 << (d - 1))
     return 1 << (t - 1)
@@ -166,6 +173,8 @@ _FORMULA_FAMILIES = ("classes", "reciprocal", "lowlying", *_COMPOSITION_FAMILIES
 
 def _per_length(family: str, m: Optional[int], primitive: bool) -> Callable[[int], int]:
     """The exact counter t -> count of one formula family, after checking its arguments."""
+    if m is not None and family in ("classes", "reciprocal"):
+        raise ValueError(f"family {family!r} takes no run bound m")
     if family == "classes":
         return primitive_class_count if primitive else necklace_count
     if family == "reciprocal":
@@ -190,14 +199,13 @@ def count(family: str, t: int, *, m: Optional[int] = None, primitive: bool = Fal
     """Exact count of one formula-backed family at length t.
 
     ``classes`` counts rotation classes with t entries and ``reciprocal`` the
-    reciprocal classes of group length 4t; both ignore m.  ``lowlying`` keeps the
+    reciprocal classes of group length 4t; both refuse m.  ``lowlying`` keeps the
     classes with cyclic runs at most m; by the bijection ``lowlying-reciprocal`` (runs
     at most m) and ``compositions`` (parts at most m) are the same count, and only
     ``compositions`` may omit m, counting all 2**(t-1) compositions.  ``primitive``
     drops proper powers; ``compositions`` refuses it.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_size("t", t)
     return _per_length(family, m, primitive)(t)
 
 
@@ -240,13 +248,13 @@ def cumulative(
     ``classes`` may add the 3 torsion classes of group length one;
     ``reciprocal`` without the primitive flag collapses to 2**t_max - 1.
     """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+    _check_size("t_max", t_max)
     if include_torsion and (family != "classes" or primitive):
         raise ValueError("torsion classes add only to the non-primitive classes family")
+    series = count_series(family, m=m, primitive=primitive)  # checks the arguments
     if family == "reciprocal" and not primitive:
         return (1 << t_max) - 1
-    total = sum(itertools.islice(count_series(family, m=m, primitive=primitive), t_max))
+    total = sum(itertools.islice(series, t_max))
     return total + (_TORSION_CLASSES if include_torsion else 0)
 
 
@@ -363,9 +371,10 @@ def _alpha_cached(m: int, tol: float) -> AlphaData:
         )
 
     width = float(Fraction(b - a, 1 << s))
-    # enough halvings for the requested width, with a floor that pins the
-    # exact residual orders of magnitude below 1e-12 even at m = 40
-    steps = max(130, math.ceil(math.log2(width / tol)) + 1 if tol < width else 0)
+    # halvings for the requested width, with a floor that pins the exact
+    # residual orders of magnitude below 1e-12 even at m = 40; the logs are
+    # taken apart, since width / tol overflows a double for a subnormal tol
+    steps = max(130, math.ceil(math.log2(width) - math.log2(tol)) + 1 if tol < width else 0)
     for _ in range(steps):
         # the midpoint (a + b) / 2^(s+1), with the bracket rescaled to 2^(s+1)
         s += 1
@@ -394,8 +403,7 @@ def alpha(m: int, tol: float = 1e-13) -> AlphaData:
     rationals held as integer numerators over a power of two; no
     floating-point transcendentals are involved.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _check_size("m", m, 2)
     if not tol > 0:
         raise ValueError("tol must be positive")
     return _alpha_cached(m, tol)
@@ -446,6 +454,8 @@ def growth_target(item: int, t: int, m: Optional[int] = None) -> float:
     3: 2^(t+1) / t                        (all classes, cumulative)
     4: 2^(t(1-1/m)) / t                   (bounded-run classes, m >= 3)
     """
+    if item in (1, 3) and m is not None:
+        raise ValueError(f"growth item {item} takes no m")
     if item == 1:
         return float(1 << (t // 2))
     if item == 2:

@@ -299,6 +299,21 @@ def check_ratio_trend(points: tuple[int, ...] = (10, 18, 26)) -> Outcome:
     return _ok(f"checkpoints {points}")
 
 
+@_check("counting.sharp_law_ratio_to_one")
+def check_sharp_law() -> Outcome:
+    # primitive classes of n entries with runs at most m number about
+    # alpha_m^n / n: the exact gap |n * count / alpha^n - 1| must fall at each
+    # checkpoint and end below 1e-10, with alpha the exact bracket midpoint
+    points = (10, 20, 40, 80)
+    for m in (3, 4):
+        a = ct.alpha(m).alpha_exact
+        gaps = [abs(n * ct.count("lowlying", n, m=m, primitive=True) / a**n - 1) for n in points]
+        if not (all(x > y for x, y in zip(gaps, gaps[1:])) and gaps[-1] * 10**10 < 1):
+            shown = ", ".join(f"{float(g):.2g}" for g in gaps)
+            return _fail(f"m={m}: gaps {shown} at n in {points}")
+    return _ok(f"n in {points}, m in 3..4, last gap below 1e-10")
+
+
 # ---------------------------------------------------------------------------
 # enumeration invariants
 
@@ -434,22 +449,6 @@ def check_half_run_equals_full_run(tmax: int = 12) -> Outcome:
             if max(bw._run_lengths_bits(half, t)) != bw._max_cyclic_run_bits(bits, 2 * t):
                 return _fail(f"profile/run mismatch at {BinaryWord(bits, 2 * t)}")
     return _ok(f"half-length through {tmax}")
-
-
-@_check("enumerate.primitive_halfbound_report")
-def check_primitive_halfbound_report(tmax: int = 16) -> Outcome:
-    # informational: smallest tau where the primitive bounded-run count
-    # reaches half the lower bound, reported per m instead of asserting any
-    # particular threshold
-    firsts = {}
-    for m in (3, 4):
-        for tau in range(1, tmax + 1):
-            n = sum(1 for _ in en.classes(tau, primitive=True, m=m))
-            if n >= 0.5 * ct.lowlying_lower_bound(tau, m):
-                firsts[m] = tau
-                break
-    detail = ", ".join(f"m={m}: tau={tau}" for m, tau in sorted(firsts.items()))
-    return _ok(f"first tau with primitive count >= half the bound: {detail}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -75,6 +79,25 @@ def test_count_json(capsys):
     assert record["family"] == "reciprocal"
 
 
+# a size past sys.maxsize, where the library's slices and shifts would refuse
+# it with their own messages
+_HUGE = "99999999999999999999"
+
+# the message in stderr for the last argvs of test_usage_errors_exit_2,
+# which name the flag that is past sys.maxsize
+_SIZE_MESSAGES = {
+    ("count", "--family", "classes", "--t", _HUGE): "error: t must be <= sys.maxsize",
+    ("count", "--family", "reciprocal", "--t", _HUGE): "error: t must be <= sys.maxsize",
+    ("count", "--family", "reciprocal", "--t", _HUGE, "--cumulative"):
+        "error: t_max must be <= sys.maxsize",
+    ("alpha", "--m", _HUGE): "error: m must be <= sys.maxsize",
+    ("count", "--family", "lowlying", "--t", _HUGE, "--m", "3"): "error: t must be <= sys.maxsize",
+    ("count", "--family", "compositions", "--t", _HUGE, "--m", "3"):
+        "error: t must be <= sys.maxsize",
+    ("growth", "--item", "2", "--m", _HUGE, "--tmax", "3"): "error: m must be <= sys.maxsize",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -112,12 +135,15 @@ def test_count_json(capsys):
         ("growth", "--item", "3", "--tmax", "3", "--m", "2"),
         ("count", "--family", "lowlying-reciprocal", "--t", "5", "--primitive"),
         ("count", "--family", "lowlying-reciprocal", "--t", "5", "--m", "0", "--primitive"),
+        *_SIZE_MESSAGES,
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     code = main(list(argv))
-    capsys.readouterr()
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert _SIZE_MESSAGES.get(argv, "error: ") in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +422,14 @@ def test_alpha_output(capsys):
     assert fields[0] == "2"
     assert fields[1].startswith("1.618033988749")
     assert abs(float(fields[3])) < 1e-12
+
+
+def test_alpha_takes_a_subnormal_tol(capsys):
+    # width / tol would overflow a double; the bisection still runs to the tol
+    code, out = run(capsys, "alpha", "--m", "3", "--tol", "1e-320")
+    assert code == 0
+    alpha = out.splitlines()[1].split(",")[1]
+    assert alpha == run(capsys, "alpha", "--m", "3")[1].splitlines()[1].split(",")[1]
 
 
 def test_alpha_usage_error(capsys):
@@ -926,3 +960,103 @@ def test_one_process_answers_like_fresh_processes(capsys):
     ]
     assert in_process == fresh
     assert {code for code, _ in in_process} == {0, 2}
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: any argv ends in exit 0, 1 or 2, never in a traceback
+
+_JUNK = st.sampled_from(["", "x", "--", "1.5", "-1e3", "0x10", "nan"])
+_FORMAT = st.sampled_from(["csv", "json", "xml"])
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+# a size of a formula, and a size that is enumerated: at most 12, or refused.
+# No size lies between 40 and sys.maxsize, where 1 << t alone takes gigabytes.
+_FORMULA_SIZE = st.one_of(_ints(-3, 40), st.one_of(st.just(_HUGE), _JUNK))
+_ENUMERATED_SIZE = st.one_of(_ints(-3, 12), st.one_of(_ints(31, 40), st.just(_HUGE), _JUNK))
+
+# each subcommand's flags and a strategy for the value of each; None marks a
+# flag that takes no value
+_GRAMMAR = {
+    "count": {
+        "--family": st.sampled_from(
+            ["classes", "classes+torsion", "primitive", "reciprocal", "reciprocal-primitive",
+             "lowlying", "lowlying-reciprocal", "compositions", "nonsense"]
+        ),
+        "--t": _FORMULA_SIZE,
+        "--m": _FORMULA_SIZE,
+        "--cumulative": None,
+        "--primitive": None,
+        "--format": _FORMAT,
+    },
+    "enumerate": {
+        "--family": st.sampled_from(["classes", "reciprocal", "nonsense"]),
+        "--t": _ENUMERATED_SIZE,
+        "--m": _FORMULA_SIZE,
+        "--primitive": None,
+        "--hyperbolic": None,
+        "--format": _FORMAT,
+    },
+    "alpha": {
+        "--m": st.one_of(_ints(-3, 64), st.one_of(st.just(_HUGE), _JUNK)),
+        "--tol": st.sampled_from(["0", "nan", "inf", "1e-320", "-1", "1e-13", "x"]),
+        "--format": _FORMAT,
+    },
+    # every verify argv draws its --tmax, which keeps the run short
+    "verify": {
+        "--suite": st.sampled_from([*vf.SUITES, "all", "nonsense"]),
+        "--tmax": st.one_of(_ints(-3, 5), _JUNK),
+    },
+    "growth": {
+        "--item": st.one_of(_ints(0, 5), _JUNK),
+        "--tmax": _FORMULA_SIZE,
+        "--m": _FORMULA_SIZE,
+        "--format": _FORMAT,
+    },
+    # table1 enumerates only at --t <= --oracle-max, so at t <= 12
+    "table1": {
+        "--t": _ENUMERATED_SIZE,
+        "--m": _FORMULA_SIZE,
+        "--oracle-max": _ENUMERATED_SIZE,
+        "--format": _FORMAT,
+    },
+    "depth": {
+        "--word": st.text("+-x ", max_size=12),
+        "--syllables": st.text("abBX ", max_size=12),
+        "--format": _FORMAT,
+    },
+    "audit-lemma71": {"--tmax": _ENUMERATED_SIZE, "--format": _FORMAT},
+    "nonsense": {},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    words = []
+    for flag, value in _GRAMMAR[command].items():
+        # each flag comes three times in four
+        if (command, flag) == ("verify", "--tmax") or draw(st.integers(0, 3)):
+            words.append([flag] if value is None else [flag, draw(value)])
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(words)))]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_argvs())
+@example(["alpha", "--m", "3", "--tol", "1e-320"])
+@example(["count", "--family", "classes", "--t", _HUGE])
+@example(["count", "--family", "reciprocal", "--t", _HUGE])
+@example(["count", "--family", "reciprocal", "--t", _HUGE, "--cumulative"])
+@example(["alpha", "--m", _HUGE])
+@example(["count", "--family", "lowlying", "--t", _HUGE, "--m", "3"])
+@example(["count", "--family", "compositions", "--t", _HUGE, "--m", "3"])
+@example(["growth", "--item", "2", "--m", _HUGE, "--tmax", "3"])
+def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr.getvalue(), argv

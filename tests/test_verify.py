@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +22,7 @@ def test_tmax_caps_enumeration_ceilings_only():
         if name == "geometry.sign_canonicalization":
             # its default of 6 lies below the cap
             assert r.detail == "tau through 6"
-        elif name != "enumerate.primitive_halfbound_report":  # reports a threshold
+        else:
             assert re.search(r"\b7\b", r.detail), (name, r.detail)
     assert results["counting.burnside_integrality"].detail == "tau through 200"
     assert results["counting.closed_form_agreement"].detail == "t through 40, m through 10"
@@ -111,6 +113,9 @@ _DEFAULT_RANGES = {
     "counting.unbounded_parts_degeneration": ({"tmax": 24}, "t through 24"),
     "counting.alpha_bracket_residual_monotone": ({"mmax": 40}, "m through 40"),
     "counting.ratio_trend_toward_one": ({"points": (10, 18, 26)}, "checkpoints (10, 18, 26)"),
+    "counting.sharp_law_ratio_to_one": (
+        {}, "n in (10, 20, 40, 80), m in 3..4, last gap below 1e-10"
+    ),
     "enumerate.class_count_oracle": ({"tmax": 16}, "tau through 16"),
     "enumerate.primitive_count_oracle": ({"tmax": 16}, "tau through 16"),
     "enumerate.reciprocal_count_oracle": ({"tmax": 16}, "t through 16"),
@@ -120,10 +125,6 @@ _DEFAULT_RANGES = {
     "enumerate.filter_monotone": ({"tmax": 12}, "tau through 12"),
     "enumerate.power_map_partition": ({"tmax": 12}, "tau through 12"),
     "enumerate.half_run_equals_full_run": ({"tmax": 12}, "half-length through 12"),
-    "enumerate.primitive_halfbound_report": (
-        {"tmax": 16},
-        "first tau with primitive count >= half the bound: m=3: tau=1, m=4: tau=1",
-    ),
     "geometry.concatenation_homomorphism": ({"tmax": 8}, "words through 8 entries, all splits"),
     "geometry.conjugation_invariance": ({"tmax": 10}, "tau through 10"),
     "geometry.parabolic_exactly_constants": ({"tmax": 12}, "tau through 12"),
@@ -233,6 +234,28 @@ def test_witness_check_catches_a_word_with_a_long_run(monkeypatch):
     result = verify.check_witness_generator(6)
     assert not result.ok
     assert result.detail == "witness --- breaks the run bound m=2"
+
+
+def test_sharp_law_check_catches_a_perturbed_alpha(monkeypatch):
+    # one part in 10^11 on alpha moves alpha^80 by about 8e-10
+    alpha = ct.alpha
+
+    def perturbed(m, tol=1e-13):
+        data = alpha(m, tol)
+        return dataclasses.replace(data, alpha_exact=data.alpha_exact * (1 + Fraction(1, 10**11)))
+
+    monkeypatch.setattr(ct, "alpha", perturbed)
+    result = verify.check_sharp_law()
+    assert not result.ok
+    assert result.detail == "m=3: gaps 0.052, 0.0023, 5.1e-06, 8.3e-10 at n in (10, 20, 40, 80)"
+
+
+def test_sharp_law_check_catches_an_off_by_one_length(monkeypatch):
+    count = ct.count
+    monkeypatch.setattr(ct, "count", lambda family, t, **kwargs: count(family, t + 1, **kwargs))
+    result = verify.check_sharp_law()
+    assert not result.ok
+    assert result.detail == "m=3: gaps 0.67, 0.75, 0.79, 0.82 at n in (10, 20, 40, 80)"
 
 
 # ---------------------------------------------------------------------------
