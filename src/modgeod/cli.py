@@ -419,12 +419,12 @@ def cmd_depth(args) -> int:
         "depth": report.depth,
         "winding_lo": report.winding_bracket[0],
         "winding_hi": report.winding_bracket[1],
-        "cross_check_ok": bool(report.cross_check_ok),
+        "cross_check_ok": report.cross_check_ok,
     }
     # a trace_abs past the interpreter's int-to-str digit limit is refused
     # before the row is written
     _emit_rows([row], _DEPTH_FIELDS, args.format)
-    return 0
+    return 0 if report.cross_check_ok else 1
 
 
 _AUDIT_FIELDS = [
@@ -446,22 +446,22 @@ def cmd_audit(args) -> int:
     rows = [{k: getattr(r, k) for k in _AUDIT_FIELDS} for r in report.rows]
     if args.format == "json":
         print(json.dumps({"rows": rows, "summary": report.summary}, indent=2))
-        return 0
-    _emit_rows(rows, _AUDIT_FIELDS, args.format)
-    for key in (
-        "classes",
-        "paper_bracket_hits",
-        "shifted_bracket_hits",
-        "widened_hits",
-        "cross_check_failures",
-    ):
-        print(f"# {key}: {report.summary[key]}")
-    for k, hist in report.summary["by_max_run"].items():
-        print(
-            f"# max_run {k}: paper {hist['paper']}, shifted {hist['shifted']}, "
-            f"neither {hist['neither']}"
-        )
-    return 0
+    else:
+        _emit_rows(rows, _AUDIT_FIELDS, args.format)
+        for key in (
+            "classes",
+            "paper_bracket_hits",
+            "shifted_bracket_hits",
+            "widened_hits",
+            "cross_check_failures",
+        ):
+            print(f"# {key}: {report.summary[key]}")
+        for k, hist in report.summary["by_max_run"].items():
+            print(
+                f"# max_run {k}: paper {hist['paper']}, shifted {hist['shifted']}, "
+                f"neither {hist['neither']}"
+            )
+    return 1 if report.summary["cross_check_failures"] else 0
 
 
 # ---------------------------------------------------------------------------

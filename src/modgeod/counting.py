@@ -174,7 +174,8 @@ _FORMULA_FAMILIES = ("classes", "reciprocal", "lowlying", *_COMPOSITION_FAMILIES
 def _per_length(family: str, m: Optional[int], primitive: bool) -> Callable[[int], int]:
     """The exact counter t -> count of one formula family, after checking its arguments."""
     if m is not None and family in ("classes", "reciprocal"):
-        raise ValueError(f"family {family!r} takes no run bound m")
+        # true of the command line's family names too
+        raise ValueError("a run bound m is only for lowlying, lowlying-reciprocal, compositions")
     if family == "classes":
         return primitive_class_count if primitive else necklace_count
     if family == "reciprocal":

@@ -44,7 +44,7 @@ from .binwords import (
     half_turn_partner,
     runs_of,
 )
-from .counting import _factorise
+from .counting import _check_size, _factorise
 
 __all__ = [
     "ContractViolationError",
@@ -84,11 +84,10 @@ def classes(
     constant-sign classes (the only ones whose matrices are parabolic rather
     than hyperbolic).
     """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    if m is not None and m < 1:
-        raise ValueError("run bound m must be >= 1")
+    _check_size("tau", tau)
+    # a run bound past tau bounds nothing, here as in the counters
     bound = tau if m is None else min(m, tau)
+    _check_size("run bound m", bound)
     # a constant word's run is its length; it is primitive only at tau = 1
     keep_constants = bound == tau and not hyperbolic and (tau == 1 or not primitive)
     if bound == tau:
@@ -192,10 +191,9 @@ def _reciprocal_bits(t: int, m: Optional[int] = None) -> Iterator[int]:
 
 def _reciprocal_blocks(t: int, m: Optional[int]) -> Iterator[list[int]]:
     # the lists _reciprocal_bits chains, one per block of halves, maybe empty
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if m is not None and m < 1:
-        raise ValueError("run bound m must be >= 1")
+    _check_size("t", t)
+    if m is not None:
+        _check_size("run bound m", min(m, t))
     mask = (1 << t) - 1
     low, low_mask, rev_low, rev_high = _mirror_tables(t)
 
@@ -377,10 +375,8 @@ def lower_bound_witnesses(t: int, m: int) -> Iterator[BinaryWord]:
     slots is at least t - floor(t/m) - 1, which is what makes these words a
     counting witness for the lower bound on bounded-run classes.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if m < 1:
-        raise ValueError("run bound m must be >= 1")
+    _check_size("t", t)
+    _check_size("run bound m", min(m, t))
     forced = sorted({*range(m, t, m), t - 1})
     # entry j is bit t-1-j; the free slots run in entry order, so the first
     # is the most significant bit of the assignment index

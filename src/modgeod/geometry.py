@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 # rotate is unused here; the layer tracer in bench/tracer.py hooks geometry.rotate
 from .binwords import BinaryWord, _run_lengths_bits, max_cyclic_run, rotate
@@ -210,7 +210,7 @@ class DepthReport:
     apex: float
     depth: float
     winding_bracket: tuple[int, int]
-    cross_check_ok: Optional[bool]
+    cross_check_ok: bool
 
 
 def _boundary_rotations(base: Quad, plus: bool, runs: list[int]) -> list[Quad]:
@@ -277,21 +277,26 @@ def _bfs_min_c(
     return best, len(seen)
 
 
-def _rho(A: int, B: int, C: int, D: int, s: int) -> tuple[int, int, int]:
-    """The normalised step (A, B, C) -> (C, r, (r^2 - D) / 4C), s = isqrt(D).
+def _rho(A: int, B: int, C: int, s: int) -> tuple[int, int, int]:
+    """The normalised step (A, B, C) -> (C, r, A - q(B - qC)) of a form of discriminant D.
 
-    r = -B mod 2|C|, taken in (sqrt(D) - 2|C|, sqrt(D)] when |C| < sqrt(D)
-    and in (-|C|, |C|] otherwise; the new form is properly equivalent to the
-    old one.
+    s = isqrt(D).  r = 2Cq - B, so r = -B mod 2|C|, taken in
+    (sqrt(D) - 2|C|, sqrt(D)] when |C| < sqrt(D) and in (-|C|, |C|] otherwise;
+    the new form is properly equivalent to the old one, of discriminant D.
+    One divmod gives r and the small quotient q, so no step divides by C with
+    a long quotient.
     """
     n = 2 * abs(C)
     if abs(C) <= s:
-        r = s - (s + B) % n
+        k, r = divmod(s + B, n)
+        r = s - r
     else:
-        r = -B % n
+        k, r = divmod(-B, n)
+        k = -k
         if r > abs(C):
-            r -= n
-    return C, r, (r * r - D) // (4 * C)
+            r, k = r - n, k - 1
+    q = k if C > 0 else -k
+    return C, r, A - q * (B - q * C)
 
 
 def _reduced_cycle_min_c(M: Quad, length: int) -> int:
@@ -310,7 +315,8 @@ def _reduced_cycle_min_c(M: Quad, length: int) -> int:
     ``length`` is the number of letters M is a product of.  The cycle has at
     most one form per cyclic sign run, so at most ``length`` forms, and the
     reduction takes O(1 + log(|c| / sqrt(D))) steps; a walk longer than
-    ``length + D.bit_length()`` steps raises ContractViolationError.
+    ``length + D.bit_length()`` steps, or one that reaches a zero coefficient,
+    raises ContractViolationError.
     Raises ValueError unless M has determinant one and |trace| > 2, which
     also rules out a square D.
     """
@@ -322,7 +328,9 @@ def _reduced_cycle_min_c(M: Quad, length: int) -> int:
     form = (c, d - a, -b)
     first = None
     for _ in range(length + D.bit_length() + 1):
-        A, B = form[0], form[1]
+        A, B, C = form
+        if not C:  # a step went wrong: (A, B, 0) has the square discriminant B^2
+            break
         if first is None:
             if 0 < B <= s < 2 * abs(A) + B and 2 * abs(A) - B <= s:
                 first, best = form, abs(A)
@@ -330,20 +338,20 @@ def _reduced_cycle_min_c(M: Quad, length: int) -> int:
             return best
         else:
             best = min(best, abs(A))
-        form = _rho(*form, D, s)
+        form = _rho(A, B, C, s)
     raise ContractViolationError(
         f"reduced cycle of [[{a},{b}],[{c},{d}]] not closed within "
         f"{length + D.bit_length()} steps"
     )
 
 
-def max_depth(w: BinaryWord, *, cross_validate: bool = True) -> DepthReport:
+def max_depth(w: BinaryWord) -> DepthReport:
     """Deepest cusp excursion over the conjugacy class of w.
 
     The apex is set by the smallest |b| or |c| over the rotations of w that
     start at a run boundary (the module docstring says why no other conjugate
-    goes lower).  With ``cross_validate``, that minimum is compared with the
-    exact ``_reduced_cycle_min_c``, which shares no code with the run walk;
+    goes lower).  That minimum is always compared with the exact
+    ``_reduced_cycle_min_c``, which shares no code with the run walk;
     disagreement is reported via ``cross_check_ok``, never silently resolved.
     """
     plus, runs = _runs(w)
@@ -359,10 +367,6 @@ def max_depth(w: BinaryWord, *, cross_validate: bool = True) -> DepthReport:
     # two runs or more; with an odd count the first and last join cyclically
     max_run = max(runs[0] + runs[-1] if len(runs) % 2 else 0, *runs)
 
-    ok: Optional[bool] = None
-    if cross_validate:
-        ok = _reduced_cycle_min_c(quad, w.length) == min_c
-
     return DepthReport(
         word=w,
         trace_abs=tr,
@@ -371,7 +375,7 @@ def max_depth(w: BinaryWord, *, cross_validate: bool = True) -> DepthReport:
         apex=apex,
         depth=math.log(apex),
         winding_bracket=(winding, winding + 1),
-        cross_check_ok=ok,
+        cross_check_ok=_reduced_cycle_min_c(quad, w.length) == min_c,
     )
 
 
@@ -389,7 +393,7 @@ class AuditRow:
     paper_bracket_hit: bool
     shifted_bracket_hit: bool
     widened_hit: bool
-    cross_check_ok: Optional[bool]
+    cross_check_ok: bool
 
 
 @dataclass(frozen=True)
@@ -398,8 +402,8 @@ class AuditReport:
     summary: dict
 
 
-def _audit_row(w: BinaryWord, cross_validate: bool) -> AuditRow:
-    report = max_depth(w, cross_validate=cross_validate)
+def _audit_row(w: BinaryWord) -> AuditRow:
+    report = max_depth(w)
     k = report.max_run
     # depth = log(L/2) for the irrational L = sqrt(D)/min|c|, so each bracket
     # test is exact on the lower winding bound floor(L) = isqrt(D) // min|c|
@@ -419,7 +423,7 @@ def _audit_row(w: BinaryWord, cross_validate: bool) -> AuditRow:
     )
 
 
-def audit_lemma71(tau_max: int, *, cross_validate: bool = True) -> AuditReport:
+def audit_lemma71(tau_max: int) -> AuditReport:
     """Measure where every hyperbolic class's depth falls relative to its run.
 
     For each class with at most tau_max entries and largest cyclic run k, the
@@ -432,11 +436,7 @@ def audit_lemma71(tau_max: int, *, cross_validate: bool = True) -> AuditReport:
     """
     if tau_max < 2:
         raise ValueError("tau_max must be >= 2")
-    rows = [
-        _audit_row(w, cross_validate)
-        for tau in range(1, tau_max + 1)
-        for w in classes(tau, hyperbolic=True)
-    ]
+    rows = [_audit_row(w) for tau in range(1, tau_max + 1) for w in classes(tau, hyperbolic=True)]
 
     by_run: dict[int, dict[str, int]] = {}
     for row in rows:
@@ -455,7 +455,7 @@ def audit_lemma71(tau_max: int, *, cross_validate: bool = True) -> AuditReport:
         "paper_bracket_hits": sum(r.paper_bracket_hit for r in rows),
         "shifted_bracket_hits": sum(r.shifted_bracket_hit for r in rows),
         "widened_hits": sum(r.widened_hit for r in rows),
-        "cross_check_failures": sum(r.cross_check_ok is False for r in rows),
+        "cross_check_failures": sum(not r.cross_check_ok for r in rows),
         "by_max_run": {k: by_run[k] for k in sorted(by_run)},
     }
     return AuditReport(rows=tuple(rows), summary=summary)

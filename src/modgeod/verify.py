@@ -516,7 +516,7 @@ def check_sign_canonicalization(tmax: int = 6) -> Outcome:
 
 @_check("geometry.widened_depth_bracket")
 def check_widened_depth_bracket(tmax: int = 10) -> Outcome:
-    report = geo.audit_lemma71(tmax, cross_validate=False)
+    report = geo.audit_lemma71(tmax)
     misses = [r for r in report.rows if not r.widened_hit]
     if misses:
         return _fail(f"{misses[0].word} at depth {misses[0].depth:.6f}")

@@ -19,6 +19,7 @@ import oracles
 
 from modgeod import cli
 from modgeod import enumeration as en
+from modgeod import geometry as geo
 from modgeod import verify as vf
 from modgeod.cli import _emit_rows, _fmt, _write_columns, _write_rows, main
 from modgeod.counting import (
@@ -97,6 +98,16 @@ _SIZE_MESSAGES = {
     ("growth", "--item", "2", "--m", _HUGE, "--tmax", "3"): "error: m must be <= sys.maxsize",
 }
 
+# the message in stderr for some other argvs of test_usage_errors_exit_2
+_MESSAGES = {
+    **_SIZE_MESSAGES,
+    # the CLI's family names, not the library's
+    ("count", "--family", "primitive", "--t", "5", "--m", "2"):
+        "error: a run bound m is only for lowlying, lowlying-reciprocal, compositions\n",
+    ("count", "--family", "classes+torsion", "--t", "2", "--cumulative", "--m", "2"):
+        "error: a run bound m is only for lowlying, lowlying-reciprocal, compositions\n",
+}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -143,7 +154,7 @@ def test_usage_errors_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert _SIZE_MESSAGES.get(argv, "error: ") in captured.err
+    assert _MESSAGES.get(argv, "error: ") in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +852,51 @@ def test_oracle_max_zero_never_enumerates(capsys):
     assert code == 0
     assert all(line.endswith("skipped") for line in out.splitlines()[1:])
 
+
+
+@pytest.fixture
+def candidates_miss_the_minimum(monkeypatch):
+    # the run walk drops the rotations that reach the least |b| or |c|, so the
+    # reduced-cycle cross-check disagrees with it
+    full = geo._boundary_rotations
+
+    def missing_minimum(base, plus, runs):
+        rotations = full(base, plus, runs)
+        low = min(min(abs(m[1]), abs(m[2])) for m in rotations)
+        return [m for m in rotations if min(abs(m[1]), abs(m[2])) != low] or rotations
+
+    monkeypatch.setattr(geo, "_boundary_rotations", missing_minimum)
+
+
+def test_depth_exits_1_after_its_row_when_the_cross_check_fails(
+    capsys, candidates_miss_the_minimum
+):
+    code, out = run(capsys, "depth", "--word=--+-+")
+    assert code == 1
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["cross_check_ok"] == "false"
+    code, out = run(capsys, "depth", "--word=--+-+", "--format", "json")
+    assert code == 1
+    assert json.loads(out)[0]["cross_check_ok"] is False
+    # every rotation of ++- has an entry of size 1, so nothing can be left out
+    assert run(capsys, "depth", "--word", "++-")[0] == 0
+
+
+def test_audit_exits_1_after_its_summary_when_cross_checks_fail(
+    capsys, candidates_miss_the_minimum
+):
+    code, out = run(capsys, "audit-lemma71", "--tmax", "6")
+    assert code == 1
+    lines = out.splitlines()
+    assert "# cross_check_failures: 6" in lines
+    assert lines[-1].startswith("# max_run ")
+    code, out = run(capsys, "audit-lemma71", "--tmax", "6", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["summary"]["cross_check_failures"] == 6
+    # no class through tau = 3 has a rotation to leave out
+    code, out = run(capsys, "audit-lemma71", "--tmax", "3")
+    assert code == 0
+    assert "# cross_check_failures: 0" in out.splitlines()
 
 # ---------------------------------------------------------------------------
 # the optimised interpreter

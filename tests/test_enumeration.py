@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from modgeod import binwords, enumeration
@@ -210,6 +212,19 @@ def test_reciprocal_bits_blocks_match_tuple_oracle(monkeypatch):
 def test_reciprocal_bits_validation(t, m):
     with pytest.raises(ValueError):
         next(enumeration._reciprocal_bits(t, m))
+
+
+@pytest.mark.parametrize(
+    "words",
+    [classes, reciprocal_classes, enumeration._reciprocal_bits, lower_bound_witnesses],
+    ids=lambda words: words.__name__,
+)
+def test_sizes_past_maxsize_are_refused_on_the_first_pull(words):
+    # refused before any table of about t entries is built
+    huge = sys.maxsize + 1
+    pulled = words(huge, 3) if words is lower_bound_witnesses else words(huge)
+    with pytest.raises(ValueError, match="must be <= sys.maxsize"):
+        next(pulled)
 
 
 def test_reciprocal_lowlying_matches_compositions():

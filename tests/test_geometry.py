@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import modgeod.geometry as geometry
 from modgeod.binwords import BinaryWord, rotate
+from modgeod.cli import main
 from modgeod.enumeration import ContractViolationError, classes
 from modgeod.geometry import (
     GEN_A,
@@ -28,6 +29,7 @@ from modgeod.geometry import (
     _canonical,
     _conjugates,
     _reduced_cycle_min_c,
+    _rho,
     _run_product,
     _runs,
 )
@@ -173,9 +175,9 @@ def test_max_depth_rejects_non_hyperbolic():
 
 def test_depth_constant_on_rotations():
     for w in (W("++-"), W("+--+-"), W("++--+-")):
-        base = max_depth(w, cross_validate=False).apex
+        base = max_depth(w).apex
         for k in range(w.length):
-            got = max_depth(rotate(w, k), cross_validate=False).apex
+            got = max_depth(rotate(w, k)).apex
             assert abs(got - base) < 1e-12
 
 
@@ -396,6 +398,77 @@ def test_reduced_cycle_walk_is_bounded():
         _reduced_cycle_min_c(quad, -D.bit_length())
 
 
+def _long_division_rho(A, B, C, D, s):
+    # the step as it was first written: r as in _rho, then the third
+    # coefficient from the discriminant by one long division
+    n = 2 * abs(C)
+    if abs(C) <= s:
+        r = s - (s + B) % n
+    else:
+        r = -B % n
+        if r > abs(C):
+            r -= n
+    return C, r, (r * r - D) // (4 * C)
+
+
+def _assert_rho_steps_match(form, steps):
+    A, B, C = form
+    D = B * B - 4 * A * C
+    s = math.isqrt(D)
+    for _ in range(steps):
+        step = _rho(*form, s)
+        assert step == _long_division_rho(*form, D, s), form
+        form = step
+
+
+def test_rho_matches_the_long_division_step():
+    rng = random.Random(23)
+    for _ in range(2000):
+        # any form of positive non-square discriminant, small or long entries
+        bits = rng.choice((4, 16, 200))
+        while True:
+            A, B, C = (rng.randint(-(1 << bits), 1 << bits) for _ in range(3))
+            D = B * B - 4 * A * C
+            if C and D > 0 and math.isqrt(D) ** 2 != D:
+                break
+        _assert_rho_steps_match((A, B, C), 6)
+    n = 0
+    for tau in range(2, 17):
+        for w in classes(tau, hyperbolic=True):
+            a, b, c, d = _quad(encode(w))
+            _assert_rho_steps_match((c, d - a, -b), tau + 4)
+            n += 1
+    assert n == 8891
+
+
+def test_cross_check_holds_on_a_long_word():
+    rng = random.Random(12000)
+    w = BinaryWord.from_entries([rng.choice((-1, 1)) for _ in range(12000)])
+    assert max_depth(w).cross_check_ok is True
+
+
+def test_cross_check_catches_an_off_by_one_third_coefficient(monkeypatch, capsys):
+    exact = geometry._rho
+
+    def off_by_one(A, B, C, s):
+        C, r, A = exact(A, B, C, s)
+        return C, r, A + 1
+
+    monkeypatch.setattr(geometry, "_rho", off_by_one)
+    rng = random.Random(29)
+    words = [w for tau in range(2, 9) for w in classes(tau, hyperbolic=True)]
+    words += [_random_hyperbolic_word(rng) for _ in range(100)]
+    for w in words:
+        try:
+            ok = max_depth(w).cross_check_ok
+        except ContractViolationError:
+            continue
+        assert ok is False, str(w)
+    assert main(["verify", "--suite", "geometry"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL geometry.reduced_cycle_certificate: ") for line in out)
+
+
 def test_cross_check_fails_when_candidates_miss_the_minimum(monkeypatch):
     full = geometry._boundary_rotations
 
@@ -430,7 +503,7 @@ def test_in_thick_part_examples():
 # bracket audit
 
 def test_audit_smoke():
-    report = audit_lemma71(6, cross_validate=False)
+    report = audit_lemma71(6)
     assert report.summary["classes"] == sum(
         len(oracles.class_reps(tau)) - 2 for tau in range(2, 7)
     )
@@ -445,7 +518,7 @@ def test_audit_smoke():
 
 
 def test_audit_single_run_rows_sit_in_shifted_bracket():
-    report = audit_lemma71(5, cross_validate=False)
+    report = audit_lemma71(5)
     by_word = {row.word: row for row in report.rows}
     assert by_word["-+"].shifted_bracket_hit and not by_word["-+"].paper_bracket_hit
     assert by_word["-++"].shifted_bracket_hit and not by_word["-++"].paper_bracket_hit
@@ -454,7 +527,7 @@ def test_audit_single_run_rows_sit_in_shifted_bracket():
 def test_audit_integer_scoring_matches_float_brackets():
     # 2 * apex = sqrt(D) / min|c| is irrational, so no depth lies near a
     # bracket edge and the integer rules agree with float comparisons
-    for row in audit_lemma71(12, cross_validate=False).rows:
+    for row in audit_lemma71(12).rows:
         lo, mid, hi = (math.log(j / 2) for j in range(row.max_run, row.max_run + 3))
         assert min(abs(row.depth - edge) for edge in (lo, mid, hi)) > 1e-9
         assert row.paper_bracket_hit == (lo < row.depth < mid)
