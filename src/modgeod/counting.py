@@ -6,8 +6,9 @@ word length is 2*tau.  Reciprocal (half-turn) families are parameterised by
 
 Every count is an exact Python integer; floating point only appears in the
 growth-target formulas and in the float views of the root data.  Every
-primitive count is one Mobius inversion of its family's totals by length
-(``_mobius_sum``), and no count is cached; the one cache holds ``alpha``.
+primitive count at one length is one Mobius inversion of its family's totals
+by length (``_mobius_sum``), and no count is cached; the one cache holds
+``alpha``.  Lengths and run bounds past ``_MAX_SIZE`` = 10^7 are refused.
 
 Two sums are linear in the length (Flajolet-Sedgewick, *Analytic
 Combinatorics* I.2 and IV.1):
@@ -26,17 +27,35 @@ the tau shifts by d = gcd(shift, tau), so it is (1/tau) * sum over d | tau of
 phi(tau/d) * fixed(d), O(sqrt(tau) + d(tau)) terms, with fixed(d) the words
 of period d: 2^d, or W(d) + 2 [tau <= m] with runs at most m.
 
-``count_series`` yields one family's counts at t = 1, 2, ... and
-``cumulative`` sums its first terms, so a cumulative count costs one count
-evaluation per length; the composition series costs one subtraction per
-length, and its primitive part one inversion over the terms already drawn.
+``count_series`` yields one family's counts at t = 1, 2, ...; the composition
+series costs one subtraction per length, and its primitive part one inversion
+over the terms already drawn.  ``cumulative`` is the sum of the first T terms.
+For ``classes`` and for primitive ``reciprocal`` and ``lowlying-reciprocal`` it
+regroups that sum over one Mobius sieve up to T, built per call in 2T + 2
+bytes (Dirichlet's hyperbola method; Apostol, *Introduction to Analytic Number
+Theory*, 3.5):
+
+- a primitive total is sum over n <= T of sum over d | n of mu(n/d) f(d), which
+  is sum over k <= T of mu(k) F(T // k) with F(x) = f(1) + ... + f(x).  k has at
+  most 2 sqrt(T) values of T // k, and each run of k sharing one is weighted by
+  the sum of mu over it, a difference of two Mertens values.  The primitive
+  reciprocal total is O(sqrt(T)) big-integer terms of F(x) = 2^x - 1; the
+  primitive bounded-composition total reads the running sum of c_1, c_2, ...
+  at those values, one step per length with O(sqrt(T) + m) values live;
+- the primitive class counts at n = 1..T take their Mobius sums from the
+  squarefree divisors the sieve marks, with no factorisation per length;
+- every class is a power of exactly one primitive class, so the classes of
+  length at most T number sum over j <= T of P(T // j), P the cumulative
+  primitive count: the primitive pass plus O(sqrt(T)) products.
+
+``lowlying`` and the non-primitive composition families sum their series term
+by term.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,17 +84,22 @@ __all__ = [
 _ROUND_CEILING = 1 << 52
 
 
+# the largest length or run bound any counter or generator takes: a cumulative
+# count sieves two tables of about this many bytes, and past it most routes
+# would run for hours or exhaust memory before they answer
+_MAX_SIZE = 10**7
+
+
 class PrecisionLimitError(ValueError):
     """Raised instead of silently returning an untrustworthy rounded integer."""
 
 
 def _check_size(name: str, n: int, least: int = 1) -> None:
-    # a length or run bound below ``least``, or past sys.maxsize, where the
-    # slices and shifts that the counters make refuse it
+    # a length or run bound below ``least``, or past _MAX_SIZE
     if n < least:
         raise ValueError(f"{name} must be >= {least}")
-    if n > sys.maxsize:
-        raise ValueError(f"{name} must be <= sys.maxsize = {sys.maxsize}")
+    if n > _MAX_SIZE:
+        raise ValueError(f"{name} must be <= {_MAX_SIZE}")
 
 
 def _factorise(n: int) -> list[tuple[int, int]]:
@@ -124,6 +148,12 @@ def _orbit_count(n: int, fixed: Callable[[int], int], primitive: bool = False) -
                 step = [(d // p, phi * factor) for d, phi in step]
                 terms, factor = terms + step, p
         total = sum(phi * fixed(d) for d, phi in terms)
+    return _orbit_quotient(total, n)
+
+
+def _orbit_quotient(total: int, n: int) -> int:
+    # Burnside's sum over the n shifts, divided by the group order; a remainder
+    # means a faulty sum
     count, rem = divmod(total, n)
     if rem:
         raise ArithmeticError(f"orbit-count sum {total} is not divisible by the group order {n}")
@@ -248,6 +278,12 @@ def cumulative(
 
     ``classes`` may add the 3 torsion classes of group length one;
     ``reciprocal`` without the primitive flag collapses to 2**t_max - 1.
+    ``classes``, primitive ``reciprocal`` and primitive ``lowlying-reciprocal``
+    regroup the sum over one Mobius sieve up to t_max (module docstring): the
+    reciprocal total takes O(sqrt(t_max)) big-integer terms, the composition
+    total one recurrence step per length, and ``classes`` one Mobius sum per
+    length from the sieve plus O(sqrt(t_max)) products.  ``lowlying`` and the
+    non-primitive composition families sum their series term by term.
     """
     _check_size("t_max", t_max)
     if include_torsion and (family != "classes" or primitive):
@@ -255,8 +291,101 @@ def cumulative(
     series = count_series(family, m=m, primitive=primitive)  # checks the arguments
     if family == "reciprocal" and not primitive:
         return (1 << t_max) - 1
-    total = sum(itertools.islice(series, t_max))
+    if family == "classes":
+        total = _cumulative_classes(t_max, primitive)
+    elif primitive and family in ("reciprocal", "lowlying-reciprocal"):
+        total = _cumulative_primitive(t_max, m)  # m is None for reciprocal, refused otherwise
+    else:
+        total = sum(itertools.islice(series, t_max))
     return total + (_TORSION_CLASSES if include_torsion else 0)
+
+
+def _mobius_sieve(n: int) -> memoryview:
+    # mu(0), ..., mu(n) as signed bytes, mu(0) = 0: a prime table by
+    # Eratosthenes, then each prime negates mu at its multiples and zeroes it
+    # at the multiples of its square; 2n + 2 bytes and no list of n ints
+    prime = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    negate = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+    mu = bytearray([0]) + bytearray([1]) * n
+    for p in itertools.compress(range(n + 1), prime):
+        mu[p::p] = mu[p::p].translate(negate)
+        if p * p <= n:
+            mu[p * p :: p * p] = bytes(len(range(p * p, n + 1, p * p)))
+    return memoryview(mu).cast("b")
+
+
+def _quotient_blocks(n: int) -> Iterator[tuple[int, int, int]]:
+    # (lo, hi, n // lo) for the maximal runs lo..hi of k <= n that share n // k,
+    # at most 2 sqrt(n) of them, in increasing k
+    lo = 1
+    while lo <= n:
+        q = n // lo
+        hi = n // q
+        yield lo, hi, q
+        lo = hi + 1
+
+
+def _weighted_prefix_sums(weights: dict[int, int], terms: Iterator[int]) -> int:
+    # sum of weights[x] * (terms[1] + ... + terms[x]) over the keys x of
+    # ``weights``, drawing max(weights) terms and keeping only their running sum
+    total = running = 0
+    for x, term in zip(range(1, max(weights) + 1), terms):
+        running += term
+        if x in weights:
+            total += weights[x] * running
+    return total
+
+
+def _cumulative_primitive(t_max: int, m: Optional[int]) -> int:
+    # sum over k <= t_max of mu(k) F(t_max // k), F the cumulative reciprocal
+    # count, or with m the cumulative bounded-composition count; a run of k
+    # sharing t_max // k weighs F by the sum of mu over it, a difference of two
+    # Mertens values
+    mu = _mobius_sieve(t_max)
+    weights = {q: sum(mu[lo : hi + 1]) for lo, hi, q in _quotient_blocks(t_max)}
+    if m is None:
+        # smallest terms first, so that each addition costs the larger term's size
+        return sum(w * ((1 << q) - 1) for q, w in reversed(weights.items()))
+    return _weighted_prefix_sums(weights, _composition_series(m))
+
+
+# lengths whose signed-divisor lists ``_primitive_class_counts`` holds at once
+_SEGMENT = 1 << 14
+
+
+def _primitive_class_counts(t_max: int) -> Iterator[int]:
+    # primitive_class_count(n) for n = 1..t_max: (1/n) * sum over squarefree
+    # e | n of mu(e) 2^(n/e).  Each squarefree e of the sieve files the quotient
+    # j of each multiple n = e*j under its sign, a segment of lengths at a time,
+    # so no length is factorised and the lists stay O(_SEGMENT log t_max)
+    mu = _mobius_sieve(t_max)
+    shift = (1).__lshift__
+    for lo in range(1, t_max + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, t_max + 1)
+        plus: list[list[int]] = [[] for _ in range(lo, hi)]
+        minus: list[list[int]] = [[] for _ in range(lo, hi)]
+        for e in itertools.compress(range(hi), mu[:hi]):
+            quotients = plus if mu[e] > 0 else minus
+            for j in range(-(-lo // e), (hi - 1) // e + 1):
+                quotients[e * j - lo].append(j)
+        for n, up, down in zip(range(lo, hi), plus, minus):
+            yield _orbit_quotient(sum(map(shift, up)) - sum(map(shift, down)), n)
+
+
+def _cumulative_classes(t_max: int, primitive: bool) -> int:
+    # the primitive classes of length at most t_max; or all of them, each the
+    # power of one primitive class, so that a primitive class of length d has
+    # t_max // d powers and the total is sum over j of P(t_max // j), P the
+    # primitive cumulative count
+    counts = _primitive_class_counts(t_max)
+    if primitive:
+        return sum(counts)
+    return _weighted_prefix_sums(
+        {q: hi - lo + 1 for lo, hi, q in _quotient_blocks(t_max)}, counts
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -80,22 +80,31 @@ def test_count_json(capsys):
     assert record["family"] == "reciprocal"
 
 
-# a size past sys.maxsize, where the library's slices and shifts would refuse
-# it with their own messages
+# a size past sys.maxsize, and the first size past the counters' ceiling
+# counting._MAX_SIZE = 10**7
 _HUGE = "99999999999999999999"
+_PAST_CEILING = "10000001"
 
 # the message in stderr for the last argvs of test_usage_errors_exit_2,
-# which name the flag that is past sys.maxsize
+# which name the flag that is past the ceiling
 _SIZE_MESSAGES = {
-    ("count", "--family", "classes", "--t", _HUGE): "error: t must be <= sys.maxsize",
-    ("count", "--family", "reciprocal", "--t", _HUGE): "error: t must be <= sys.maxsize",
+    ("count", "--family", "classes", "--t", _HUGE): "error: t must be <= 10000000",
+    ("count", "--family", "reciprocal", "--t", _HUGE): "error: t must be <= 10000000",
     ("count", "--family", "reciprocal", "--t", _HUGE, "--cumulative"):
-        "error: t_max must be <= sys.maxsize",
-    ("alpha", "--m", _HUGE): "error: m must be <= sys.maxsize",
-    ("count", "--family", "lowlying", "--t", _HUGE, "--m", "3"): "error: t must be <= sys.maxsize",
+        "error: t_max must be <= 10000000",
+    ("alpha", "--m", _HUGE): "error: m must be <= 10000000",
+    ("count", "--family", "lowlying", "--t", _HUGE, "--m", "3"): "error: t must be <= 10000000",
     ("count", "--family", "compositions", "--t", _HUGE, "--m", "3"):
-        "error: t must be <= sys.maxsize",
-    ("growth", "--item", "2", "--m", _HUGE, "--tmax", "3"): "error: m must be <= sys.maxsize",
+        "error: t must be <= 10000000",
+    ("growth", "--item", "2", "--m", _HUGE, "--tmax", "3"): "error: m must be <= 10000000",
+    ("count", "--family", "reciprocal-primitive", "--t", _PAST_CEILING, "--cumulative"):
+        "error: t_max must be <= 10000000",
+    ("count", "--family", "classes+torsion", "--t", _PAST_CEILING, "--cumulative"):
+        "error: t_max must be <= 10000000",
+    ("count", "--family", "lowlying-reciprocal", "--t", _PAST_CEILING, "--m", "3",
+     "--primitive", "--cumulative"): "error: t_max must be <= 10000000",
+    ("count", "--family", "reciprocal", "--t", _PAST_CEILING): "error: t must be <= 10000000",
+    ("alpha", "--m", _PAST_CEILING): "error: m must be <= 10000000",
 }
 
 # the message in stderr for some other argvs of test_usage_errors_exit_2
@@ -937,6 +946,8 @@ def _python(*args):
         ("count", "--family", "lowlying", "--t", "60", "--m", "4", "--primitive", "--cumulative"),
         ("enumerate", "--family", "reciprocal", "--t", "12", "--primitive", "--format", "json"),
         ("enumerate", "--family", "reciprocal", "--t", "15", "--m", "3"),
+        ("count", "--family", "reciprocal-primitive", "--t", "2000", "--cumulative"),
+        ("count", "--family", "classes+torsion", "--t", "800", "--cumulative"),
     ],
 )
 def test_same_output_under_python_O(argv):
@@ -1030,7 +1041,8 @@ def _ints(low, high):
 
 
 # a size of a formula, and a size that is enumerated: at most 12, or refused.
-# No size lies between 40 and sys.maxsize, where 1 << t alone takes gigabytes.
+# No size lies between 40 and the ceiling of 10**7, where one count can take
+# megabytes and minutes.
 _FORMULA_SIZE = st.one_of(_ints(-3, 40), st.one_of(st.just(_HUGE), _JUNK))
 _ENUMERATED_SIZE = st.one_of(_ints(-3, 12), st.one_of(_ints(31, 40), st.just(_HUGE), _JUNK))
 

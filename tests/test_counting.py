@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -8,9 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modgeod import counting
 from modgeod.counting import (
     PrecisionLimitError,
     _alpha_cached,
+    _factorise,
+    _mobius_sieve,
+    _primitive_class_counts,
+    _quotient_blocks,
     _run_bounded_words,
     alpha,
     bounded_compositions,
@@ -92,17 +98,72 @@ def test_inversion_matches_divisor_peel_to_2000():
     )
 
 
+# every route of ``cumulative`` that sieves: (family, m, primitive, include_torsion)
+_SIEVED = [("classes", None, True, False), ("classes", None, False, False),
+           ("classes", None, False, True), ("reciprocal", None, True, False),
+           *(("lowlying-reciprocal", m, True, False) for m in range(1, 9))]
+
+
 def test_primitive_counts_retain_no_memory():
-    # nothing computed along the way outlives the call
-    cumulative("classes", 50, primitive=True)  # first-call set-up, if any
+    # nothing computed along the way outlives the call, on any sieved route
+    for family, m, primitive, torsion in _SIEVED[:5]:
+        def run(t):
+            cumulative(family, t, m=m, primitive=primitive, include_torsion=torsion)
+
+        run(50)  # first-call set-up, if any
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(5000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 16 * 1024, (family, m, primitive, torsion, retained)
+
+
+def test_cumulative_composition_peak_is_far_below_its_terms():
+    # the primitive bounded-composition total keeps a running sum and O(sqrt(T))
+    # block weights, not the T terms that an inversion term by term holds
+    T = 5000
+    held = sum(map(sys.getsizeof, itertools.islice(count_series("lowlying-reciprocal", m=3), T)))
+    cumulative("lowlying-reciprocal", 50, m=3, primitive=True)
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        cumulative("classes", 5000, primitive=True)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        cumulative("lowlying-reciprocal", T, m=3, primitive=True)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert retained < 16 * 1024, retained
+    assert peak < held // 20, (peak, held)
+
+
+def test_mobius_sieve_matches_factorisation():
+    def mu(n):
+        factors = _factorise(n)
+        return 0 if any(k > 1 for _, k in factors) else (-1) ** len(factors)
+
+    sieve = _mobius_sieve(5000)
+    assert sieve[0] == 0
+    assert list(sieve[1:]) == [mu(n) for n in range(1, 5001)]
+    assert list(_mobius_sieve(1)) == [0, 1]
+
+
+def test_primitive_class_counts_across_segments(monkeypatch):
+    # segments far shorter than the lengths, so most quotients are filed in a
+    # segment that does not start at 1
+    for segment in (1, 7, 64):
+        monkeypatch.setattr(counting, "_SEGMENT", segment)
+        assert list(_primitive_class_counts(300)) == [
+            primitive_class_count(n) for n in range(1, 301)
+        ]
+        assert cumulative("classes", 300) == sum(necklace_count(n) for n in range(1, 301))
+
+
+def test_quotient_blocks_cover_every_k_once():
+    for n in (*range(1, 200), 1507, 2000):
+        blocks = list(_quotient_blocks(n))
+        assert [k for lo, hi, _ in blocks for k in range(lo, hi + 1)] == list(range(1, n + 1))
+        assert all(n // lo == n // hi == q for lo, hi, q in blocks)
+        assert len(blocks) <= 2 * math.isqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +306,15 @@ def test_cumulative_matches_naive_sums_for_every_family():
     assert [cumulative("classes", t, include_torsion=True) for t in range(1, T + 1)] == [
         s + 3 for s in itertools.accumulate(necklaces[1:])
     ]
+
+
+@pytest.mark.parametrize("family, m, primitive, torsion", _SIEVED)
+def test_sieved_cumulative_matches_the_series_sum(family, m, primitive, torsion):
+    sums = list(itertools.accumulate(
+        itertools.islice(count_series(family, m=m, primitive=primitive), 2000)))
+    for t in (*range(1, 61), 500, 2000):
+        got = cumulative(family, t, m=m, primitive=primitive, include_torsion=torsion)
+        assert got == sums[t - 1] + 3 * torsion, t
 
 
 def test_count_series_yields_count_at_each_length():

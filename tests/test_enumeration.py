@@ -220,11 +220,12 @@ def test_reciprocal_bits_validation(t, m):
     ids=lambda words: words.__name__,
 )
 def test_sizes_past_maxsize_are_refused_on_the_first_pull(words):
-    # refused before any table of about t entries is built
-    huge = sys.maxsize + 1
-    pulled = words(huge, 3) if words is lower_bound_witnesses else words(huge)
-    with pytest.raises(ValueError, match="must be <= sys.maxsize"):
-        next(pulled)
+    # refused before any table of about t entries is built, past sys.maxsize
+    # as past the counters' ceiling of 10**7
+    for huge in (sys.maxsize + 1, sys.maxsize, 10**7 + 1):
+        pulled = words(huge, 3) if words is lower_bound_witnesses else words(huge)
+        with pytest.raises(ValueError, match="must be <= 10000000"):
+            next(pulled)
 
 
 def test_reciprocal_lowlying_matches_compositions():
