@@ -279,8 +279,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # growth
 
-def _growth_exacts(item: int, m) -> Iterator[int]:
-    """Yield the ``exact`` column at t = 1, 2, ..., one running sum per item."""
+def _growth_exacts(item: int, m, last: int) -> Iterator[int]:
+    """Yield the ``exact`` column at t = 1, 2, ..., through ``last`` for the sieved items 3, 4."""
     if item == 1:
         for t in itertools.count(1):
             yield (1 << (t // 2)) - 1
@@ -292,25 +292,33 @@ def _growth_exacts(item: int, m) -> Iterator[int]:
             yield total
             yield total
     else:
-        # primitive hyperbolic classes: the primitive ones less the two constant ones
-        family, bound = ("classes", None) if item == 3 else ("lowlying", m)
-        for total in itertools.accumulate(ct.count_series(family, m=bound, primitive=True)):
-            yield total - 2
+        # primitive hyperbolic classes; with no run bound the sieve counts the constant ones
+        for total in itertools.accumulate(ct._primitive_class_counts(last, m)):
+            yield total - 2 * (m is None)
 
 
 def cmd_growth(args) -> int:
-    if args.tmax < 1:
+    item, m, last = args.item, args.m, args.tmax
+    if last < 1:
         raise ValueError("--tmax must be >= 1")
     # the target at t = 1 refuses a bad item or m, before any exact value is drawn
-    ct.growth_target(args.item, 1, args.m)
-    rows = []
-    for t, exact in zip(range(1, args.tmax + 1), _growth_exacts(args.item, args.m)):
+    ct.growth_target(item, 1, m)
+    if item in (3, 4):
+        # the rows end before the first t whose target overflows a double
         try:
-            target = ct.growth_target(args.item, t, args.m)
+            ct.growth_target(item, last, m)
+        except OverflowError:
+            last = _first_overflow(lambda t: ct.growth_target(item, t, m), last) - 1
+    exacts = _growth_exacts(item, m, last)
+    rows = []
+    for t in range(1, args.tmax + 1):
+        try:
+            target = ct.growth_target(item, t, m)
+            exact = next(exacts)
             ratio = exact / target if target else 0.0
         except OverflowError:
             raise ValueError(
-                f"growth item {args.item}: the float columns overflow a double at t={t}; "
+                f"growth item {item}: the float columns overflow a double at t={t}; "
                 f"use --tmax {t - 1} or less"
             ) from None
         rows.append({"t": t, "exact": exact, "target": target, "ratio": ratio})

@@ -5,51 +5,51 @@ word length is 2*tau.  Reciprocal (half-turn) families are parameterised by
 ``t`` with 2t sign entries, i.e. group length 4t.
 
 Every count is an exact Python integer; floating point only appears in the
-growth-target formulas and in the float views of the root data.  Every
-primitive count at one length is one Mobius inversion of its family's totals
-by length (``_mobius_sum``), and no count is cached; the one cache holds
-``alpha``.  Lengths and run bounds past ``_MAX_SIZE`` = 10^7 are refused.
+growth-target formulas and in the float views of the root data.  No count is
+cached; the one cache holds ``alpha``.  Lengths and run bounds past
+``_MAX_SIZE`` = 10^7 are refused.
 
-Two sums are linear in the length (Flajolet-Sedgewick, *Analytic
-Combinatorics* I.2 and IV.1):
+Every family is one of two kinds, whole or with a run bound m (the low-lying
+families; a bound of at least the length bounds nothing), and counts from its
+totals by length:
 
-- Bounded compositions have the rational generating function
-  1 / (1 - z - ... - z^m), so c_0 = 1, c_1 = 1 and, for k >= 2,
-  c_k = 2 c_(k-1) - c_(k-1-m) with c_j = 0 for j < 0: one big-integer
-  subtraction per length, with the last m + 1 values live.
-- Non-constant cyclic words of length d with every run at most m number
-  W(d) = p_d + q_d: p_0 = m, p_d = p_(d-1) + ... + p_(d-min(m,d-1)) + d [d <= m]
-  (power sums of the roots of z^m - z^(m-1) - ... - 1) and q_d = m if m + 1
-  divides d, else -1; one running window sum makes this one step per length.
+- orbit families, ``classes`` and ``lowlying``, count rotation classes of
+  words.  The totals are the words of d entries, 2^d, or with m the
+  non-constant ones with cyclic runs at most m, W(d).  The count at n is one
+  Burnside step over the totals at the divisors of n, ``_orbit_count``.
+- power families, ``reciprocal``, ``compositions`` and ``lowlying-reciprocal``,
+  count reciprocal classes of group length 4t, one per composition of t
+  (parts at most m).  The totals, 2^(t-1) or c_t, are the counts themselves.
 
-Every class count is one orbit step, ``_orbit_count``: Burnside's sum groups
-the tau shifts by d = gcd(shift, tau), so it is (1/tau) * sum over d | tau of
-phi(tau/d) * fixed(d), O(sqrt(tau) + d(tau)) terms, with fixed(d) the words
-of period d: 2^d, or W(d) + 2 [tau <= m] with runs at most m.
+Every class is the power of exactly one primitive class, of a length dividing
+its own, with the runs of that root unless it is constant.  So a primitive
+count is one Mobius step over the totals, ``_mobius_sum``.  A constant word of
+n entries is one run of length n, so W leaves out the two constant classes: a
+bounded orbit family counts them while n <= m, and as primitive classes only
+at n = 1.  The totals with m are linear recurrences (Flajolet-Sedgewick,
+*Analytic Combinatorics* I.2 and IV.1), one step per length: c_0 = c_1 = 1
+and c_k = 2 c_(k-1) - c_(k-1-m) with c_j = 0 for j < 0, from
+1 / (1 - z - ... - z^m); W(d) = p_d + q_d with p_0 = m,
+p_d = p_(d-1) + ... + p_(d-min(m,d-1)) + d [d <= m] (power sums of the roots of
+z^m - z^(m-1) - ... - 1) and q_d = m if m + 1 divides d, else -1.
 
-``count_series`` yields one family's counts at t = 1, 2, ...; the composition
-series costs one subtraction per length, and its primitive part one inversion
-over the terms already drawn.  ``cumulative`` is the sum of the first T terms.
-For ``classes`` and for primitive ``reciprocal`` and ``lowlying-reciprocal`` it
-regroups that sum over one Mobius sieve up to T, built per call in 2T + 2
-bytes (Dirichlet's hyperbola method; Apostol, *Introduction to Analytic Number
+``count`` takes one step on the totals at the divisors of t, from their
+closed forms when m is None or m >= t; ``count_series`` takes the steps along
+the totals.  ``cumulative`` sums the first T counts by one route per kind,
+over a Mobius sieve up to T built per call in 2T + 2 bytes where it needs one
+(Dirichlet's hyperbola method; Apostol, *Introduction to Analytic Number
 Theory*, 3.5):
 
-- a primitive total is sum over n <= T of sum over d | n of mu(n/d) f(d), which
-  is sum over k <= T of mu(k) F(T // k) with F(x) = f(1) + ... + f(x).  k has at
-  most 2 sqrt(T) values of T // k, and each run of k sharing one is weighted by
-  the sum of mu over it, a difference of two Mertens values.  The primitive
-  reciprocal total is O(sqrt(T)) big-integer terms of F(x) = 2^x - 1; the
-  primitive bounded-composition total reads the running sum of c_1, c_2, ...
-  at those values, one step per length with O(sqrt(T) + m) values live;
-- the primitive class counts at n = 1..T take their Mobius sums from the
-  squarefree divisors the sieve marks, with no factorisation per length;
-- every class is a power of exactly one primitive class, so the classes of
-  length at most T number sum over j <= T of P(T // j), P the cumulative
-  primitive count: the primitive pass plus O(sqrt(T)) products.
-
-``lowlying`` and the non-primitive composition families sum their series term
-by term.
+- power: the primitive total, sum over n <= T of sum over d | n of
+  mu(n/d) f(d), is sum over k <= T of mu(k) F(T // k), F(x) = f(1) + ... + f(x).
+  The at most 2 sqrt(T) runs of k sharing T // k weigh F by the sum of mu over
+  them, a difference of two Mertens values; the whole total is F(T).  F(x) is
+  2^x - 1, or with m the running sum of the totals.
+- orbit: the primitive counts P(n), n = 1..T, take their Mobius sums from the
+  squarefree divisors the sieve marks, and the primitive total is their sum.
+  A primitive class of length d has T // d powers up to T, so the classes up
+  to T number sum over j <= T of P(1) + ... + P(T // j), plus 2 min(T, m)
+  constant ones when bounded.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 __all__ = [
@@ -132,9 +132,6 @@ def _mobius_sum(n: int, f: Callable[[int], int]) -> int:
     return sum(map(f, plus)) - sum(map(f, minus))
 
 
-# ---------------------------------------------------------------------------
-# necklace and primitive-class counts
-
 def _orbit_count(n: int, fixed: Callable[[int], int], primitive: bool = False) -> int:
     # rotation classes of a shift-closed set of n-entry words with fixed(d) words of
     # period d, those the shifts of gcd d fix; ``primitive`` keeps least period n
@@ -160,6 +157,57 @@ def _orbit_quotient(total: int, n: int) -> int:
     return count
 
 
+# ---------------------------------------------------------------------------
+# the two kinds of family: one argument check, one per-length step, one series
+
+# number of torsion conjugacy classes of group-word length one
+_TORSION_CLASSES = 3
+
+_FORMULA_FAMILIES = ("classes", "reciprocal", "lowlying", "lowlying-reciprocal", "compositions")
+
+
+def _kind(family: str, m: Optional[int], primitive: bool, t: Optional[int] = None) -> tuple:
+    # check one family's arguments; return whether it is an orbit family, and
+    # its run bound, None if it has none or if it bounds nothing at length t
+    if m is not None and family in ("classes", "reciprocal"):
+        # true of the command line's family names too
+        raise ValueError("a run bound m is only for lowlying, lowlying-reciprocal, compositions")
+    if family not in _FORMULA_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {_FORMULA_FAMILIES}")
+    if primitive and family == "compositions":
+        raise ValueError(f"primitive counts are not defined for family {family!r}")
+    if m is None and family in ("lowlying", "lowlying-reciprocal"):
+        raise ValueError(f"family {family!r} needs the run bound m")
+    if m is not None and m < 1:
+        raise ValueError("run bound m must be >= 1")
+    bounds = m is not None and (t is None or m < t)
+    return family in ("classes", "lowlying"), m if bounds else None
+
+
+def _totals(orbit: bool, m: Optional[int]) -> Iterator[int]:
+    # a family's totals at lengths 1, 2, ... (module docstring)
+    if m is None:
+        return map((1).__lshift__, itertools.count(1 if orbit else 0))
+    return _run_bounded_words(m) if orbit else _composition_series(m)
+
+
+def _count_at(t: int, orbit: bool, m: Optional[int], primitive: bool, total=None) -> int:
+    # the one per-length step: the count at t from a family's totals at the
+    # divisors of t, drawn here unless given, from their closed forms when m is
+    # None; a bounded orbit family adds its constant classes (module docstring)
+    if total is None and m is None:
+        total = (1).__lshift__ if orbit else lambda d: 1 << (d - 1)
+    elif total is None and not (orbit or primitive):
+        return next(itertools.islice(_totals(orbit, m), t - 1, None))  # the total at t
+    elif total is None:
+        drawn = enumerate(itertools.islice(_totals(orbit, m), t), 1)
+        total = {d: w for d, w in drawn if t % d == 0}.__getitem__
+    if not orbit:
+        return _mobius_sum(t, total) if primitive else total(t)
+    constants = m is not None and t <= m and (t == 1 or not primitive)
+    return _orbit_count(t, total, primitive) + 2 * constants
+
+
 def necklace_count(tau: int) -> int:
     """Number of rotation classes of sign words with tau entries.
 
@@ -167,7 +215,7 @@ def necklace_count(tau: int) -> int:
     d = gcd(shift, tau): (1/tau) * sum over d | tau of phi(tau/d) * 2**d.
     """
     _check_size("tau", tau)
-    return _orbit_count(tau, (1).__lshift__)  # 2**d words of period d
+    return _count_at(tau, True, None, False)
 
 
 def primitive_class_count(tau: int) -> int:
@@ -176,7 +224,7 @@ def primitive_class_count(tau: int) -> int:
     Length 1 counts too: both one-entry classes are infinite order as group words.
     """
     _check_size("tau", tau)
-    return _orbit_count(tau, (1).__lshift__, primitive=True)
+    return _count_at(tau, True, None, True)
 
 
 primitive_class_count_mobius = primitive_class_count  # the former name, for existing importers
@@ -189,41 +237,23 @@ def reciprocal_count(t: int, primitive: bool = False) -> int:
     a divisor d of t, so the primitive part is ``_mobius_sum`` over 2**(d-1).
     """
     _check_size("t", t)
-    if primitive:
-        return _mobius_sum(t, lambda d: 1 << (d - 1))
-    return 1 << (t - 1)
+    return _count_at(t, False, None, primitive)
 
 
-# number of torsion conjugacy classes of group-word length one
-_TORSION_CLASSES = 3
+def bounded_compositions(t: int, m: int) -> int:
+    """Number of compositions of t with every part at most m.
 
-_COMPOSITION_FAMILIES = ("lowlying-reciprocal", "compositions")
-_FORMULA_FAMILIES = ("classes", "reciprocal", "lowlying", *_COMPOSITION_FAMILIES)
-
-
-def _per_length(family: str, m: Optional[int], primitive: bool) -> Callable[[int], int]:
-    """The exact counter t -> count of one formula family, after checking its arguments."""
-    if m is not None and family in ("classes", "reciprocal"):
-        # true of the command line's family names too
-        raise ValueError("a run bound m is only for lowlying, lowlying-reciprocal, compositions")
-    if family == "classes":
-        return primitive_class_count if primitive else necklace_count
-    if family == "reciprocal":
-        return partial(reciprocal_count, primitive=primitive)
-    if family not in _FORMULA_FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {_FORMULA_FAMILIES}")
-    if primitive and family == "compositions":
-        raise ValueError(f"primitive counts are not defined for family {family!r}")
-    if m is None:
-        if family != "compositions":
-            raise ValueError(f"family {family!r} needs the run bound m")
-        return reciprocal_count
+    Conventions: one empty composition of 0, none of negative totals.  For
+    m >= t >= 1 this is all 2**(t-1) compositions.  Costs O(t) big-integer
+    steps with at most m + 1 values live.
+    """
     if m < 1:
-        raise ValueError("run bound m must be >= 1")
-    if family == "lowlying":
-        return partial(_lowlying_count, m=m, primitive=primitive)
-    compositions = partial(bounded_compositions, m=m)
-    return partial(_mobius_sum, f=compositions) if primitive else compositions
+        raise ValueError("part bound m must be >= 1")
+    if t < 0:
+        return 0
+    if t == 0:
+        return 1
+    return _count_at(t, False, m if m < t else None, False)
 
 
 def count(family: str, t: int, *, m: Optional[int] = None, primitive: bool = False) -> int:
@@ -237,34 +267,34 @@ def count(family: str, t: int, *, m: Optional[int] = None, primitive: bool = Fal
     drops proper powers; ``compositions`` refuses it.
     """
     _check_size("t", t)
-    return _per_length(family, m, primitive)(t)
+    orbit, m = _kind(family, m, primitive, t)
+    return _count_at(t, orbit, m, primitive)
 
 
-def count_series(
-    family: str, *, m: Optional[int] = None, primitive: bool = False
-) -> Iterator[int]:
+def count_series(family: str, *, m: Optional[int] = None, primitive: bool = False) -> Iterator[int]:
     """Yield ``count(family, t, m=m, primitive=primitive)`` for t = 1, 2, ... .
 
-    The arguments are checked before the first term.  Bounded compositions
-    cost one big-integer step per term, ``lowlying`` one step and one orbit
-    step; every other family costs one count evaluation per term.
+    The arguments are checked before the first term.  With m each term is one
+    recurrence step and one step on the totals drawn so far, which a power
+    family yields as they are; without m each term is one ``count``.
     """
-    counter = _per_length(family, m, primitive)  # checks the arguments
-    if family == "lowlying":
-        return _lowlying_series(m, primitive)
-    if family in _COMPOSITION_FAMILIES and m is not None:
-        series = _composition_series(m)
-        return _primitive_series(series) if primitive else series
-    return map(counter, itertools.count(1))
+    orbit, m = _kind(family, m, primitive)
+    if m is None:
+        return (_count_at(n, orbit, None, primitive) for n in itertools.count(1))
+    if not (orbit or primitive):
+        return _totals(orbit, m)
+    return _bounded_series(orbit, m, primitive)
 
 
-def _primitive_series(totals: Iterator[int]) -> Iterator[int]:
-    # primitive parts of the totals f(1), f(2), ...; the totals seen live with the series
-    seen = [0]
-    for n, total in enumerate(totals, 1):
-        seen.append(total)
-        yield _mobius_sum(n, seen.__getitem__)
+def _bounded_series(orbit: bool, m: int, primitive: bool) -> Iterator[int]:
+    held = [0]  # the totals drawn so far: the divisors of every later length
+    for n, total in enumerate(_totals(orbit, m), 1):
+        held.append(total)
+        yield _count_at(n, orbit, m, primitive, held.__getitem__)
 
+
+# ---------------------------------------------------------------------------
+# cumulative counts: one sieved route per kind
 
 def cumulative(
     family: str,
@@ -276,28 +306,17 @@ def cumulative(
 ) -> int:
     """Sum of ``count`` over lengths 1..t_max, the first t_max terms of ``count_series``.
 
-    ``classes`` may add the 3 torsion classes of group length one;
-    ``reciprocal`` without the primitive flag collapses to 2**t_max - 1.
-    ``classes``, primitive ``reciprocal`` and primitive ``lowlying-reciprocal``
-    regroup the sum over one Mobius sieve up to t_max (module docstring): the
-    reciprocal total takes O(sqrt(t_max)) big-integer terms, the composition
-    total one recurrence step per length, and ``classes`` one Mobius sum per
-    length from the sieve plus O(sqrt(t_max)) products.  ``lowlying`` and the
-    non-primitive composition families sum their series term by term.
+    ``classes`` may add the 3 torsion classes of group length one.  The sum takes
+    one route per kind (module docstring): a power family's is O(sqrt(t_max))
+    big-integer terms, or one recurrence step per length with m; an orbit
+    family's is one Mobius sum per length plus O(sqrt(t_max)) products.
     """
     _check_size("t_max", t_max)
     if include_torsion and (family != "classes" or primitive):
         raise ValueError("torsion classes add only to the non-primitive classes family")
-    series = count_series(family, m=m, primitive=primitive)  # checks the arguments
-    if family == "reciprocal" and not primitive:
-        return (1 << t_max) - 1
-    if family == "classes":
-        total = _cumulative_classes(t_max, primitive)
-    elif primitive and family in ("reciprocal", "lowlying-reciprocal"):
-        total = _cumulative_primitive(t_max, m)  # m is None for reciprocal, refused otherwise
-    else:
-        total = sum(itertools.islice(series, t_max))
-    return total + (_TORSION_CLASSES if include_torsion else 0)
+    orbit, m = _kind(family, m, primitive, t_max)
+    route = _cumulative_orbit if orbit else _cumulative_power
+    return route(t_max, m, primitive) + (_TORSION_CLASSES if include_torsion else 0)
 
 
 def _mobius_sieve(n: int) -> memoryview:
@@ -339,53 +358,57 @@ def _weighted_prefix_sums(weights: dict[int, int], terms: Iterator[int]) -> int:
     return total
 
 
-def _cumulative_primitive(t_max: int, m: Optional[int]) -> int:
-    # sum over k <= t_max of mu(k) F(t_max // k), F the cumulative reciprocal
-    # count, or with m the cumulative bounded-composition count; a run of k
-    # sharing t_max // k weighs F by the sum of mu over it, a difference of two
-    # Mertens values
-    mu = _mobius_sieve(t_max)
-    weights = {q: sum(mu[lo : hi + 1]) for lo, hi, q in _quotient_blocks(t_max)}
+def _cumulative_power(t_max: int, m: Optional[int], primitive: bool) -> int:
+    # sum over k <= t_max of mu(k) F(t_max // k), F the running sum of the totals,
+    # a run of k sharing t_max // k weighted by its sum of mu; or all of F(t_max)
+    weights = {t_max: 1}
+    if primitive:
+        mu = _mobius_sieve(t_max)
+        weights = {q: sum(mu[lo : hi + 1]) for lo, hi, q in _quotient_blocks(t_max)}
     if m is None:
-        # smallest terms first, so that each addition costs the larger term's size
+        # F(x) = 2^x - 1, smallest terms first, so that each addition costs the
+        # larger term's size
         return sum(w * ((1 << q) - 1) for q, w in reversed(weights.items()))
-    return _weighted_prefix_sums(weights, _composition_series(m))
+    return _weighted_prefix_sums(weights, _totals(False, m))
 
 
-# lengths whose signed-divisor lists ``_primitive_class_counts`` holds at once
+def _cumulative_orbit(t_max: int, m: Optional[int], primitive: bool) -> int:
+    # the primitive counts summed, or sum over j of P(1) + ... + P(t_max // j);
+    # with m the constant classes too, of m < t_max lengths (_kind)
+    weights = {t_max: 1}
+    if not primitive:
+        weights = {q: hi - lo + 1 for lo, hi, q in _quotient_blocks(t_max)}
+    total = _weighted_prefix_sums(weights, _primitive_class_counts(t_max, m))
+    return total if m is None else total + 2 * (1 if primitive else m)
+
+
+# lengths whose signed-quotient lists ``_primitive_class_counts`` holds at once
 _SEGMENT = 1 << 14
 
 
-def _primitive_class_counts(t_max: int) -> Iterator[int]:
-    # primitive_class_count(n) for n = 1..t_max: (1/n) * sum over squarefree
-    # e | n of mu(e) 2^(n/e).  Each squarefree e of the sieve files the quotient
-    # j of each multiple n = e*j under its sign, a segment of lengths at a time,
-    # so no length is factorised and the lists stay O(_SEGMENT log t_max)
+def _primitive_class_counts(t_max: int, m: Optional[int] = None) -> Iterator[int]:
+    # P(n) for n = 1..t_max, (1/n) * sum over squarefree e | n of mu(e) total(n/e)
+    # over an orbit family's totals.  Each squarefree e > 1 of the sieve files
+    # the quotient j of each multiple n = e*j under its sign, a segment of
+    # lengths at a time, so no length is factorised and the lists stay
+    # O(_SEGMENT log t_max).  Those quotients are at most t_max // 2, so W is
+    # held only that far (2^d is a shift) and each length's own total, e = 1,
+    # comes from a second pass over the totals.
     mu = _mobius_sieve(t_max)
-    shift = (1).__lshift__
+    total = (1).__lshift__
+    if m is not None:
+        total = [0, *itertools.islice(_totals(True, m), t_max // 2)].__getitem__
+    own = _totals(True, m)
     for lo in range(1, t_max + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, t_max + 1)
         plus: list[list[int]] = [[] for _ in range(lo, hi)]
         minus: list[list[int]] = [[] for _ in range(lo, hi)]
-        for e in itertools.compress(range(hi), mu[:hi]):
+        for e in itertools.compress(range(2, hi), mu[2:hi]):
             quotients = plus if mu[e] > 0 else minus
             for j in range(-(-lo // e), (hi - 1) // e + 1):
                 quotients[e * j - lo].append(j)
-        for n, up, down in zip(range(lo, hi), plus, minus):
-            yield _orbit_quotient(sum(map(shift, up)) - sum(map(shift, down)), n)
-
-
-def _cumulative_classes(t_max: int, primitive: bool) -> int:
-    # the primitive classes of length at most t_max; or all of them, each the
-    # power of one primitive class, so that a primitive class of length d has
-    # t_max // d powers and the total is sum over j of P(t_max // j), P the
-    # primitive cumulative count
-    counts = _primitive_class_counts(t_max)
-    if primitive:
-        return sum(counts)
-    return _weighted_prefix_sums(
-        {q: hi - lo + 1 for lo, hi, q in _quotient_blocks(t_max)}, counts
-    )
+        for n, first, up, down in zip(range(lo, hi), own, plus, minus):
+            yield _orbit_quotient(first + sum(map(total, up)) - sum(map(total, down)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -413,38 +436,6 @@ def _run_bounded_words(m: int) -> Iterator[int]:
         window.append(p)
         total += p - (window.popleft() if len(window) > m else 0)
         yield p + (m if d % (m + 1) == 0 else -1)
-
-
-def _lowlying_count(n: int, m: int, primitive: bool, words: Optional[dict[int, int]] = None) -> int:
-    # classes of n entries with runs at most m from words[d] = W(d) for d | n,
-    # drawn here when not given; a constant word's run is n
-    if words is None:
-        series = enumerate(itertools.islice(_run_bounded_words(m), n), 1)
-        words = {d: w for d, w in series if n % d == 0}
-    return _orbit_count(n, lambda d: words[d] + 2 * (n <= m), primitive)
-
-
-def _lowlying_series(m: int, primitive: bool) -> Iterator[int]:
-    words: dict[int, int] = {}  # W(1), ..., W(n): the divisors of every length
-    for n, w in enumerate(_run_bounded_words(m), 1):
-        words[n] = w
-        yield _lowlying_count(n, m, primitive, words)
-
-
-def bounded_compositions(t: int, m: int) -> int:
-    """Number of compositions of t with every part at most m.
-
-    Conventions: one empty composition of 0, none of negative totals.  For
-    m >= t >= 1 this is all 2**(t-1) compositions.  Costs O(t) big-integer
-    steps with at most m + 1 values live.
-    """
-    if m < 1:
-        raise ValueError("part bound m must be >= 1")
-    if t < 0:
-        return 0
-    if t == 0:
-        return 1
-    return next(itertools.islice(_composition_series(m), t - 1, None))
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,10 @@ def classes(
         # leaves all such words behind
         bits = (1 << (tau - bound - 1)) - 1
     # the periodic extension of an i-entry prefix to tau entries is
-    # prefix * scale[i] | prefix >> drop[i]
+    # prefix * scale[i] | prefix >> drop[i]; scale[i] has tau bits, so each
+    # one is built when the walk first needs it
     scale = [0] * (tau + 1)
-    drop = [0] * (tau + 1)
-    for i in range(2, tau + 1):
-        q, r = divmod(tau, i)
-        scale[i] = ((1 << (i * q)) - 1) // ((1 << i) - 1) << r
-        drop[i] = i - r
+    drop = [0] + [i - tau % i for i in range(1, tau + 1)]
     while True:
         # FKM successor: raise the last -1 entry, at position i, to +1
         ones = _trailing_ones(bits)
@@ -123,7 +120,11 @@ def classes(
         # with +1, so the copies of the prefix meet at a sign change, and so
         # does the wrap of a necklace, which ends on a whole copy: the runs of
         # an emitted word, cyclic ones included, are the runs of its prefix.
-        bits = prefix * scale[i] | prefix >> drop[i]
+        factor = scale[i]
+        if not factor:
+            q, r = divmod(tau, i)
+            factor = scale[i] = ((1 << (i * q)) - 1) // ((1 << i) - 1) << r
+        bits = prefix * factor | prefix >> drop[i]
         if i == tau or (not primitive and tau % i == 0):
             yield BinaryWord(bits, tau)
 
@@ -153,9 +154,25 @@ def _bounded_run_words(t: int, bound: int) -> Iterator[int]:
             bits |= 1 << ones
 
 
-def _mirror_tables(t: int) -> tuple[int, int, list[int], list[int]]:
+# the longest halves whose reversals ``_mirror_tables`` tabulates, 2^16 per table
+_TABULATED_HALF = 32
+
+
+class _Reversals:
+    # rev_n(x) = rev_n[x], for halves too long to tabulate
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __getitem__(self, x: int) -> int:
+        return _reverse_bits(x, self.n)
+
+
+def _mirror_tables(t: int) -> tuple:
     # s(h) = ~rev_t(h) on t entries: with h = hi.lo, lo of `low` bits,
-    # rev_t(h) = rev(lo).rev(hi), so s(h) = mask ^ (rev_low[lo] | rev_high[hi])
+    # rev_t(h) = rev(lo).rev(hi), so s(h) = mask ^ (rev_low[lo] | rev_high[hi]);
+    # past _TABULATED_HALF, lo is empty and rev_high reverses all t bits
+    if t > _TABULATED_HALF:
+        return 0, 0, (0,), _Reversals(t)
     low = t >> 1
     high = t - low
     rev_low = [_reverse_bits(x, low) << high for x in range(1 << low)]

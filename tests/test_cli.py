@@ -948,6 +948,11 @@ def _python(*args):
         ("enumerate", "--family", "reciprocal", "--t", "15", "--m", "3"),
         ("count", "--family", "reciprocal-primitive", "--t", "2000", "--cumulative"),
         ("count", "--family", "classes+torsion", "--t", "800", "--cumulative"),
+        ("count", "--family", "lowlying", "--t", "2000", "--m", "3", "--cumulative"),
+        ("count", "--family", "lowlying", "--t", "2000", "--m", "3", "--cumulative",
+         "--primitive"),
+        ("growth", "--item", "3", "--tmax", "400"),
+        ("growth", "--item", "4", "--m", "3", "--tmax", "400"),
     ],
 )
 def test_same_output_under_python_O(argv):

@@ -98,15 +98,22 @@ def test_inversion_matches_divisor_peel_to_2000():
     )
 
 
-# every route of ``cumulative`` that sieves: (family, m, primitive, include_torsion)
+# every route of ``cumulative``: (family, m, primitive, include_torsion)
 _SIEVED = [("classes", None, True, False), ("classes", None, False, False),
            ("classes", None, False, True), ("reciprocal", None, True, False),
-           *(("lowlying-reciprocal", m, True, False) for m in range(1, 9))]
+           *(("lowlying-reciprocal", m, True, False) for m in range(1, 9)),
+           ("reciprocal", None, False, False), ("compositions", None, False, False),
+           *(("compositions", m, False, False) for m in (1, 3, 8)),
+           *(("lowlying-reciprocal", m, False, False) for m in (2, 5)),
+           *(("lowlying", m, primitive, False) for m in range(1, 9) for primitive in (True, False))]
 
 
 def test_primitive_counts_retain_no_memory():
     # nothing computed along the way outlives the call, on any sieved route
-    for family, m, primitive, torsion in _SIEVED[:5]:
+    for family, m, primitive, torsion in _SIEVED:
+        if m not in (None, 3):
+            continue
+
         def run(t):
             cumulative(family, t, m=m, primitive=primitive, include_torsion=torsion)
 
@@ -121,19 +128,32 @@ def test_primitive_counts_retain_no_memory():
         assert retained < 16 * 1024, (family, m, primitive, torsion, retained)
 
 
+def _cumulative_peak(family, t, m):
+    cumulative(family, 50, m=m, primitive=True)
+    tracemalloc.start()
+    try:
+        cumulative(family, t, m=m, primitive=True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_cumulative_composition_peak_is_far_below_its_terms():
     # the primitive bounded-composition total keeps a running sum and O(sqrt(T))
     # block weights, not the T terms that an inversion term by term holds
     T = 5000
     held = sum(map(sys.getsizeof, itertools.islice(count_series("lowlying-reciprocal", m=3), T)))
-    cumulative("lowlying-reciprocal", 50, m=3, primitive=True)
-    tracemalloc.start()
-    try:
-        cumulative("lowlying-reciprocal", T, m=3, primitive=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _cumulative_peak("lowlying-reciprocal", T, 3)
     assert peak < held // 20, (peak, held)
+
+
+def test_cumulative_lowlying_peak_is_far_below_its_totals():
+    # the orbit sieve holds W(d) for d <= T // 2 only, about a quarter of the
+    # bits of all T totals, and draws each length's own total again
+    T = 20000
+    held = sum(map(sys.getsizeof, itertools.islice(_run_bounded_words(3), T)))
+    peak = _cumulative_peak("lowlying", T, 3)
+    assert peak < held // 2, (peak, held)
 
 
 def test_mobius_sieve_matches_factorisation():
@@ -149,13 +169,21 @@ def test_mobius_sieve_matches_factorisation():
 
 def test_primitive_class_counts_across_segments(monkeypatch):
     # segments far shorter than the lengths, so most quotients are filed in a
-    # segment that does not start at 1
+    # segment that does not start at 1; over the totals 2^d and W(d)
     for segment in (1, 7, 64):
         monkeypatch.setattr(counting, "_SEGMENT", segment)
         assert list(_primitive_class_counts(300)) == [
             primitive_class_count(n) for n in range(1, 301)
         ]
         assert cumulative("classes", 300) == sum(necklace_count(n) for n in range(1, 301))
+        for m in (1, 3, 8):
+            # with a run bound the sieve leaves out the two constant classes
+            assert list(_primitive_class_counts(300, m)) == [
+                count("lowlying", n, m=m, primitive=True) - 2 * (n == 1) for n in range(1, 301)
+            ]
+            assert cumulative("lowlying", 300, m=m) == sum(
+                count("lowlying", n, m=m) for n in range(1, 301)
+            )
 
 
 def test_quotient_blocks_cover_every_k_once():

@@ -1,4 +1,7 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +229,48 @@ def test_sizes_past_maxsize_are_refused_on_the_first_pull(words):
         pulled = words(huge, 3) if words is lower_bound_witnesses else words(huge)
         with pytest.raises(ValueError, match="must be <= 10000000"):
             next(pulled)
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _first_words_under_600_mb(expr):
+    # evaluate expr in a fresh interpreter whose address space is capped at
+    # 600 MB, so that a table built before the first word ends there
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))\n"
+        "from itertools import islice\n"
+        "from modgeod import enumeration\n"
+        f"print({expr})\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_long_reciprocal_words_come_before_any_table():
+    # halves past 32 entries are reversed word by word, not looked up in two
+    # tables of 2^(t/2) entries each
+    def mirrored(half, t):
+        return half << t | int(format(half, f"0{t}b")[::-1].translate({48: 49, 49: 48}), 2)
+
+    first = [mirrored(half, 60) for half in range(3)]
+    out = _first_words_under_600_mb(
+        "[h.word.bits for h in islice(enumeration.reciprocal_classes(60), 3)],"
+        "next(enumeration._reciprocal_chunks(60, None, False, 4096))[0][:3]"
+    )
+    assert out == f"{first} {first}\n"
+
+
+def test_long_classes_build_their_extension_factors_as_the_walk_needs_them():
+    out = _first_words_under_600_mb(
+        "[w.bits for w in islice(enumeration.classes(60000, primitive=True), 2)]"
+    )
+    assert out == "[1, 3]\n"
 
 
 def test_reciprocal_lowlying_matches_compositions():
