@@ -3,10 +3,11 @@
 Output is deterministic for a fixed argv: rows are emitted in sorted order,
 reals are printed with 12 significant digits in CSV mode, and JSON mode
 mirrors the CSV rows as an array of objects with the same field names.
-Rows are written a column chunk of ``_CHUNK_ROWS`` rows at a time, each
-column rendered whole, and ``enumerate`` streams its chunks as the generators
-make them, so its memory does not grow with the class count.  Reciprocal
-words come checked from ``enumeration._reciprocal_chunks``.
+Rows are written a column chunk at a time, each column rendered whole, and
+``enumerate`` streams its chunks as the generators make them, so its memory
+does not grow with the class count.  A chunk is ``_CHUNK_ROWS`` rows, except
+that reciprocal words come checked from ``enumeration._reciprocal_chunks``,
+one chunk per block of the core's halves.
 
 Exit codes: 0 on success, and also when the reader of stdout closes it early
 (as ``| head`` does); 1 when a verification or dual-source cross-check fails;
@@ -74,7 +75,7 @@ def _column(values: Sequence, fmt: str) -> Iterable[str]:
     return map(json.dumps if fmt == "json" else _fmt, values)
 
 
-# rows per chunk of tables and of ``enumerate``
+# rows per chunk of tables and of ``enumerate``'s classes
 _CHUNK_ROWS = 4096
 
 
@@ -213,10 +214,11 @@ def _sign_texts(words: list[int], spec: str) -> list[str]:
 
 
 def _enumerate_columns(args) -> Iterator[tuple]:
-    """The rows of ``enumerate`` as column chunks of at most ``_CHUNK_ROWS`` rows.
+    """The rows of ``enumerate`` as column chunks.
 
-    Words are formatted from their packed bits.  Reciprocal words come checked
-    from the bits-level core and build no word object.
+    Words are formatted from their packed bits.  Classes come ``_CHUNK_ROWS``
+    at a time; reciprocal words come checked from the bits-level core, a
+    block at a time, and build no word object.
     """
     t = args.t
     if args.family == "classes":
@@ -224,7 +226,7 @@ def _enumerate_columns(args) -> Iterator[tuple]:
         while chunk := [w.bits for w in itertools.islice(words, _CHUNK_ROWS)]:
             yield _sign_texts(chunk, f"0{t}b"), [t] * len(chunk)
         return
-    for words, k0s in en._reciprocal_chunks(t, args.m, args.primitive, _CHUNK_ROWS):
+    for words, k0s in en._reciprocal_chunks(t, args.m, args.primitive):
         yield _sign_texts(words, f"0{2 * t}b"), [t] * len(words), k0s
 
 
@@ -365,13 +367,14 @@ def cmd_table1(args) -> int:
             f"use --t {first - 1} or less"
         ) from None
 
-    def enum_count(gen):
-        return sum(1 for _ in gen) if enumerable else ""
+    def enum_count(sizes):
+        return sum(sizes) if enumerable else ""
 
-    classes_n = enum_count(en.classes(t))
-    reciprocal_n = enum_count(en.reciprocal_classes(t))
-    lowlying_n = enum_count(en.classes(t, m=m))
-    lowlying_rec_n = enum_count(en.reciprocal_classes(t, m))
+    # reciprocal classes are counted as the checked rows enumerate prints
+    classes_n = enum_count(1 for _ in en.classes(t))
+    reciprocal_n = enum_count(len(words) for words, _ in en._reciprocal_chunks(t, None, False))
+    lowlying_n = enum_count(1 for _ in en.classes(t, m=m))
+    lowlying_rec_n = enum_count(len(words) for words, _ in en._reciprocal_chunks(t, m, False))
 
     rows = [
         {"family": family, "word_length": length, "formula": formula, "enumerated": n, "check": ""}

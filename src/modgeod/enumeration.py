@@ -13,9 +13,12 @@ bits a block of halves at a time; ``verify`` counts these and checks the
 composition bijection on them.  Both do a constant amount of big-integer work
 per class on average, and neither canonicalises a word by rotating it.  The
 CLI streams its rows from ``_reciprocal_chunks``, which makes the
-``HalfTurnWord`` constructor's checks on the core's words a chunk at a time:
+``HalfTurnWord`` constructor's checks on the core's words a block at a time:
 the mirror test, and k0 from one period test per prime dividing 2t, with
 ``_k0_bits`` only for the few words that have a proper period.
+``classes`` makes the extension of a prefix length when the walk first
+reaches it, and ``lower_bound_witnesses`` walks the assignments of its free
+slots with the submask step, so neither builds a table before its first word.
 
 Emission is in increasing bit order of the canonical representative, which is
 lexicographic order of the entries with -1 first, so output is sorted and
@@ -99,10 +102,9 @@ def classes(
         # leaves all such words behind
         bits = (1 << (tau - bound - 1)) - 1
     # the periodic extension of an i-entry prefix to tau entries is
-    # prefix * scale[i] | prefix >> drop[i]; scale[i] has tau bits, so each
-    # one is built when the walk first needs it
-    scale = [0] * (tau + 1)
-    drop = [0] + [i - tau % i for i in range(1, tau + 1)]
+    # prefix * factor | prefix >> drop; the factor has tau bits, so the pair
+    # for each i is made when the walk first reaches that length
+    extensions = {}
     while True:
         # FKM successor: raise the last -1 entry, at position i, to +1
         ones = _trailing_ones(bits)
@@ -120,11 +122,12 @@ def classes(
         # with +1, so the copies of the prefix meet at a sign change, and so
         # does the wrap of a necklace, which ends on a whole copy: the runs of
         # an emitted word, cyclic ones included, are the runs of its prefix.
-        factor = scale[i]
-        if not factor:
+        try:
+            factor, drop = extensions[i]
+        except KeyError:
             q, r = divmod(tau, i)
-            factor = scale[i] = ((1 << (i * q)) - 1) // ((1 << i) - 1) << r
-        bits = prefix * factor | prefix >> drop[i]
+            factor, drop = extensions[i] = (((1 << (i * q)) - 1) // ((1 << i) - 1) << r, i - r)
+        bits = prefix * factor | prefix >> drop
         if i == tau or (not primitive and tau % i == 0):
             yield BinaryWord(bits, tau)
 
@@ -235,25 +238,25 @@ def _reciprocal_blocks(t: int, m: Optional[int]) -> Iterator[list[int]]:
 
 
 def _reciprocal_chunks(
-    t: int, m: Optional[int], primitive: bool, size: int
+    t: int, m: Optional[int], primitive: bool
 ) -> Iterator[tuple[list[int], list[int]]]:
-    """The words of ``_reciprocal_bits`` and their k0s, checked ``size`` at a time.
+    """The words of ``_reciprocal_bits`` and their k0s, checked a block at a time.
 
-    Yields non-empty pairs of equal-length lists, packed words and k0s, in the
-    core's order.  Each word gets the checks the ``HalfTurnWord`` constructor
-    makes, a chunk at a time: a word that is not mirrored raises
-    ``ContractViolationError`` naming it, and k0 equals ``_k0_bits``.  With
-    ``primitive`` only the words with k0 = t are kept.  Arguments are checked
-    on the first pull.
+    Yields one pair of equal-length lists, packed words and k0s, per block of
+    ``_reciprocal_blocks`` that keeps a word, in the core's order.  Each word
+    gets the checks the ``HalfTurnWord`` constructor makes, a block at a time:
+    a word that is not mirrored raises ``ContractViolationError`` naming it,
+    and k0 equals ``_k0_bits``.  With ``primitive`` only the words with
+    k0 = t are kept.  Arguments are checked on the first pull.
 
     The rotations that fix a word of L = 2t entries form a subgroup of Z_L,
     so the word has a proper period exactly when its rotation by L/r is the
     identity for some prime r dividing L.  Only the words that pass such a
-    test, few in any chunk, go to ``_k0_bits``; every other word has smallest
+    test, few in any block, go to ``_k0_bits``; every other word has smallest
     period L and so k0 = t.
     """
-    words = _reciprocal_bits(t, m)
-    chunk = list(islice(words, size))  # checks t and m before anything else
+    blocks = _reciprocal_blocks(t, m)
+    blocks = chain([next(blocks, [])], blocks)  # checks t and m before anything else
     length = 2 * t
     mask = (1 << t) - 1
     low, low_mask, rev_low, rev_high = _mirror_tables(t)
@@ -261,7 +264,7 @@ def _reciprocal_chunks(
     # the rotation by d of a word of L entries is the identity iff its first
     # L - d entries equal its last L - d ones
     periods = [(length // r, (1 << (length - length // r)) - 1) for r, _ in _factorise(length)]
-    while chunk:
+    for chunk in filter(None, blocks):
         # mirrored iff s(first half) = second half, as _is_half_turn_bits
         broken = [
             bits for bits in chunk
@@ -281,7 +284,6 @@ def _reciprocal_chunks(
         else:
             k0 = {bits: _k0_bits(bits, length) for bits in periodic}
             yield chunk, [k0.get(bits, t) for bits in chunk]
-        chunk = list(islice(words, size))
 
 
 def reciprocal_classes(
@@ -363,24 +365,6 @@ def power_map(w: BinaryWord, n: int) -> BinaryWord:
     return canonical_form(BinaryWord(bits, n * w.length))
 
 
-def _subset_tables(masks: list[int]) -> tuple[list[int], list[int]]:
-    """Split tables of the unions of disjoint bit masks, about 2^(n/2) entries each.
-
-    Index the subsets of the n masks by n-bit numbers, the first mask the most
-    significant bit.  With k = n // 2, subset (u << k) | v is the union
-    hi[u] | lo[v], so walking u and then v walks the indices in order.
-    """
-
-    def unions(part: list[int]) -> list[int]:
-        table = [0]
-        for mask in part:
-            table = [x | bit for x in table for bit in (0, mask)]
-        return table
-
-    split = len(masks) - len(masks) // 2
-    return unions(masks[:split]), unions(masks[split:])
-
-
 def lower_bound_witnesses(t: int, m: int) -> Iterator[BinaryWord]:
     """Generate bounded-run words from the forced-slot construction.
 
@@ -395,10 +379,8 @@ def lower_bound_witnesses(t: int, m: int) -> Iterator[BinaryWord]:
     _check_size("t", t)
     _check_size("run bound m", min(m, t))
     forced = sorted({*range(m, t, m), t - 1})
-    # entry j is bit t-1-j; the free slots run in entry order, so the first
-    # is the most significant bit of the assignment index
-    free_hi, free_lo = _subset_tables([1 << (t - 1 - j) for j in range(t) if j not in forced])
     slots = [1 << (t - 1 - g) for g in forced]
+    free = (1 << t) - 1 - sum(slots)
     # once forced slot k is set, the entries before the next one are known
     known = [(t - end, (1 << end) - 1) for end in (*forced[1:], t)]
 
@@ -419,8 +401,14 @@ def lower_bound_witnesses(t: int, m: int) -> Iterator[BinaryWord]:
                     return found
         return None
 
-    for hi in free_hi:
-        for lo in free_lo:
-            bits = complete(hi | lo, 0)
-            if bits is not None:
-                yield BinaryWord(bits, t)
+    # entry j is bit t-1-j, so increasing order of the free assignments is
+    # entry order; the submask step walks the subsets of free in that order
+    # (Knuth, TAOCP 4A, 7.1.3)
+    subset = 0
+    while True:
+        bits = complete(subset, 0)
+        if bits is not None:
+            yield BinaryWord(bits, t)
+        if subset == free:
+            return
+        subset = (subset - free) & free

@@ -198,9 +198,8 @@ class DepthReport:
 
     ``winding_bracket`` is (floor(L), floor(L) + 1) for L = 2 * apex =
     sqrt(trace^2 - 4) / min|c|, computed in integers.  ``cross_check_ok`` is
-    True when the run walk's min|c| equals the reduced-cycle minimum,
-    False when the two exact computations disagree, and None when the check
-    was not run.
+    True when the run walk's min|c| equals the reduced-cycle minimum, which
+    ``max_depth`` always computes, and False when the two disagree.
     """
 
     word: BinaryWord

@@ -341,7 +341,7 @@ def check_reciprocal_count_oracle(tmax: int = 16) -> Outcome:
     for t in range(1, tmax + 1):
         # one pass over enumerate's checked rows: a class is primitive iff k0 = t
         n = p = 0
-        for words, k0s in en._reciprocal_chunks(t, None, False, en._RECIPROCAL_BLOCK):
+        for words, k0s in en._reciprocal_chunks(t, None, False):
             n += len(words)
             p += k0s.count(t)
         if n != 1 << (t - 1):

@@ -332,9 +332,9 @@ def test_enumerate_reciprocal_rows_match_the_object_route(capsys, monkeypatch):
         assert _reciprocal_csv_rows(capsys, t, m, False) == expected, (t, m)
         primitive = [row for row in expected if row[2] == str(t)]
         assert _reciprocal_csv_rows(capsys, t, m, True) == primitive, (t, m)
-    # chunks of three words: periodic words fall on chunk edges, and with
-    # --primitive some chunks keep no word at all
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    # blocks of three halves: periodic words fall on chunk edges, and some
+    # blocks keep no word at all, more of them with --primitive
+    monkeypatch.setattr(en, "_RECIPROCAL_BLOCK", 3)
     for t in range(1, 9):
         for primitive in (False, True):
             expected = [
@@ -361,13 +361,13 @@ def test_enumerate_reciprocal_json_is_json_dumps_of_the_classes(capsys, m, primi
         assert out == json.dumps(rows, indent=2) + "\n", (t, m, primitive)
 
 
-# the words of enumerate --family reciprocal --t 4, the sixth made non-mirrored
+# the words of enumerate --family reciprocal --t 4 in two blocks of four, the
+# sixth made non-mirrored
 _BROKEN_CORE = """
 from modgeod import cli, enumeration as en
 words = list(en._reciprocal_bits(4))
 words[5] ^= 1
-en._reciprocal_bits = lambda t, m=None: iter(words)
-cli._CHUNK_ROWS = 4
+en._reciprocal_blocks = lambda t, m: iter([words[:4], words[4:]])
 cli.main(["enumerate", "--family", "reciprocal", "--t", "4"])
 """
 
@@ -377,8 +377,7 @@ def test_enumerate_reciprocal_refuses_a_non_mirrored_word(capsys, monkeypatch):
     assert len(words) == 8
     words[5] ^= 1  # the second word of the second chunk
     bad = format(words[5], "08b").translate(str.maketrans("01", "-+"))
-    monkeypatch.setattr(en, "_reciprocal_bits", lambda t, m=None: iter(words))
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(en, "_reciprocal_blocks", lambda t, m: iter([words[:4], words[4:]]))
     with pytest.raises(en.ContractViolationError, match=re.escape(f"not a mirrored word: {bad}")):
         main(["enumerate", "--family", "reciprocal", "--t", "4"])
     # the first chunk went out; nothing of the second did
@@ -953,6 +952,7 @@ def _python(*args):
          "--primitive"),
         ("growth", "--item", "3", "--tmax", "400"),
         ("growth", "--item", "4", "--m", "3", "--tmax", "400"),
+        ("table1", "--t", "16", "--m", "3"),
     ],
 )
 def test_same_output_under_python_O(argv):

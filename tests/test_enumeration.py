@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -211,6 +213,22 @@ def test_reciprocal_bits_blocks_match_tuple_oracle(monkeypatch):
             next(words)
 
 
+def test_reciprocal_chunks_are_the_checked_blocks_that_keep_a_word(monkeypatch):
+    # blocks of three halves, some keeping no word: each chunk is one block
+    # that keeps a word, with the k0s of the checked constructor
+    monkeypatch.setattr(enumeration, "_RECIPROCAL_BLOCK", 3)
+    for t in range(1, 11):
+        for m in (None, 1, 2, 3):
+            for primitive in (False, True):
+                chunks = list(enumeration._reciprocal_chunks(t, m, primitive))
+                assert all(words for words, _ in chunks), (t, m, primitive)
+                reps = list(reciprocal_classes(t, m, primitive=primitive))
+                assert [w for words, _ in chunks for w in words] == [h.word.bits for h in reps]
+                assert [k for _, k0s in chunks for k in k0s] == [h.k0 for h in reps]
+            blocks = [block for block in enumeration._reciprocal_blocks(t, m) if block]
+            assert [words for words, _ in enumeration._reciprocal_chunks(t, m, False)] == blocks
+
+
 @pytest.mark.parametrize("t, m", [(0, None), (-1, 2), (3, 0)])
 def test_reciprocal_bits_validation(t, m):
     with pytest.raises(ValueError):
@@ -261,7 +279,7 @@ def test_long_reciprocal_words_come_before_any_table():
     first = [mirrored(half, 60) for half in range(3)]
     out = _first_words_under_600_mb(
         "[h.word.bits for h in islice(enumeration.reciprocal_classes(60), 3)],"
-        "next(enumeration._reciprocal_chunks(60, None, False, 4096))[0][:3]"
+        "next(enumeration._reciprocal_chunks(60, None, False))[0][:3]"
     )
     assert out == f"{first} {first}\n"
 
@@ -271,6 +289,31 @@ def test_long_classes_build_their_extension_factors_as_the_walk_needs_them():
         "[w.bits for w in islice(enumeration.classes(60000, primitive=True), 2)]"
     )
     assert out == "[1, 3]\n"
+
+
+def test_classes_keep_no_table_of_tau_entries():
+    # the walk reaches two prefix lengths before its second word, so it
+    # holds two extensions, not lists of tau + 1 entries
+    tracemalloc.start()
+    try:
+        words = [w.bits for w in islice(classes(10**6, primitive=True), 2)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert words == [1, 3]
+    assert peak < 2 << 20
+
+
+def test_long_witnesses_come_before_any_table():
+    # the free slots all -1, then the last free slot (entry 77) +1, then the
+    # one before it (entry 76), each completed by the first forced setting
+    # whose runs are at most 3
+    first = ["---+" + "--+" * 24 + "---+", "---+" + "--+" * 24 + "-+-+"]
+    first.append("---+" + "--+" * 23 + "---+--+")
+    out = _first_words_under_600_mb(
+        "[str(w) for w in islice(enumeration.lower_bound_witnesses(80, 3), 3)]"
+    )
+    assert out == f"{first}\n"
 
 
 def test_reciprocal_lowlying_matches_compositions():

@@ -213,8 +213,8 @@ def test_half_run_check_catches_a_wrong_run_profile(monkeypatch):
 def test_reciprocal_count_check_catches_a_dropped_row(monkeypatch):
     chunks = en._reciprocal_chunks
 
-    def drop_last_row(t, m, primitive, size):
-        for words, k0s in chunks(t, m, primitive, size):
+    def drop_last_row(t, m, primitive):
+        for words, k0s in chunks(t, m, primitive):
             yield words[:-1], k0s[:-1]
 
     monkeypatch.setattr(en, "_reciprocal_chunks", drop_last_row)
