@@ -78,26 +78,36 @@ def _reverse_bits(bits: int, t: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _proper_divisors(t: int) -> tuple[int, ...]:
-    return tuple(p for p in range(1, t) if t % p == 0)
+def _prime_divisors(t: int) -> tuple[int, ...]:
+    # the distinct primes dividing t >= 1, by trial division
+    primes = []
+    r = 2
+    while r * r <= t:
+        if t % r == 0:
+            primes.append(r)
+            while t % r == 0:
+                t //= r
+        r += 1
+    if t > 1:
+        primes.append(t)
+    return tuple(primes)
 
 
 def _smallest_period_bits(bits: int, t: int) -> int:
-    # smallest p dividing t with rotation by p acting as the identity; the
-    # periods form a subgroup of Z_t, so the smallest one divides t
-    for p in _proper_divisors(t):
-        if (bits >> p) | ((bits & ((1 << p) - 1)) << (t - p)) == bits:
-            return p
-    return t
-
-
-def _longest_ones(x: int) -> int:
-    # each step shortens every block of ones by one
-    n = 0
-    while x:
-        x &= x >> 1
-        n += 1
-    return n
+    # smallest p dividing t with rotation by p acting as the identity.  The
+    # periods dividing t are the multiples of the smallest one p0 that divide
+    # t, so starting from p = t, each prime r of t divides p while p / r is
+    # still a period; that strips r down to its exponent in p0, and the other
+    # primes leave that exponent alone.  For p dividing t, rotation by p is
+    # the identity iff the first t - p entries equal the last t - p.
+    p = t
+    for r in _prime_divisors(t):
+        while p % r == 0:
+            q = p // r
+            if bits >> q != bits & ((1 << (t - q)) - 1):
+                break
+            p = q
+    return p
 
 
 def _max_cyclic_run_bits(bits: int, t: int) -> int:
@@ -105,9 +115,17 @@ def _max_cyclic_run_bits(bits: int, t: int) -> int:
     if bits == 0 or bits == mask:
         return t
     # every cyclic run of a non-constant word appears whole in the doubled
-    # word, and no block there is longer than the cyclic run it cuts from
+    # word, and no block there is longer than the cyclic run it cuts from.
+    # Bit i of same is set iff entries i and i + 1 of the doubled word agree,
+    # so a run of n entries is a block of n - 1 ones, and each step shortens
+    # every block by one.
     doubled = (bits << t) | bits
-    return max(_longest_ones(doubled), _longest_ones(doubled ^ ((mask << t) | mask)))
+    same = ~(doubled ^ (doubled >> 1)) & ((1 << (2 * t - 1)) - 1)
+    n = 1
+    while same:
+        same &= same >> 1
+        n += 1
+    return n
 
 
 def _run_lengths_bits(bits: int, t: int) -> list[int]:
@@ -133,6 +151,10 @@ def _is_half_turn_bits(bits: int, length: int) -> bool:
     # other, so the second alone decides
     t = length >> 1
     mask = (1 << t) - 1
+    if t <= 16:
+        # the two-byte table path of _reverse_bits, inline
+        h = bits >> t
+        return (_REV8[h & 0xFF] << 8 | _REV8[h >> 8]) >> (16 - t) == (~bits & mask)
     return _reverse_bits(bits >> t, t) == (~bits & mask)
 
 

@@ -186,21 +186,50 @@ def _count_value(args) -> int:
     return ct.count(family, args.t, m=args.m, primitive=primitive)
 
 
+def _too_long(limit: int) -> ValueError:
+    return ValueError(
+        f"Exceeds the limit ({limit} digits) for integer string conversion: the count "
+        "is longer; set the environment variable PYTHONINTMAXSTRDIGITS to raise the "
+        "limit, or to 0 to lift it"
+    )
+
+
+def _refuse_long_lowlying(args) -> None:
+    """Refuse a ``lowlying`` count that could not be printed, before computing it.
+
+    The count at t, and so the cumulative count to t, is at least 2^e with e
+    from ``counting._lowlying_floor_log2``; 2^e has more than L digits once
+    e >= L log2(10), which e * 10^9 >= 3321928095 L ensures.  Arguments the
+    counters would refuse are left to them.
+    """
+    # interpreters older than the limit (before 3.10.7) have none
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    t, m = args.t, args.m
+    if not limit or args.family != "lowlying" or args.primitive or m is None or m < 2:
+        return
+    if 1 <= t <= ct._MAX_SIZE and ct._lowlying_floor_log2(t, m) * 10**9 >= 3321928095 * limit:
+        raise _too_long(limit)
+
+
 def cmd_count(args) -> int:
+    _refuse_long_lowlying(args)
     value = _count_value(args)
-    # str and json.dumps refuse an int past the interpreter's int-to-str digit limit
-    if args.format == "json":
-        record = {
-            "family": args.family,
-            "t": args.t,
-            "m": args.m,
-            "cumulative": args.cumulative,
-            "primitive": args.primitive,
-            "exact": value,
-        }
-        text = json.dumps(record, indent=2)
-    else:
-        text = str(value)
+    try:
+        # str and json.dumps refuse an int past the interpreter's int-to-str digit limit
+        if args.format == "json":
+            record = {
+                "family": args.family,
+                "t": args.t,
+                "m": args.m,
+                "cumulative": args.cumulative,
+                "primitive": args.primitive,
+                "exact": value,
+            }
+            text = json.dumps(record, indent=2)
+        else:
+            text = str(value)
+    except ValueError:
+        raise _too_long(sys.get_int_max_str_digits()) from None
     print(text)
     return 0
 
@@ -216,14 +245,14 @@ def _sign_texts(words: list[int], spec: str) -> list[str]:
 def _enumerate_columns(args) -> Iterator[tuple]:
     """The rows of ``enumerate`` as column chunks.
 
-    Words are formatted from their packed bits.  Classes come ``_CHUNK_ROWS``
-    at a time; reciprocal words come checked from the bits-level core, a
-    block at a time, and build no word object.
+    Words are formatted from their packed bits and build no word object.
+    Classes come from the bits-level core ``_CHUNK_ROWS`` at a time;
+    reciprocal words come checked from theirs, a block at a time.
     """
     t = args.t
     if args.family == "classes":
-        words = en.classes(t, primitive=args.primitive, m=args.m, hyperbolic=args.hyperbolic)
-        while chunk := [w.bits for w in itertools.islice(words, _CHUNK_ROWS)]:
+        words = en._class_bits(t, args.primitive, args.m, args.hyperbolic)
+        while chunk := list(itertools.islice(words, _CHUNK_ROWS)):
             yield _sign_texts(chunk, f"0{t}b"), [t] * len(chunk)
         return
     for words, k0s in en._reciprocal_chunks(t, args.m, args.primitive):

@@ -562,6 +562,28 @@ def closed_form_compositions(t: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # growth laws
 
+def _lowlying_floor_log2(t: int, m: int) -> int:
+    """An exponent e with 2^e <= count("lowlying", t, m=m), for t >= 1 and m >= 2.
+
+    Exact, unlike the float ``lowlying_lower_bound``, which overflows a double
+    past t of about 1024 / (1 - 1/m).  With k = ceil(t/m), e is
+    t - k - bitlen(t), and may be negative.
+
+    Proof.  When t <= m the count is the necklace count, at least 2^t / t.
+    Otherwise k >= 2: cut the t entries into k consecutive blocks of at most m
+    entries, the last of at least two (k - 1 blocks of m and the rest, or, when
+    the rest is one entry, the last two blocks of m - 1 and 2).  Let the first
+    entry of each block after the first differ from the entry before it, the
+    last entry differ from the first, and the other t - k entries be free.
+    Each of the 2^(t-k) free assignments gives its own word, which is not
+    constant and whose cyclic runs each lie in one block, since every block,
+    the first included, starts with a sign change: every run is at most m.  A
+    class holds at most t words, so in both cases the count is at least
+    2^(t-k) / t > 2^(t - k - bitlen(t)), as t < 2^bitlen(t).
+    """
+    return t - -(-t // m) - t.bit_length()
+
+
 def lowlying_lower_bound(t: int, m: int) -> float:
     """Lower bound 2^(t - t/m - 1) / t for bounded-run classes with t entries."""
     return 2.0 ** (t - t / m - 1) / t

@@ -20,6 +20,22 @@ the mirror test, and k0 from one period test per prime dividing 2t, with
 reaches it, and ``lower_bound_witnesses`` walks the assignments of its free
 slots with the submask step, so neither builds a table before its first word.
 
+The FKM walk is the packed-int core ``_class_bits``, which ``classes`` wraps
+in a ``BinaryWord`` per class.  What only counts classes reads the core and
+builds no object: the verify checks ``class_count_oracle``,
+``primitive_count_oracle``, ``lowlying_lower_bound`` and ``filter_monotone``,
+and ``enumerate --family classes``.  ``phi_inverse`` decides between the two
+preimages of a composition on packed bits and builds one ``HalfTurnWord``,
+its answer.
+
+``lower_bound_witnesses`` completes each free assignment by an iterative
+depth-first search over the forced slots, about t/m of them, so it serves
+every admitted t, where a frame per slot would pass the interpreter's
+recursion limit from t = 2500 at m = 2.  It is exact while testing only the
+run through the slot just set, and at a complete word only the run that wraps
+from the last entry to the first: any other run either was tested whole at an
+earlier slot or lies in a stretch of free entries no longer than m.
+
 Emission is in increasing bit order of the canonical representative, which is
 lexicographic order of the entries with -1 first, so output is sorted and
 deterministic; the tests pin this order.  The naive generate-and-canonicalise
@@ -29,7 +45,7 @@ test suite.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterator, Optional
 
 from .binwords import (
@@ -38,9 +54,9 @@ from .binwords import (
     HalfTurnWord,
     _full_from_half_bits,  # unused here; kept because bench/tracer.py hooks this name
     _k0_bits,
-    _longest_ones,
-    _max_cyclic_run_bits,
+    _max_cyclic_run_bits,  # unused here; kept because bench/tracer.py hooks this name
     _reverse_bits,
+    _rotate_bits,
     _smallest_period_bits,
     canonical_form,
     from_composition,
@@ -69,10 +85,6 @@ class ContractViolationError(RuntimeError):
     """
 
 
-def _trailing_ones(bits: int) -> int:
-    return (bits ^ (bits + 1)).bit_length() - 1
-
-
 def classes(
     tau: int,
     *,
@@ -85,7 +97,17 @@ def classes(
     Filters compose: ``primitive`` drops proper powers, ``m`` keeps only
     words whose cyclic runs are at most m, and ``hyperbolic`` drops the two
     constant-sign classes (the only ones whose matrices are parabolic rather
-    than hyperbolic).
+    than hyperbolic).  The words are those of ``_class_bits``, in its order.
+    """
+    yield from map(BinaryWord, _class_bits(tau, primitive, m, hyperbolic), repeat(tau))
+
+
+def _class_bits(
+    tau: int, primitive: bool = False, m: Optional[int] = None, hyperbolic: bool = False
+) -> Iterator[int]:
+    """Packed bits of the words of ``classes``, in its order, with no object per class.
+
+    Arguments are checked on the first pull.
     """
     _check_size("tau", tau)
     # a run bound past tau bounds nothing, here as in the counters
@@ -96,7 +118,7 @@ def classes(
     if bound == tau:
         bits = 0
         if keep_constants:
-            yield BinaryWord(bits, tau)
+            yield bits
     else:
         # the last word starting with bound + 1 entries -1: the first step
         # leaves all such words behind
@@ -106,15 +128,16 @@ def classes(
     # for each i is made when the walk first reaches that length
     extensions = {}
     while True:
-        # FKM successor: raise the last -1 entry, at position i, to +1
-        ones = _trailing_ones(bits)
+        # FKM successor: raise the last -1 entry, at position i, to +1; x ^ (x + 1)
+        # sets the trailing ones of x and the bit above them
+        ones = (bits ^ (bits + 1)).bit_length() - 1
         i = tau - ones
         if i == 1:
             if keep_constants:
-                yield BinaryWord((1 << tau) - 1, tau)
+                yield (1 << tau) - 1
             return
         prefix = (bits >> ones) | 1
-        if _trailing_ones(prefix) > bound:
+        if (prefix ^ (prefix + 1)).bit_length() > bound + 1:
             # no word extending this prefix keeps its runs at most bound
             bits |= 1 << ones
             continue
@@ -129,7 +152,7 @@ def classes(
             factor, drop = extensions[i] = (((1 << (i * q)) - 1) // ((1 << i) - 1) << r, i - r)
         bits = prefix * factor | prefix >> drop
         if i == tau or (not primitive and tau % i == 0):
-            yield BinaryWord(bits, tau)
+            yield bits
 
 
 def _bounded_run_words(t: int, bound: int) -> Iterator[int]:
@@ -147,11 +170,12 @@ def _bounded_run_words(t: int, bound: int) -> Iterator[int]:
     while True:
         yield bits
         while True:
-            ones = _trailing_ones(bits)
+            # trailing ones, as in _class_bits
+            ones = (bits ^ (bits + 1)).bit_length() - 1
             if ones == t:
                 return
             head = (bits >> ones) | 1
-            if _trailing_ones(head) <= bound:
+            if (head ^ (head + 1)).bit_length() <= bound + 1:
                 bits = (head << ones) | (fill >> (t - ones))
                 break
             bits |= 1 << ones
@@ -333,16 +357,23 @@ def phi_inverse(c: Composition) -> HalfTurnWord:
 
     The two run-profile preimages differ by a global sign flip and land in
     mirror-image classes; the one whose canonical representative maps back to
-    c is returned.
+    c is returned.  A half has run profile c exactly when it is one of the two
+    preimages, so each candidate is decided on packed bits: its mirrored word,
+    the rotation of that word by k0, and the smaller of the two.
     """
-    if c.total < 1:
+    t = c.total
+    if t < 1:
         raise ValueError("composition must have positive total")
-    for leading in (-1, 1):
-        candidate = canonical_reciprocal(
-            HalfTurnWord.from_half(from_composition(c, leading))
-        )
-        if phi(candidate) == c:
-            return candidate
+    length = 2 * t
+    mask = (1 << t) - 1
+    low = from_composition(c, -1).bits
+    preimages = (low, low ^ mask)
+    for half in preimages:
+        full = (half << t) | (mask ^ _reverse_bits(half, t))
+        partner = _rotate_bits(full, _k0_bits(full, length), length)
+        bits = min(full, partner)
+        if bits >> t in preimages:
+            return HalfTurnWord(BinaryWord(bits, length))
     raise ContractViolationError(
         f"no canonical reciprocal representative maps onto {c.parts!r}"
     )
@@ -375,40 +406,70 @@ def lower_bound_witnesses(t: int, m: int) -> Iterator[BinaryWord]:
     patterns admitting no such combination are skipped.  The number of free
     slots is at least t - floor(t/m) - 1, which is what makes these words a
     counting witness for the lower bound on bounded-run classes.
+
+    The combination is found by an iterative depth-first search over the
+    forced slots, -1 before +1, so its depth is no limit on t.  Setting a
+    slot tests only the run through it, read up to the entry before the next
+    forced slot, and a complete word tests only the run that wraps from its
+    last entry to its first.  That is exact: every other run of the known
+    entries was tested whole at an earlier slot, or lies in a stretch of free
+    entries, at most m long (the first m entries) or shorter than m (those
+    between two forced slots, which are at most m apart).
     """
     _check_size("t", t)
     _check_size("run bound m", min(m, t))
     forced = sorted({*range(m, t, m), t - 1})
     slots = [1 << (t - 1 - g) for g in forced]
     free = (1 << t) - 1 - sum(slots)
-    # once forced slot k is set, the entries before the next one are known
-    known = [(t - end, (1 << end) - 1) for end in (*forced[1:], t)]
+    # per forced slot: the bit b of its entry, the shift b + 1 that leaves the
+    # entries before it, and the shift and mask that leave the free entries
+    # up to the next forced slot, the n bits b-1 .. b-n
+    spans = [
+        (1 << b, b + 1, b - n, (1 << n) - 1, n)
+        for b, n in ((t - 1 - g, end - g - 1) for g, end in zip(forced, (*forced[1:], t)))
+    ]
+    last = spans[-1]
+    mask = (1 << t) - 1
 
-    def complete(bits: int, k: int) -> Optional[int]:
-        # the first setting of forced slots k, k+1, ... in sign order that
-        # keeps every cyclic run at most m, or None.  Depth first, -1 before
-        # +1, so the first leaf reached is the first combination; a branch
-        # whose known entries hold a linear run above m is dropped, since the
-        # cyclic run through those entries is at least as long.
-        if k == len(slots):
-            return bits if _max_cyclic_run_bits(bits, t) <= m else None
-        shift, full = known[k]
-        for choice in (bits, bits | slots[k]):
-            head = choice >> shift
-            if _longest_ones(head) <= m and _longest_ones(head ^ full) <= m:
-                found = complete(choice, k + 1)
-                if found is not None:
-                    return found
-        return None
+    def wrap_fits(bits: int) -> bool:
+        # the run through the last and first entries; every other cyclic run
+        # is a linear run, and a constant word's one run was tested linearly
+        if bits >> (t - 1) != bits & 1:
+            return True
+        if bits & 1:
+            bits ^= mask
+        # leading and trailing -1s, or none for the constant word
+        return not bits or t - bits.bit_length() + (bits & -bits).bit_length() - 1 <= m
 
     # entry j is bit t-1-j, so increasing order of the free assignments is
     # entry order; the submask step walks the subsets of free in that order
     # (Knuth, TAOCP 4A, 7.1.3)
     subset = 0
     while True:
-        bits = complete(subset, 0)
-        if bits is not None:
-            yield BinaryWord(bits, t)
+        bits, k = subset, 0
+        while k >= 0:
+            # bits holds the choices of slots 0..k, and -1 at every later slot
+            slot, shift, low, tail, n = span = spans[k]
+            # x holds the sign of slot k as +1, so the run through the slot is
+            # the +1s that end the entries before it, its own entry, and the
+            # +1s that start the free entries after it
+            x = bits if bits & slot else bits ^ mask
+            above = x >> shift
+            run = (above ^ (above + 1)).bit_length() + n - (tail ^ (x >> low & tail)).bit_length()
+            if run <= m:
+                if span is not last:
+                    k += 1
+                    continue
+                if wrap_fits(bits):
+                    yield BinaryWord(bits, t)
+                    break
+            # the next choice in sign order: raise slot k, or clear it and
+            # back up to the last slot still at -1
+            while k >= 0 and bits & slots[k]:
+                bits ^= slots[k]
+                k -= 1
+            if k >= 0:
+                bits |= slots[k]
         if subset == free:
             return
         subset = (subset - free) & free

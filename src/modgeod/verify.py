@@ -9,13 +9,17 @@ The word-level checks run on the packed-bits kernels of ``binwords``, read
 as module attributes at call time: a word's rotations come from
 ``_rotations_bits`` and mirrored words from ``_full_from_half_bits``.  The
 orbit, run and mirror checks build a ``BinaryWord`` only to print a failing
-witness, and the mirror-orbit and cyclic-run checks test each orbit once.  Some calls stay as they
-were, being what a check checks or what a test breaks it through:
-``canonical_form`` and ``rotate`` in the rotation check, the mirror test
-``_is_half_turn_bits``, ``phi`` and ``phi_inverse`` per class in the
-bijection check, and the ``HalfTurnWord`` constructor and
-``half_turn_partner`` in the k0 check.  The reciprocal count reads the
-checked rows that ``enumerate`` prints, from ``_reciprocal_chunks``.
+witness, and the mirror-orbit and cyclic-run checks test each orbit once.
+Some calls stay as they were, being what a check checks or what a test
+breaks it through: ``canonical_form`` and ``rotate`` in the rotation check,
+the mirror test ``_is_half_turn_bits``, ``phi`` and ``phi_inverse`` per class
+in the bijection check, the ``HalfTurnWord`` constructor and
+``half_turn_partner`` in the k0 check, and ``lower_bound_witnesses`` in the
+witness check.  The reciprocal count reads the checked rows that
+``enumerate`` prints, from ``_reciprocal_chunks``.  The four checks that only
+count classes, ``class_count_oracle``, ``primitive_count_oracle``,
+``lowlying_lower_bound`` and ``filter_monotone``, count the packed words of
+``enumeration._class_bits``, the core of ``classes``, and build no object.
 """
 
 from __future__ import annotations
@@ -320,7 +324,7 @@ def check_sharp_law() -> Outcome:
 @_check("enumerate.class_count_oracle")
 def check_class_count_oracle(tmax: int = 16) -> Outcome:
     for tau in range(1, tmax + 1):
-        n = sum(1 for _ in en.classes(tau))
+        n = sum(1 for _ in en._class_bits(tau))
         if n != ct.necklace_count(tau):
             return _fail(f"tau={tau}: enumerated {n} vs formula {ct.necklace_count(tau)}")
     return _ok(f"tau through {tmax}")
@@ -329,7 +333,7 @@ def check_class_count_oracle(tmax: int = 16) -> Outcome:
 @_check("enumerate.primitive_count_oracle")
 def check_primitive_count_oracle(tmax: int = 16) -> Outcome:
     for tau, rec in enumerate(_peeled_primitive_counts(tmax)[1:], 1):
-        n = sum(1 for _ in en.classes(tau, primitive=True))
+        n = sum(1 for _ in en._class_bits(tau, primitive=True))
         mob = ct.primitive_class_count(tau)
         if not n == rec == mob:
             return _fail(f"tau={tau}: enumerated {n}, recursion {rec}, inversion {mob}")
@@ -388,7 +392,7 @@ def check_bijection_round_trip(tmax: int = 12) -> Outcome:
 def check_lowlying_lower_bound(tmax: int = 16) -> Outcome:
     for m in (2, 3, 4):
         for tau in range(1, tmax + 1):
-            n = sum(1 for _ in en.classes(tau, m=m))
+            n = sum(1 for _ in en._class_bits(tau, m=m))
             if n != ct.count("lowlying", tau, m=m) or n < ct.lowlying_lower_bound(tau, m):
                 return _fail(f"tau={tau}, m={m}: {n} classes, off the formula or below bound")
     return _ok(f"tau through {tmax}, m in 2..4")
@@ -412,7 +416,7 @@ def check_witness_generator(tmax: int = 16) -> Outcome:
 @_check("enumerate.filter_monotone")
 def check_filter_monotone(tmax: int = 12) -> Outcome:
     for tau in range(1, tmax + 1):
-        counts = [sum(1 for _ in en.classes(tau, m=m)) for m in range(1, tau + 1)]
+        counts = [sum(1 for _ in en._class_bits(tau, m=m)) for m in range(1, tau + 1)]
         if counts != [ct.count("lowlying", tau, m=m) for m in range(1, tau + 1)]:
             return _fail(f"tau={tau}: enumerated counts {counts} differ from the formula")
         if any(a > b for a, b in zip(counts, counts[1:])):

@@ -135,6 +135,66 @@ def witness_entries(t, m):
                 break
 
 
+def _longest_ones(x):
+    # each step shortens every block of ones by one
+    n = 0
+    while x:
+        x &= x >> 1
+        n += 1
+    return n
+
+
+def _max_cyclic_run_bits(bits, t):
+    mask = (1 << t) - 1
+    if bits == 0 or bits == mask:
+        return t
+    doubled = (bits << t) | bits
+    return max(_longest_ones(doubled), _longest_ones(doubled ^ ((mask << t) | mask)))
+
+
+def recursive_witness_bits(t, m):
+    """The packed forced-slot witnesses by the former recursive completion.
+
+    ``complete`` is the library's earlier search, kept verbatim: it recurses
+    once per forced slot and rescans the whole known prefix at each, so it
+    serves only small t.  Free assignments come in increasing order, as in
+    ``witness_entries``.
+    """
+    forced = sorted({*range(m, t, m), t - 1})
+    slots = [1 << (t - 1 - g) for g in forced]
+    free = (1 << t) - 1 - sum(slots)
+    # once forced slot k is set, the entries before the next one are known
+    known = [(t - end, (1 << end) - 1) for end in (*forced[1:], t)]
+
+    def complete(bits, k):
+        # the first setting of forced slots k, k+1, ... in sign order that
+        # keeps every cyclic run at most m, or None.  Depth first, -1 before
+        # +1, so the first leaf reached is the first combination; a branch
+        # whose known entries hold a linear run above m is dropped, since the
+        # cyclic run through those entries is at least as long.
+        if k == len(slots):
+            return bits if _max_cyclic_run_bits(bits, t) <= m else None
+        shift, full = known[k]
+        for choice in (bits, bits | slots[k]):
+            head = choice >> shift
+            if _longest_ones(head) <= m and _longest_ones(head ^ full) <= m:
+                found = complete(choice, k + 1)
+                if found is not None:
+                    return found
+        return None
+
+    # the subsets of free in increasing order, by the submask step
+    words = []
+    subset = 0
+    while True:
+        bits = complete(subset, 0)
+        if bits is not None:
+            words.append(bits)
+        if subset == free:
+            return words
+        subset = (subset - free) & free
+
+
 def alpha_fraction_bisection(m, tol):
     """The fields of ``AlphaData`` from a bisection on ``Fraction`` midpoints.
 

@@ -21,6 +21,7 @@ from modgeod.binwords import (
     _max_cyclic_run_bits,
     _min_rotation_bits,
     _reverse_bits,
+    _smallest_period_bits,
 )
 
 import oracles
@@ -154,6 +155,30 @@ def test_primitive_root_reconstructs(w):
     assert (exp == 1) == oracles.is_primitive_tuple(w.entries)
 
 
+def _smallest_period_by_scan(bits, t):
+    # the first proper divisor p of t whose rotation fixes the text, else t
+    text = format(bits, f"0{t}b")
+    return next((p for p in range(1, t) if t % p == 0 and text[p:] + text[:p] == text), t)
+
+
+def test_smallest_period_matches_a_divisor_scan_on_every_short_word():
+    for t in range(1, 17):
+        for bits in range(1 << t):
+            assert _smallest_period_bits(bits, t) == _smallest_period_by_scan(bits, t), (t, bits)
+
+
+@pytest.mark.parametrize("t", [720, 1024, 2310, 1009])
+def test_smallest_period_matches_a_divisor_scan_on_seeded_long_words(t):
+    # a random block of each divisor length, repeated: its smallest period is
+    # that length or one of its divisors
+    rng = random.Random(t)
+    for d in [d for d in range(1, t + 1) if t % d == 0]:
+        for _ in range(3):
+            block = rng.getrandbits(d)
+            bits = int(format(block, f"0{d}b") * (t // d), 2)
+            assert _smallest_period_bits(bits, t) == _smallest_period_by_scan(bits, t), (t, d)
+
+
 # ---------------------------------------------------------------------------
 # cyclic runs
 
@@ -252,6 +277,21 @@ def test_is_half_turn_matches_string_definition():
         for bits in range(1 << n):
             text = format(bits, f"0{n}b").translate(to_signs)
             assert _is_half_turn_bits(bits, n) == oracles.is_mirrored_text(text), text
+
+
+def test_is_half_turn_matches_string_definition_on_seeded_long_words():
+    # half-lengths 10..20, across the two-byte table's edge at 16: mirrored
+    # words, and each with one entry flipped
+    to_signs = str.maketrans("01", "-+")
+    rng = random.Random(16)
+    for t in range(10, 21):
+        n = 2 * t
+        for _ in range(200):
+            half = rng.getrandbits(t)
+            mirrored = (half << t) | (~_reverse_bits(half, t) & ((1 << t) - 1))
+            for bits in (mirrored, mirrored ^ (1 << rng.randrange(n)), rng.getrandbits(n)):
+                text = format(bits, f"0{n}b").translate(to_signs)
+                assert _is_half_turn_bits(bits, n) == oracles.is_mirrored_text(text), text
 
 
 @given(half_lengths, st.integers(0, 1023))

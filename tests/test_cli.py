@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from modgeod import verify as vf
 from modgeod.cli import _emit_rows, _fmt, _write_columns, _write_rows, main
 from modgeod.counting import (
     bounded_compositions,
+    count,
     cumulative,
     primitive_class_count,
 )
@@ -474,6 +476,51 @@ def test_verify_all_small(capsys):
     assert "FAIL" not in out
 
 
+# the whole stdout of ``verify --suite all``: each check's PASS detail, then
+# the summary
+_VERIFY_ALL = (
+    "PASS binwords.rotation_group_action (exhaustive through 8 entries)\n"
+    "PASS binwords.orbit_size_matches_exponent (exhaustive through 12 entries)\n"
+    "PASS binwords.half_turn_closure (exhaustive through half-length 12)\n"
+    "PASS binwords.orbit_meets_mirror_twice (exhaustive through half-length 12)\n"
+    "PASS binwords.primitivity_iff_k0 (exhaustive through half-length 10)\n"
+    "PASS binwords.runs_two_preimages (exhaustive through 12 entries)\n"
+    "PASS binwords.max_run_rotation_invariant (exhaustive through 10 entries)\n"
+    "PASS counting.burnside_integrality (tau through 200)\n"
+    "PASS counting.mobius_crosscheck (tau through 64)\n"
+    "PASS counting.nonprimitive_bounds (lengths through 40)\n"
+    "PASS counting.closed_form_agreement (t through 40, m through 10)\n"
+    "PASS counting.unbounded_parts_degeneration (t through 24)\n"
+    "PASS counting.alpha_bracket_residual_monotone (m through 40)\n"
+    "PASS counting.ratio_trend_toward_one (checkpoints (10, 18, 26))\n"
+    "PASS counting.sharp_law_ratio_to_one (n in (10, 20, 40, 80), m in 3..4, "
+    "last gap below 1e-10)\n"
+    "PASS enumerate.class_count_oracle (tau through 16)\n"
+    "PASS enumerate.primitive_count_oracle (tau through 16)\n"
+    "PASS enumerate.reciprocal_count_oracle (t through 16)\n"
+    "PASS enumerate.composition_bijection (t through 12, every m)\n"
+    "PASS enumerate.lowlying_lower_bound (tau through 16, m in 2..4)\n"
+    "PASS enumerate.witness_generator_bound (tau through 16, m in 2..4)\n"
+    "PASS enumerate.filter_monotone (tau through 12)\n"
+    "PASS enumerate.power_map_partition (tau through 12)\n"
+    "PASS enumerate.half_run_equals_full_run (half-length through 12)\n"
+    "PASS geometry.concatenation_homomorphism (words through 8 entries, all splits)\n"
+    "PASS geometry.conjugation_invariance (tau through 10)\n"
+    "PASS geometry.parabolic_exactly_constants (tau through 12)\n"
+    "PASS geometry.apex_quadratic_oracle (tau through 8)\n"
+    "PASS geometry.sign_canonicalization (tau through 6)\n"
+    "PASS geometry.widened_depth_bracket (241 classes through tau=10)\n"
+    "PASS geometry.reduced_cycle_certificate (135 classes through tau=9)\n"
+    "31/31 checks passed\n"
+)
+
+
+def test_verify_all_prints_each_check_and_the_summary(capsys):
+    code, out = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert out == _VERIFY_ALL
+
+
 def test_verify_writes_check_seconds_to_stderr(capsys):
     code = main(["verify", "--suite", "all", "--tmax", "5"])
     captured = capsys.readouterr()
@@ -798,6 +845,59 @@ def test_past_the_int_to_str_limit_exits_2(capsys, int_str_limit_640, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("count", "--family", "lowlying", "--t", "200000", "--m", "3"),
+        ("count", "--family", "lowlying", "--t", "200000", "--m", "3", "--cumulative"),
+        ("count", "--family", "lowlying", "--t", "10000000", "--m", "2", "--format", "json"),
+    ],
+)
+def test_a_lowlying_count_too_long_to_print_is_refused_before_it_is_computed(
+    capsys, monkeypatch, int_str_limit_640, argv
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the count was computed")
+
+    monkeypatch.setattr(cli.ct, "count", never)
+    monkeypatch.setattr(cli.ct, "cumulative", never)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Exceeds the limit (640 digits) for integer string conversion" in captured.err
+    assert "PYTHONINTMAXSTRDIGITS" in captured.err
+
+
+def test_the_long_lowlying_refusal_takes_no_time():
+    # the count itself runs for seconds before it could be refused; the
+    # child's CPU time, unlike its wall time, does not grow on a loaded host
+    env = {**os.environ, "PYTHONPATH": str(_SRC), "PYTHONINTMAXSTRDIGITS": "4300"}
+    argv = ["-m", "modgeod", "count", "--family", "lowlying", "--t", "200000", "--m", "3"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                            timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert result.returncode == 2
+    assert "Exceeds the limit (4300 digits) for integer string conversion" in result.stderr
+    assert cpu < 1.0
+
+
+def test_pythonintmaxstrdigits_raises_the_limit_the_refusal_names():
+    env = {**os.environ, "PYTHONPATH": str(_SRC), "PYTHONINTMAXSTRDIGITS": "0"}
+    argv = ["-m", "modgeod", "count", "--family", "lowlying", "--t", "20000", "--m", "3"]
+    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert result.stdout == f"{count('lowlying', 20000, m=3)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("depth", "--word", "+x-"),
         ("depth", "--syllables", "abX"),
         ("depth", "--word", "+++"),  # parabolic
@@ -905,6 +1005,7 @@ def test_audit_exits_1_after_its_summary_when_cross_checks_fail(
     code, out = run(capsys, "audit-lemma71", "--tmax", "3")
     assert code == 0
     assert "# cross_check_failures: 0" in out.splitlines()
+
 
 # ---------------------------------------------------------------------------
 # the optimised interpreter

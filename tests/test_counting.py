@@ -345,6 +345,15 @@ def test_sieved_cumulative_matches_the_series_sum(family, m, primitive, torsion)
         assert got == sums[t - 1] + 3 * torsion, t
 
 
+def test_lowlying_floor_log2_bounds_every_count():
+    # the exponent the CLI refuses an over-long lowlying count by, checked
+    # against the exact count at every t <= 2000 for every run bound m <= 12
+    for m in range(2, 13):
+        for t, exact in zip(range(1, 2001), count_series("lowlying", m=m)):
+            e = counting._lowlying_floor_log2(t, m)
+            assert e < 0 or 1 << e <= exact, (t, m)
+
+
 def test_count_series_yields_count_at_each_length():
     cases = [("classes", None, False), ("classes", None, True), ("reciprocal", None, True),
              ("compositions", None, False), ("compositions", 1, False),

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -284,6 +285,17 @@ def test_long_reciprocal_words_come_before_any_table():
     assert out == f"{first} {first}\n"
 
 
+def test_class_bits_are_the_words_of_classes():
+    # every filter combination, run bounds past tau included
+    for tau in range(1, 15):
+        for primitive in (False, True):
+            for hyperbolic in (False, True):
+                for m in (None, *range(1, tau + 2)):
+                    flags = {"primitive": primitive, "m": m, "hyperbolic": hyperbolic}
+                    words = [w.bits for w in classes(tau, **flags)]
+                    assert list(enumeration._class_bits(tau, **flags)) == words, (tau, flags)
+
+
 def test_long_classes_build_their_extension_factors_as_the_walk_needs_them():
     out = _first_words_under_600_mb(
         "[w.bits for w in islice(enumeration.classes(60000, primitive=True), 2)]"
@@ -361,6 +373,47 @@ def test_phi_inverse_validation():
         phi_inverse(Composition(()))
 
 
+def _phi_inverse_by_objects(c):
+    # the object route phi_inverse took before it decided on packed bits
+    if c.total < 1:
+        raise ValueError("composition must have positive total")
+    for leading in (-1, 1):
+        candidate = canonical_reciprocal(
+            HalfTurnWord.from_half(binwords.from_composition(c, leading))
+        )
+        if phi(candidate) == c:
+            return candidate
+    raise enumeration.ContractViolationError(
+        f"no canonical reciprocal representative maps onto {c.parts!r}"
+    )
+
+
+def test_phi_inverse_matches_the_object_route():
+    for t in range(1, 13):
+        for parts in oracles.compositions(t):
+            c = Composition(parts)
+            h = phi_inverse(c)
+            assert h == _phi_inverse_by_objects(c), parts
+
+
+def test_phi_inverse_raises_where_the_object_route_does(monkeypatch):
+    # a k0 rotation that lands on the mirrored word whose half is all -1 makes
+    # that word the smaller of every pair, and it maps back only onto (t,)
+    def onto_the_least(bits, k, length):
+        return (1 << (length // 2)) - 1
+
+    monkeypatch.setattr(binwords, "_rotate_bits", onto_the_least)
+    monkeypatch.setattr(enumeration, "_rotate_bits", onto_the_least)
+    for parts in oracles.compositions(5):
+        c = Composition(parts)
+        if parts == (5,):
+            assert phi_inverse(c) == _phi_inverse_by_objects(c)
+            continue
+        for route in (phi_inverse, _phi_inverse_by_objects):
+            with pytest.raises(enumeration.ContractViolationError, match=re.escape(repr(parts))):
+                route(c)
+
+
 # ---------------------------------------------------------------------------
 # power map
 
@@ -415,6 +468,25 @@ def test_witnesses_match_entry_oracle():
         for t in range(1, 17):
             words = [w.entries for w in lower_bound_witnesses(t, m)]
             assert words == list(oracles.witness_entries(t, m)), (t, m)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_witnesses_match_the_recursive_completion(m):
+    # the iterative search yields the former recursion's words, in its order,
+    # past the ceilings of the entry oracle and for m >= t too
+    for t in range(1, 23):
+        words = [w.bits for w in lower_bound_witnesses(t, m)]
+        assert words == oracles.recursive_witness_bits(t, m), (t, m)
+
+
+@pytest.mark.parametrize("t, m", [(20_000, 2), (5000, 3)])
+def test_witnesses_serve_lengths_past_the_recursion_limit(t, m):
+    # one forced slot per m entries: a search that recursed once per slot
+    # overflowed the interpreter's recursion limit on the first pull
+    words = list(islice(lower_bound_witnesses(t, m), 3))
+    assert len(words) == 3
+    assert all(w.length == t and max_cyclic_run(w) <= m for w in words)
+    assert len(set(words)) == 3
 
 
 def test_witnesses_deterministic():
