@@ -194,25 +194,36 @@ def _too_long(limit: int) -> ValueError:
     )
 
 
-def _refuse_long_lowlying(args) -> None:
-    """Refuse a ``lowlying`` count that could not be printed, before computing it.
+# the exact lower bound on each bounded family's count, as a power of two
+_FLOOR_LOG2 = {
+    "lowlying": ct._lowlying_floor_log2,
+    "lowlying-reciprocal": ct._composition_floor_log2,
+    "compositions": ct._composition_floor_log2,
+}
 
-    The count at t, and so the cumulative count to t, is at least 2^e with e
-    from ``counting._lowlying_floor_log2``; 2^e has more than L digits once
-    e >= L log2(10), which e * 10^9 >= 3321928095 L ensures.  Arguments the
-    counters would refuse are left to them.
+
+def _refuse_long_bounded(args) -> None:
+    """Refuse a bounded count that could not be printed, before computing it.
+
+    Covers the non-primitive ``lowlying``, ``lowlying-reciprocal`` and
+    ``compositions`` with ``--m``.  The count at t, and so the cumulative count
+    to t, is at least 2^e with e from ``counting._lowlying_floor_log2``, or from
+    ``counting._composition_floor_log2`` for the two power families; 2^e has
+    more than L digits once e >= L log2(10), which e * 10^9 >= 3321928095 L
+    ensures.  Arguments the counters would refuse are left to them.
     """
     # interpreters older than the limit (before 3.10.7) have none
     limit = getattr(sys, "get_int_max_str_digits", int)()
     t, m = args.t, args.m
-    if not limit or args.family != "lowlying" or args.primitive or m is None or m < 2:
+    floor_log2 = _FLOOR_LOG2.get(args.family)
+    if not limit or floor_log2 is None or args.primitive or m is None or m < 2:
         return
-    if 1 <= t <= ct._MAX_SIZE and ct._lowlying_floor_log2(t, m) * 10**9 >= 3321928095 * limit:
+    if 1 <= t <= ct._MAX_SIZE and floor_log2(t, m) * 10**9 >= 3321928095 * limit:
         raise _too_long(limit)
 
 
 def cmd_count(args) -> int:
-    _refuse_long_lowlying(args)
+    _refuse_long_bounded(args)
     value = _count_value(args)
     try:
         # str and json.dumps refuse an int past the interpreter's int-to-str digit limit

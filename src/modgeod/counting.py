@@ -517,14 +517,25 @@ def _alpha_cached(m: int, tol: float) -> AlphaData:
     )
 
 
+# the largest run bound ``alpha`` takes: each of its at least 130 bisection
+# steps raises a numerator of more than m bits to the m-th power, so a root
+# costs about m^3, about 1 s at this m
+_ALPHA_MAX_M = 512
+
+
 def alpha(m: int, tol: float = 1e-13) -> AlphaData:
     """Bisect for the unique positive root of z^m - z^(m-1) - ... - 1.
 
     Deterministic bisection on the bracket [2(1 - 2^-m), 2], exact on dyadic
     rationals held as integer numerators over a power of two; no
-    floating-point transcendentals are involved.
+    floating-point transcendentals are involved.  m runs from 2 to
+    ``_ALPHA_MAX_M`` = 512; a larger m is refused before any work.
     """
     _check_size("m", m, 2)
+    if m > _ALPHA_MAX_M:
+        raise ValueError(
+            f"m must be <= {_ALPHA_MAX_M} for the growth root alpha(m), whose cost grows as m^3"
+        )
     if not tol > 0:
         raise ValueError("tol must be positive")
     return _alpha_cached(m, tol)
@@ -582,6 +593,24 @@ def _lowlying_floor_log2(t: int, m: int) -> int:
     2^(t-k) / t > 2^(t - k - bitlen(t)), as t < 2^bitlen(t).
     """
     return t - -(-t // m) - t.bit_length()
+
+
+def _composition_floor_log2(t: int, m: int) -> int:
+    """The exponent e = t - 1 - floor((t-1)/m), with 2^e <= bounded_compositions(t, m).
+
+    For t >= 1 and m >= 1; by the bijection the bound holds for
+    ``count("lowlying-reciprocal", t, m=m)`` too.
+
+    Proof.  A composition of t is a choice of cuts among the t - 1 gaps between
+    t entries in a row, its parts the stretches between cuts, and a part is
+    longer than m iff some m consecutive gaps are all uncut.  Cut every m-th
+    gap, the gaps after entries m, 2m, ..., floor((t-1)/m) of them, and leave
+    the other e gaps free.  Each of the 2^e free choices is its own
+    composition, and each part lies between two forced cuts (or an end), a
+    stretch of at most m entries.  At m >= t no gap is forced, and the bound is
+    the whole count 2^(t-1).
+    """
+    return t - 1 - (t - 1) // m
 
 
 def lowlying_lower_bound(t: int, m: int) -> float:

@@ -2,8 +2,11 @@
 
 Each check scans a small exhaustive range and returns a named pass/fail
 result; a failure names the violated invariant and carries a witness word.
-Checks are independent pure functions and run one at a time, in
-registration order.
+Checks are independent pure functions, so ``run_suite`` runs them on forked
+worker processes, one per usable CPU, and returns their results in
+registration order, with what each wrote to stderr forwarded in that order;
+with one usable CPU, or where ``fork`` is missing, they run one after
+another in the calling process.
 
 The word-level checks run on the packed-bits kernels of ``binwords``, read
 as module attributes at call time: a word's rotations come from
@@ -24,9 +27,13 @@ count classes, ``class_count_oracle``, ``primitive_count_oracle``,
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
+import io
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -557,13 +564,46 @@ def check_reduced_cycle_certificate(tmax: int = 9) -> Outcome:
 # ---------------------------------------------------------------------------
 # runner
 
+# in a worker, the check calls of the suite it serves
+_calls: list = []
+
+
+def _load_calls(calls: list) -> None:
+    # a forked worker's initializer: the worker inherits ``calls`` unpickled,
+    # and receives only indices into it
+    global _calls
+    _calls = calls
+
+
+def _run_call(i: int) -> tuple[CheckResult, str]:
+    # one check call in a worker, with what it writes to stderr
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        result = _calls[i]()
+    return result, err.getvalue()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_suite(suite: str, tmax=None) -> list[CheckResult]:
-    """Run one named suite, or all of them with ``suite='all'``, in order.
+    """Run one named suite, or all of them with ``suite='all'``.
 
     ``tmax`` caps every check outside the counting suite at the smaller of
     ``tmax`` and the check's own ``tmax`` default; the counting checks' ranges
     are formula sizes, not enumeration ceilings, so they keep their defaults.
     A check that raises is a failed result (see ``_check``).
+
+    The checks run on a pool of one forked worker process per usable CPU, at
+    most one per check; the workers inherit the module state, so a module
+    attribute patched before the call holds in them too.  Each check's stderr
+    is forwarded to this process's ``sys.stderr``, and the results come back,
+    in registration order.  With one usable CPU, or no ``fork``, they run here
+    one after another.  A worker that dies raises ``BrokenProcessPool``, and
+    every worker has exited when this returns or raises.
     """
     if suite == "all":
         names = list(SUITES)
@@ -571,12 +611,29 @@ def run_suite(suite: str, tmax=None) -> list[CheckResult]:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; expected {list(SUITES)} or 'all'")
-    results = []
+    calls = []
     for name in names:
         for check in SUITES[name]:
             if tmax is None or name == "counting":
-                results.append(check())
+                calls.append(check)
             else:
                 default = inspect.signature(check).parameters["tmax"].default
-                results.append(check(min(default, tmax)))
-    return results
+                calls.append(functools.partial(check, min(default, tmax)))
+    jobs = min(len(calls), _usable_cpus())
+    if jobs < 2 or not hasattr(os, "fork"):
+        return [call() for call in calls]
+
+    # imported only here, so that start-up does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a buffered write would otherwise be flushed again by every worker
+    sys.stdout.flush()
+    sys.stderr.flush()
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(jobs, mp_context=fork, initializer=_load_calls,
+                             initargs=(calls,)) as pool:
+        outcomes = list(pool.map(_run_call, range(len(calls))))
+    for _, err in outcomes:
+        sys.stderr.write(err)
+    return [result for result, _ in outcomes]

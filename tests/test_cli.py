@@ -848,6 +848,10 @@ def test_past_the_int_to_str_limit_exits_2(capsys, int_str_limit_640, argv):
         ("count", "--family", "lowlying", "--t", "200000", "--m", "3"),
         ("count", "--family", "lowlying", "--t", "200000", "--m", "3", "--cumulative"),
         ("count", "--family", "lowlying", "--t", "10000000", "--m", "2", "--format", "json"),
+        ("count", "--family", "lowlying-reciprocal", "--t", "200000", "--m", "3"),
+        ("count", "--family", "lowlying-reciprocal", "--t", "5000", "--m", "2", "--cumulative"),
+        ("count", "--family", "compositions", "--t", "200000", "--m", "3"),
+        ("count", "--family", "compositions", "--t", "10000000", "--m", "2", "--cumulative"),
     ],
 )
 def test_a_lowlying_count_too_long_to_print_is_refused_before_it_is_computed(
@@ -878,6 +882,38 @@ def test_the_long_lowlying_refusal_takes_no_time():
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     assert result.returncode == 2
     assert "Exceeds the limit (4300 digits) for integer string conversion" in result.stderr
+    assert cpu < 1.0
+
+
+def _child_cpu_seconds(argv: list[str], env: dict) -> tuple:
+    # a CLI run in a fresh interpreter, and the CPU seconds it took, which
+    # unlike its wall time do not grow on a loaded host
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = subprocess.run([sys.executable, "-m", "modgeod", *argv], capture_output=True,
+                            text=True, env=env, timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return result, after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+@pytest.mark.parametrize("family", ["lowlying-reciprocal", "compositions"])
+def test_the_long_power_family_refusals_take_no_time(family, cumulative):
+    # each count runs for about 2 s before it could be refused
+    env = {**os.environ, "PYTHONPATH": str(_SRC), "PYTHONINTMAXSTRDIGITS": "4300"}
+    argv = ["count", "--family", family, "--t", "200000", "--m", "3"]
+    result, cpu = _child_cpu_seconds(argv + ["--cumulative"] * cumulative, env)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Exceeds the limit (4300 digits) for integer string conversion" in result.stderr
+    assert cpu < 1.0
+
+
+def test_an_alpha_past_its_ceiling_is_refused_before_any_work():
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    result, cpu = _child_cpu_seconds(["alpha", "--m", "5000000"], env)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "error: m must be <= 512 for the growth root alpha(m)" in result.stderr
     assert cpu < 1.0
 
 

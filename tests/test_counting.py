@@ -354,6 +354,17 @@ def test_lowlying_floor_log2_bounds_every_count():
             assert e < 0 or 1 << e <= exact, (t, m)
 
 
+def test_composition_floor_log2_bounds_every_count():
+    # the exponent the CLI refuses an over-long compositions or
+    # lowlying-reciprocal count by, against the exact count at every t <= 2000
+    # for every part bound m <= 12; it is the count itself where no gap is forced
+    for m in range(1, 13):
+        for t, exact in zip(range(1, 2001), count_series("compositions", m=m)):
+            bound = 1 << counting._composition_floor_log2(t, m)
+            assert bound <= exact, (t, m)
+            assert (bound == exact) == (m == 1 or t <= m), (t, m)
+
+
 def test_count_series_yields_count_at_each_length():
     cases = [("classes", None, False), ("classes", None, True), ("reciprocal", None, True),
              ("compositions", None, False), ("compositions", 1, False),
@@ -468,6 +479,17 @@ def test_alpha_residual_is_exact_polynomial_value():
 def test_alpha_matches_fraction_bisection(tol):
     for m in range(2, 61):
         assert dataclasses.asdict(alpha(m, tol)) == oracles.alpha_fraction_bisection(m, tol), m
+
+
+def test_alpha_refuses_a_run_bound_past_its_ceiling():
+    assert counting._ALPHA_MAX_M == 512
+    data = alpha(512)
+    assert data.m == 512 and data.alpha_exact < 2 and abs(data.residual) < 1e-12
+    with pytest.raises(ValueError, match=r"^m must be <= 512 for the growth root alpha\(m\)"):
+        alpha(513)
+    # the size ceiling is checked first, with its own message
+    with pytest.raises(ValueError, match=r"^m must be <= 10000000$"):
+        alpha(10**7 + 1)
 
 
 def test_alpha_domain_errors():

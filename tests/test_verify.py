@@ -1,7 +1,14 @@
 import dataclasses
 import inspect
+import io
+import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +283,132 @@ def test_a_check_that_raises_fails_and_the_later_checks_still_run(monkeypatch, c
     assert all(line.startswith("PASS ") for line in lines[1:-1])
     assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed"
     assert "Traceback" in captured.err and "RuntimeError" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# the forked worker pool
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _serial(suite, tmax):
+    # the one-at-a-time loop that the pool replaces
+    names = list(verify.SUITES) if suite == "all" else [suite]
+    results = []
+    for name in names:
+        for check in verify.SUITES[name]:
+            if tmax is None or name == "counting":
+                results.append(check())
+            else:
+                default = inspect.signature(check).parameters["tmax"].default
+                results.append(check(min(default, tmax)))
+    return results
+
+
+def _rows(results):
+    return [(r.name, r.ok, r.detail) for r in results]
+
+
+def _usable_cpus(monkeypatch, cpus):
+    # what run_suite reads as the usable CPUs, whatever the host has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+def _pid_check(tmax=0):
+    return verify.CheckResult("binwords.pid", True, str(os.getpid()))
+
+
+@pytest.mark.parametrize("tmax", [None, 2, 5])
+@pytest.mark.parametrize("suite", ["all", *verify.SUITES])
+def test_the_pool_returns_the_serial_results_in_order(monkeypatch, suite, tmax):
+    _usable_cpus(monkeypatch, {0, 1})
+    assert _rows(verify.run_suite(suite, tmax)) == _rows(_serial(suite, tmax))
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_one_usable_cpu_runs_the_checks_in_this_process(monkeypatch, cpus):
+    expected = _rows(_serial("all", 5))
+    _usable_cpus(monkeypatch, cpus)
+    monkeypatch.setitem(verify.SUITES, "pid", (_pid_check,))
+    results = verify.run_suite("all", 5)
+    assert (results.pop().detail == str(os.getpid())) == (len(cpus) == 1)
+    assert _rows(results) == expected
+
+
+def _break_two_checks(monkeypatch):
+    # the first registered check calls canonical_form, and the bijection
+    # check in the enumerate suite calls phi
+    def first(w):
+        raise RuntimeError("first fault")
+
+    def second(h):
+        raise RuntimeError("second fault")
+
+    monkeypatch.setattr(bw, "canonical_form", first)
+    monkeypatch.setattr(en, "phi", second)
+
+
+def test_the_tracebacks_of_the_workers_reach_stderr_in_order(monkeypatch, capsys):
+    _usable_cpus(monkeypatch, {0, 1})
+    _break_two_checks(monkeypatch)
+    code = main(["verify", "--suite", "all", "--tmax", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    failed = [line for line in captured.out.splitlines() if line.startswith("FAIL ")]
+    assert failed == [
+        "FAIL binwords.rotation_group_action: RuntimeError: first fault",
+        "FAIL enumerate.composition_bijection: RuntimeError: second fault",
+    ]
+    err = captured.err
+    assert err.count("Traceback") == 2
+    assert err.index("first fault") < err.index("second fault")
+    # the timing line comes last, its keys in registration order
+    names = [re.match(r"(PASS|FAIL) ([\w.]+)", line)[2] for line in captured.out.splitlines()[:-1]]
+    assert list(json.loads(err.splitlines()[-1])) == names == list(_DEFAULT_RANGES)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_no_worker_outlives_the_suite(monkeypatch, capsys, broken):
+    _usable_cpus(monkeypatch, {0, 1})
+    if broken:
+        _break_two_checks(monkeypatch)
+    main(["verify", "--suite", "all", "--tmax", "4"])
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_output_buffered_before_verify_is_written_once(monkeypatch, capfd):
+    _usable_cpus(monkeypatch, {0, 1})
+    # a block-buffered stdout on the captured descriptor, which each forked
+    # worker would flush again at its exit
+    stream = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w"), 1 << 16))
+    monkeypatch.setattr(sys, "stdout", stream)
+    stream.write("written before verify\n")
+    code = main(["verify", "--suite", "binwords", "--tmax", "3"])
+    stream.close()
+    out = capfd.readouterr().out
+    assert code == 0
+    assert out.count("written before verify") == 1
+    assert out.count("checks passed") == 1
+
+
+_WORKER_DIES = """
+import multiprocessing, os
+from concurrent.futures.process import BrokenProcessPool
+from modgeod import binwords as bw, verify
+os.sched_getaffinity = lambda pid: {0, 1}
+bw.canonical_form = lambda w: os._exit(3)
+try:
+    verify.run_suite("binwords", 4)
+except BrokenProcessPool:
+    print("broken", multiprocessing.active_children())
+"""
+
+
+def test_a_worker_that_dies_raises_and_does_not_hang():
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    result = subprocess.run([sys.executable, "-c", _WORKER_DIES], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "broken []\n"
