@@ -1,0 +1,164 @@
+"""Every argv of the stdout corpus still gives its recorded output.
+
+``stdout_corpus.json`` maps each argv to its exit code, the sha256 of its
+stdout and, for an argv that exits non-zero, the last line of its stderr,
+the message that is the contract of a refusal.  The test reruns every argv
+in-process through ``cli.main`` and compares.  A change that keeps stdout
+byte-identical leaves the file alone; one that changes stdout on purpose
+regenerates it in the same commit, so its diff names every argv that moved:
+
+    PYTHONPATH=src python tests/test_stdout_corpus.py --write
+
+Only ``--write`` builds the argv list, partly from the benchmark's op lists
+in ``bench/workloads.py``; the test reads the data file alone.  Both run
+under the default int-to-str digit limit, 4300, whatever the environment
+sets.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from modgeod import cli
+
+_CORPUS = Path(__file__).with_name("stdout_corpus.json")
+_DIGIT_LIMIT = 4300
+
+
+def _outcome(argv: list[str]) -> dict:
+    # the exit code, stdout's sha256 and, for a non-zero exit, stderr's last line
+    out, err = io.StringIO(), io.StringIO()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_DIGIT_LIMIT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    record = {"argv": argv, "exit": code,
+              "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    if code:
+        record["stderr"] = (err.getvalue().splitlines() or [""])[-1]
+    return record
+
+
+def test_every_argv_gives_its_recorded_output():
+    records = json.loads(_CORPUS.read_text(encoding="utf-8"))
+    moved = [r["argv"] for r in records if _outcome(r["argv"]) != r]
+    assert moved == []
+
+
+# ---------------------------------------------------------------------------
+# the argv list, for --write only
+
+def _workload_argvs() -> list[list[str]]:
+    # every op of the enumerate, counts and audit workloads at seeds 1-5
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    return [op["argv"] for name in ("enumerate", "counts", "audit") for seed in range(1, 6)
+            for op in workloads.ops_for(name, seed)]
+
+
+def _fmts(argv: list[str]) -> list[list[str]]:
+    return [argv + ["--format", fmt] for fmt in ("csv", "json")]
+
+
+def _growth_argvs() -> list[list[str]]:
+    argvs = []
+    for item in (1, 2, 3, 4):
+        for tmax in (1, 2, 3, 10, 50, 300, 1100, 1200, 1600, 2100, 3000):
+            base = ["growth", "--item", str(item), "--tmax", str(tmax)]
+            ms = [None, 2, 3, 4, 6] if item in (1, 3) else [2, 3, 4, 6]
+            for m in ms:
+                argvs += _fmts(base + ([] if m is None else ["--m", str(m)]))
+    return argvs
+
+
+def _table1_argvs() -> list[list[str]]:
+    argvs = []
+    for t in range(1, 19):
+        for m in (2, 3, 5):
+            for oracle in ([], ["--oracle-max", "0"], ["--oracle-max", "18"]):
+                argvs += _fmts(["table1", "--t", str(t), "--m", str(m), *oracle])
+    return argvs
+
+
+def _count_argvs() -> list[list[str]]:
+    # every CLI family, with and without --primitive and --cumulative, at small
+    # t and m; then the sizes on either side of where a count becomes too long
+    # to print, and the six that the counters would take seconds to refuse
+    families = ("classes", "classes+torsion", "primitive", "reciprocal", "reciprocal-primitive",
+                "lowlying", "lowlying-reciprocal", "compositions")
+    argvs = []
+    for family in families:
+        for t in (0, 1, 2, 5, 13, 24):
+            for m in (None, 1, 3):
+                for flags in ([], ["--primitive"], ["--cumulative"],
+                              ["--primitive", "--cumulative"]):
+                    argv = ["count", "--family", family, "--t", str(t), *flags]
+                    argvs.append(argv + ([] if m is None else ["--m", str(m)]))
+    argvs += _fmts(["count", "--family", "lowlying", "--t", "30", "--m", "3", "--cumulative"])
+    argvs += _fmts(["count", "--family", "classes+torsion", "--t", "30", "--cumulative"])
+    for family, m, ts in (
+        ("classes", None, (14298, 14301)),
+        ("primitive", None, (14297, 14300)),
+        ("reciprocal", None, (14285, 14286)),
+        ("reciprocal-primitive", None, (14286, 14288)),
+        ("lowlying", 3, (16263, 16264, 21449, 21450)),
+        ("lowlying-reciprocal", 3, (16248, 16249, 21450, 21460)),
+        ("compositions", 5, (14648, 14649, 17000, 18000)),
+    ):
+        for t in ts:
+            argv = ["count", "--family", family, "--t", str(t)]
+            argv += [] if m is None else ["--m", str(m)]
+            argvs += [argv, argv + ["--primitive"]] if family.startswith("lowlying") else [argv]
+    for argv in (
+        ["--family", "lowlying", "--m", "3", "--primitive"],
+        ["--family", "lowlying", "--m", "3", "--primitive", "--cumulative"],
+        ["--family", "lowlying-reciprocal", "--m", "3", "--primitive"],
+        ["--family", "lowlying-reciprocal", "--m", "3", "--primitive", "--cumulative"],
+        ["--family", "classes", "--cumulative"],
+        ["--family", "primitive", "--cumulative"],
+    ):
+        argvs.append(["count", *argv, "--t", "200000"])
+    return argvs
+
+
+def _other_argvs() -> list[list[str]]:
+    argvs = []
+    for family in ("classes", "reciprocal"):
+        for t in range(1, 9):
+            for m in (None, 1, 2, 3):
+                for primitive in ([], ["--primitive"]):
+                    argv = ["enumerate", "--family", family, "--t", str(t), *primitive]
+                    argvs += _fmts(argv + ([] if m is None else ["--m", str(m)]))
+    for tmax in range(2, 11):
+        argvs += _fmts(["audit-lemma71", "--tmax", str(tmax)])
+    for word in ("--word=+-", "--word=++-", "--word=+++---+-", "--syllables=abaB",
+                 "--syllables=abababaBaBaB", "--word=--"):
+        argvs += _fmts(["depth", word])
+    for m in (2, 3, 7, 40):
+        argvs += _fmts(["alpha", "--m", str(m)])
+    argvs += [["table1", "--t", "0", "--m", "3"], ["table1", "--t", "5", "--m", "1"],
+              ["growth", "--item", "2", "--m", "1", "--tmax", "3"],
+              ["verify", "--suite", "all", "--tmax", "5"]]
+    return argvs
+
+
+def _write() -> None:
+    groups = (_workload_argvs(), _growth_argvs(), _table1_argvs(), _count_argvs(), _other_argvs())
+    # the first of any repeated argv, in order
+    argvs = list(map(list, dict.fromkeys(tuple(a) for argvs in groups for a in argvs)))
+    lines = ",\n".join(json.dumps(_outcome(argv)) for argv in argvs)
+    _CORPUS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    print(f"wrote {len(argvs)} argvs to {_CORPUS}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_stdout_corpus.py --write")
+    _write()
