@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .counting import _factorise
+
 __all__ = [
     "BinaryWord",
     "HalfTurnWord",
@@ -79,18 +81,8 @@ def _reverse_bits(bits: int, t: int) -> int:
 
 @lru_cache(maxsize=None)
 def _prime_divisors(t: int) -> tuple[int, ...]:
-    # the distinct primes dividing t >= 1, by trial division
-    primes = []
-    r = 2
-    while r * r <= t:
-        if t % r == 0:
-            primes.append(r)
-            while t % r == 0:
-                t //= r
-        r += 1
-    if t > 1:
-        primes.append(t)
-    return tuple(primes)
+    # the distinct primes dividing t >= 1, held per length for the period kernel
+    return tuple(p for p, _ in _factorise(t))
 
 
 def _smallest_period_bits(bits: int, t: int) -> int:

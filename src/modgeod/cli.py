@@ -3,11 +3,14 @@
 Output is deterministic for a fixed argv: rows are emitted in sorted order,
 reals are printed with 12 significant digits in CSV mode, and JSON mode
 mirrors the CSV rows as an array of objects with the same field names.
-Rows are written a column chunk at a time, each column rendered whole, and
-``enumerate`` streams its chunks as the generators make them, so its memory
-does not grow with the class count.  A chunk is ``_CHUNK_ROWS`` rows, except
-that reciprocal words come checked from ``enumeration._reciprocal_chunks``,
-one chunk per block of the core's halves.
+Every table has one writer, ``_write_columns``, which takes chunks of
+columns and renders each column whole.  ``enumerate`` streams its chunks as
+the generators make them, so its memory does not grow with the class count;
+a chunk is ``_CHUNK_ROWS`` rows, except that reciprocal words come checked
+from ``enumeration._reciprocal_chunks``, one chunk per block of the core's
+halves.  Every other table is one chunk.  A count too long to print is
+refused before it is computed when ``counting._count_floor_log2`` already
+bounds it past the interpreter's int-to-str digit limit.
 
 Exit codes: 0 on success, and also when the reader of stdout closes it early
 (as ``| head`` does); 1 when a verification or dual-source cross-check fails;
@@ -125,23 +128,6 @@ def _write_columns(chunks: Iterable[Sequence[Sequence]], fields: list[str], fmt:
     sys.stdout.write(end if wrote else empty)
 
 
-def _write_rows(rows: Iterable[Sequence], fields: list[str], fmt: str) -> None:
-    """``_write_columns`` for rows of one value per name in ``fields``.
-
-    Rows are pulled ``_CHUNK_ROWS`` at a time, so memory stays flat.
-    """
-    rows = iter(rows)
-    _write_columns(iter(lambda: tuple(zip(*itertools.islice(rows, _CHUNK_ROWS))), ()), fields, fmt)
-
-
-def _emit_rows(rows: list[dict], fields: list[str], fmt: str) -> None:
-    """``_write_rows`` for rows that map each name in ``fields`` to its value.
-
-    Keys not in ``fields`` are left out.
-    """
-    _write_rows(([row[k] for k in fields] for row in rows), fields, fmt)
-
-
 def _parse_syllables(text: str) -> BinaryWord:
     """Convert an alternating-syllable string like 'abaB' (B inverse of b)."""
     chars = [c for c in text if not c.isspace()]
@@ -175,17 +161,6 @@ def _word_from_args(args) -> BinaryWord:
 _PRIMITIVE_ALIASES = {"primitive": "classes", "reciprocal-primitive": "reciprocal"}
 
 
-def _count_value(args) -> int:
-    torsion = args.family == "classes+torsion"
-    if torsion and not args.cumulative:
-        raise ValueError("classes+torsion only makes sense cumulatively")
-    primitive = args.primitive or args.family in _PRIMITIVE_ALIASES
-    family = "classes" if torsion else _PRIMITIVE_ALIASES.get(args.family, args.family)
-    if args.cumulative:
-        return ct.cumulative(family, args.t, m=args.m, primitive=primitive, include_torsion=torsion)
-    return ct.count(family, args.t, m=args.m, primitive=primitive)
-
-
 def _too_long(limit: int) -> ValueError:
     return ValueError(
         f"Exceeds the limit ({limit} digits) for integer string conversion: the count "
@@ -194,37 +169,26 @@ def _too_long(limit: int) -> ValueError:
     )
 
 
-# the exact lower bound on each bounded family's count, as a power of two
-_FLOOR_LOG2 = {
-    "lowlying": ct._lowlying_floor_log2,
-    "lowlying-reciprocal": ct._composition_floor_log2,
-    "compositions": ct._composition_floor_log2,
-}
-
-
-def _refuse_long_bounded(args) -> None:
-    """Refuse a bounded count that could not be printed, before computing it.
-
-    Covers the non-primitive ``lowlying``, ``lowlying-reciprocal`` and
-    ``compositions`` with ``--m``.  The count at t, and so the cumulative count
-    to t, is at least 2^e with e from ``counting._lowlying_floor_log2``, or from
-    ``counting._composition_floor_log2`` for the two power families; 2^e has
-    more than L digits once e >= L log2(10), which e * 10^9 >= 3321928095 L
-    ensures.  Arguments the counters would refuse are left to them.
-    """
-    # interpreters older than the limit (before 3.10.7) have none
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    t, m = args.t, args.m
-    floor_log2 = _FLOOR_LOG2.get(args.family)
-    if not limit or floor_log2 is None or args.primitive or m is None or m < 2:
-        return
-    if 1 <= t <= ct._MAX_SIZE and floor_log2(t, m) * 10**9 >= 3321928095 * limit:
-        raise _too_long(limit)
-
-
 def cmd_count(args) -> int:
-    _refuse_long_bounded(args)
-    value = _count_value(args)
+    torsion = args.family == "classes+torsion"
+    if torsion and not args.cumulative:
+        raise ValueError("classes+torsion only makes sense cumulatively")
+    primitive = args.primitive or args.family in _PRIMITIVE_ALIASES
+    family = "classes" if torsion else _PRIMITIVE_ALIASES.get(args.family, args.family)
+    # refuse a count that could not be printed before computing it: 2^e has
+    # more than L digits once e >= L log2(10), which e * 10^9 >= 3321928095 L
+    # ensures.  Interpreters older than the limit (before 3.10.7) have none,
+    # and a primitive count with torsion is the counter's to refuse.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and not (torsion and primitive):
+        e = ct._count_floor_log2(family, args.t, m=args.m, primitive=primitive)
+        if e is not None and e * 10**9 >= 3321928095 * limit:
+            raise _too_long(limit)
+    if args.cumulative:
+        value = ct.cumulative(family, args.t, m=args.m, primitive=primitive,
+                              include_torsion=torsion)
+    else:
+        value = ct.count(family, args.t, m=args.m, primitive=primitive)
     try:
         # str and json.dumps refuse an int past the interpreter's int-to-str digit limit
         if args.format == "json":
@@ -323,14 +287,11 @@ def cmd_verify(args) -> int:
 
 def _growth_exacts(item: int, m, last: int) -> Iterator[int]:
     """Yield the ``exact`` column at t = 1, 2, ..., through ``last`` for the sieved items 3, 4."""
-    if item == 1:
-        for t in itertools.count(1):
-            yield (1 << (t // 2)) - 1
-    elif item == 2:
-        # reciprocal lengths up to t // 2: none at t = 1, then each total
-        # serves t = 2h and t = 2h + 1
+    if item in (1, 2):
+        # reciprocal lengths up to t // 2, all of them or with runs at most m:
+        # none at t = 1, then each total serves t = 2h and t = 2h + 1
         yield 0
-        for total in itertools.accumulate(ct.count_series("lowlying-reciprocal", m=m)):
+        for total in itertools.accumulate(ct.count_series("compositions", m=m)):
             yield total
             yield total
     else:
@@ -352,8 +313,8 @@ def cmd_growth(args) -> int:
         except OverflowError:
             last = _first_overflow(lambda t: ct.growth_target(item, t, m), last) - 1
     exacts = _growth_exacts(item, m, last)
-    rows = []
-    for t in range(1, args.tmax + 1):
+    columns = ts, exact_col, target_col, ratio_col = range(1, args.tmax + 1), [], [], []
+    for t in ts:
         try:
             target = ct.growth_target(item, t, m)
             exact = next(exacts)
@@ -363,8 +324,10 @@ def cmd_growth(args) -> int:
                 f"growth item {item}: the float columns overflow a double at t={t}; "
                 f"use --tmax {t - 1} or less"
             ) from None
-        rows.append({"t": t, "exact": exact, "target": target, "ratio": ratio})
-    _emit_rows(rows, ["t", "exact", "target", "ratio"], args.format)
+        exact_col.append(exact)
+        target_col.append(target)
+        ratio_col.append(ratio)
+    _write_columns([columns], ["t", "exact", "target", "ratio"], args.format)
     return 0
 
 
@@ -407,38 +370,25 @@ def cmd_table1(args) -> int:
             f"use --t {first - 1} or less"
         ) from None
 
-    def enum_count(sizes):
-        return sum(sizes) if enumerable else ""
-
-    # reciprocal classes are counted as the checked rows enumerate prints
-    classes_n = enum_count(1 for _ in en.classes(t))
-    reciprocal_n = enum_count(len(words) for words, _ in en._reciprocal_chunks(t, None, False))
-    lowlying_n = enum_count(1 for _ in en.classes(t, m=m))
-    lowlying_rec_n = enum_count(len(words) for words, _ in en._reciprocal_chunks(t, m, False))
-
-    rows = [
-        {"family": family, "word_length": length, "formula": formula, "enumerated": n, "check": ""}
-        for family, length, formula, n in (
-            ("classes", 2 * t, ct.necklace_count(t), classes_n),
-            ("reciprocal", 4 * t, ct.reciprocal_count(t), reciprocal_n),
-            ("lowlying", 2 * t, bound, lowlying_n),
-            ("lowlying-reciprocal", 4 * t, ct.bounded_compositions(t, m), lowlying_rec_n),
-        )
-    ]
-    failed = 0
-    for row in rows:
-        if not enumerable:
-            row["check"] = "skipped"
-            continue
-        if row["family"] == "lowlying":
-            good = row["enumerated"] >= row["formula"]
-            row["check"] = "bound-ok" if good else "BOUND-FAIL"
-        else:
-            good = row["enumerated"] == row["formula"]
-            row["check"] = "equal" if good else "MISMATCH"
-        failed += not good
-    _emit_rows(rows, ["family", "word_length", "formula", "enumerated", "check"], args.format)
-    return 1 if failed else 0
+    families = ("classes", "reciprocal", "lowlying", "lowlying-reciprocal")
+    formulas = (ct.necklace_count(t), ct.reciprocal_count(t), bound, ct.bounded_compositions(t, m))
+    if enumerable:
+        # reciprocal classes are counted as the checked rows enumerate prints
+        counts = [
+            sum(1 for _ in en.classes(t)),
+            sum(len(words) for words, _ in en._reciprocal_chunks(t, None, False)),
+            sum(1 for _ in en.classes(t, m=m)),
+            sum(len(words) for words, _ in en._reciprocal_chunks(t, m, False)),
+        ]
+        # the lowlying formula is a lower bound, the other three exact counts
+        checks = ["equal" if n == f else "MISMATCH" for n, f in zip(counts, formulas)]
+        checks[2] = "bound-ok" if counts[2] >= bound else "BOUND-FAIL"
+    else:
+        counts, checks = [""] * 4, ["skipped"] * 4
+    columns = families, (2 * t, 4 * t, 2 * t, 4 * t), formulas, counts, checks
+    _write_columns([columns], ["family", "word_length", "formula", "enumerated", "check"],
+                   args.format)
+    return 1 if {"MISMATCH", "BOUND-FAIL"} & set(checks) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -460,21 +410,20 @@ _DEPTH_FIELDS = [
 
 def cmd_depth(args) -> int:
     report = geo.max_depth(_word_from_args(args))
-    row = {
-        "word": str(report.word),
-        "tau": report.word.length,
-        "max_run": report.max_run,
-        "trace_abs": report.trace_abs,
-        "length": report.geo_length,
-        "apex": report.apex,
-        "depth": report.depth,
-        "winding_lo": report.winding_bracket[0],
-        "winding_hi": report.winding_bracket[1],
-        "cross_check_ok": report.cross_check_ok,
-    }
+    values = (
+        str(report.word),
+        report.word.length,
+        report.max_run,
+        report.trace_abs,
+        report.geo_length,
+        report.apex,
+        report.depth,
+        *report.winding_bracket,
+        report.cross_check_ok,
+    )
     # a trace_abs past the interpreter's int-to-str digit limit is refused
     # before the row is written
-    _emit_rows([row], _DEPTH_FIELDS, args.format)
+    _write_columns([[(v,) for v in values]], _DEPTH_FIELDS, args.format)
     return 0 if report.cross_check_ok else 1
 
 
@@ -494,11 +443,12 @@ _AUDIT_FIELDS = [
 def cmd_audit(args) -> int:
     _check_enumerable("--tmax", args.tmax)
     report = geo.audit_lemma71(args.tmax)
-    rows = [{k: getattr(r, k) for k in _AUDIT_FIELDS} for r in report.rows]
     if args.format == "json":
+        rows = [{k: getattr(r, k) for k in _AUDIT_FIELDS} for r in report.rows]
         print(json.dumps({"rows": rows, "summary": report.summary}, indent=2))
     else:
-        _emit_rows(rows, _AUDIT_FIELDS, args.format)
+        columns = [[getattr(r, k) for r in report.rows] for k in _AUDIT_FIELDS]
+        _write_columns([columns], _AUDIT_FIELDS, args.format)
         for key in (
             "classes",
             "paper_bracket_hits",

@@ -613,6 +613,55 @@ def _composition_floor_log2(t: int, m: int) -> int:
     return t - 1 - (t - 1) // m
 
 
+def _count_floor_log2(
+    family: str, t: int, *, m: Optional[int] = None, primitive: bool = False
+) -> Optional[int]:
+    """An exponent e with 2^e <= count(family, t, m=m, primitive=primitive), or None.
+
+    A cumulative count to t is at least its last term, so e bounds it too.
+    None where no bound is known: a primitive count below t = 16, and with a
+    run bound m = 1 a primitive or orbit count, which may be 0.  A length past
+    the counters' range gives None, leaving its refusal to them; any other
+    argument they refuse, ``_kind`` refuses here with the same message.
+    Without a run bound (``_kind``), e is t - bitlen(t) for an orbit family,
+    whose count is at least 2^t / t, and t - 1 for a power family, whose count
+    is 2^(t-1); with one, e is ``_lowlying_floor_log2`` or
+    ``_composition_floor_log2``.  A primitive count takes e - 1.
+
+    Proof of the primitive bounds, for t >= 16.  Every word or composition
+    counted at t that is not primitive is a power of one at a proper divisor
+    of t, at most t/2.  Without a bound those are fewer than 2^(t/2+1) words,
+    at most half of the 2^t, or 2^(t/2) compositions, at most half of the
+    2^(t-1); a class holds at most t words.  With m >= 2, let c_k be the
+    compositions of k into parts at most m.
+    They do not decrease, c_k >= c_(k-1) + c_(k-2) >= 2 c_(k-2), and by
+    induction c_0 + ... + c_h <= c_(h+2).
+    - power: the primitive count is at least c_t - c_(t/2+2) >= c_t / 2,
+      since c_t >= 2 c_(t-2) >= 2 c_(t/2+2).
+    - orbit: let W(d) be the non-constant d-entry words whose cyclic runs are
+      at most m.  A power u^(t/d) is in W(t) iff u is in W(d), and W(d) <= 2 c_d,
+      the words whose runs, read in a row, are at most m.  So t times the
+      primitive count is at least W(t) - 2 c_(t/2+2) >= W(t) - c_t / 4, since
+      c_t >= 8 c_(t-6) >= 8 c_(t/2+2).  The words of W(t) include those whose
+      first and last entries differ: 2 E_t, with E_t the compositions of t
+      into an even number of parts at most m.  E_t less the odd ones is the
+      coefficient of z^t in (1 - z) / (1 - z^(m+1)), at least -1, so
+      W(t) >= c_t - 1, and t times the count is at least c_t / 2 >= 2^(e'-1),
+      e' = ``_composition_floor_log2``(t, m) = t - ceil(t/m).  Then the count
+      exceeds 2^(e' - 1 - bitlen(t)) = 2^(``_lowlying_floor_log2``(t, m) - 1).
+    """
+    if not 1 <= t <= _MAX_SIZE:
+        return None
+    orbit, m = _kind(family, m, primitive, t)
+    if primitive and t < 16 or m == 1 and (orbit or primitive):
+        return None
+    if m is None:
+        e = t - t.bit_length() if orbit else t - 1
+    else:
+        e = (_lowlying_floor_log2 if orbit else _composition_floor_log2)(t, m)
+    return e - primitive
+
+
 def lowlying_lower_bound(t: int, m: int) -> float:
     """Lower bound 2^(t - t/m - 1) / t for bounded-run classes with t entries."""
     return 2.0 ** (t - t / m - 1) / t

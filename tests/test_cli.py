@@ -22,7 +22,7 @@ from modgeod import cli
 from modgeod import enumeration as en
 from modgeod import geometry as geo
 from modgeod import verify as vf
-from modgeod.cli import _emit_rows, _fmt, _write_columns, _write_rows, main
+from modgeod.cli import _fmt, _write_columns, main
 from modgeod.counting import (
     bounded_compositions,
     count,
@@ -117,6 +117,12 @@ _MESSAGES = {
         "error: a run bound m is only for lowlying, lowlying-reciprocal, compositions\n",
     ("count", "--family", "classes+torsion", "--t", "2", "--cumulative", "--m", "2"):
         "error: a run bound m is only for lowlying, lowlying-reciprocal, compositions\n",
+    ("table1", "--t", "0", "--m", "3"): "error: table1 needs --t >= 1 and --m >= 2\n",
+    ("table1", "--t", "5", "--m", "1"): "error: table1 needs --t >= 1 and --m >= 2\n",
+    ("growth", "--item", "2", "--m", "1", "--tmax", "3"): "error: growth item 2 needs m >= 2\n",
+    # the counter's own refusal, not the too-long one
+    ("count", "--family", "classes+torsion", "--t", "200000", "--cumulative", "--primitive"):
+        "error: torsion classes add only to the non-primitive classes family\n",
 }
 
 
@@ -158,6 +164,10 @@ _MESSAGES = {
         ("count", "--family", "lowlying-reciprocal", "--t", "5", "--primitive"),
         ("count", "--family", "lowlying-reciprocal", "--t", "5", "--m", "0", "--primitive"),
         *_SIZE_MESSAGES,
+        ("table1", "--t", "0", "--m", "3"),
+        ("table1", "--t", "5", "--m", "1"),
+        ("growth", "--item", "2", "--m", "1", "--tmax", "3"),
+        ("count", "--family", "classes+torsion", "--t", "200000", "--cumulative", "--primitive"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -231,16 +241,21 @@ _AWKWARD_ROWS = [
 _AWKWARD_FIELDS = ["s", "b", "n", "f", "i"]
 
 
+def _columns(rows: list[dict], fields: list[str]) -> list[list]:
+    # one chunk: the column of each named value, as the table commands build it
+    return [[row[k] for row in rows] for k in fields]
+
+
 @pytest.mark.parametrize("rows", [_AWKWARD_ROWS, _AWKWARD_ROWS[:1], []])
 def test_emit_rows_json_is_json_dumps(capsys, rows):
-    _emit_rows(rows, _AWKWARD_FIELDS, "json")
+    _write_columns([_columns(rows, _AWKWARD_FIELDS)], _AWKWARD_FIELDS, "json")
     cut = [{k: row[k] for k in _AWKWARD_FIELDS} for row in rows]
     assert capsys.readouterr().out == json.dumps(cut, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("rows", [_AWKWARD_ROWS, []])
 def test_emit_rows_csv_is_one_line_per_row(capsys, rows):
-    _emit_rows(rows, _AWKWARD_FIELDS, "csv")
+    _write_columns([_columns(rows, _AWKWARD_FIELDS)], _AWKWARD_FIELDS, "csv")
     lines = [",".join(_AWKWARD_FIELDS)]
     lines += [",".join(_fmt(row[k]) for k in _AWKWARD_FIELDS) for row in rows]
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
@@ -252,12 +267,15 @@ _CHUNK_FIELDS = [*_AWKWARD_FIELDS, "extra"]
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("n", [0, 1, 3, 4])
-def test_write_rows_in_chunks_matches_whole_output(capsys, monkeypatch, fmt, n):
-    # n = 0, 1, one chunk and one chunk plus a row
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+def test_write_rows_in_chunks_matches_whole_output(capsys, fmt, n):
+    # n = 0, 1, one chunk of three rows and one chunk plus a row, written in
+    # chunks of three and as one chunk
     rows = [_AWKWARD_ROWS[i % len(_AWKWARD_ROWS)] for i in range(n)]
-    _write_rows(([row[k] for k in _CHUNK_FIELDS] for row in rows), _CHUNK_FIELDS, fmt)
+    chunks = [_columns(rows[i:i + 3], _CHUNK_FIELDS) for i in range(0, n, 3)]
+    _write_columns(iter(chunks), _CHUNK_FIELDS, fmt)
     out = capsys.readouterr().out
+    _write_columns([_columns(rows, _CHUNK_FIELDS)], _CHUNK_FIELDS, fmt)
+    assert capsys.readouterr().out == out
     if fmt == "json":
         cut = [{k: row[k] for k in _CHUNK_FIELDS} for row in rows]
         assert out == json.dumps(cut, indent=2) + "\n"
@@ -291,16 +309,14 @@ def test_write_columns_matches_json_dumps_and_fmt(capsys, monkeypatch, fmt, n):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_write_rows_writes_each_chunk_as_it_fills(capsys, monkeypatch, fmt):
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
-
-    def rows():
-        for i in range(5):
-            yield f"w{i}", i
-        raise RuntimeError("the fifth row is the last one")
+def test_write_rows_writes_each_chunk_as_it_fills(capsys, fmt):
+    def chunks():
+        for i in (0, 2):
+            yield [f"w{i}", f"w{i + 1}"], [i, i + 1]
+        raise RuntimeError("the third chunk fails")
 
     with pytest.raises(RuntimeError):
-        _write_rows(rows(), ["word", "n"], fmt)
+        _write_columns(chunks(), ["word", "n"], fmt)
     # two whole chunks went out before the third one failed
     out = capsys.readouterr().out
     written = [{"word": f"w{i}", "n": i} for i in range(4)]
@@ -905,6 +921,31 @@ def test_the_long_power_family_refusals_take_no_time(family, cumulative):
     assert result.returncode == 2
     assert result.stdout == ""
     assert "Exceeds the limit (4300 digits) for integer string conversion" in result.stderr
+    assert cpu < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "lowlying", "--m", "3", "--primitive"),
+        ("--family", "lowlying", "--m", "3", "--primitive", "--cumulative"),
+        ("--family", "lowlying-reciprocal", "--m", "3", "--primitive"),
+        ("--family", "lowlying-reciprocal", "--m", "3", "--primitive", "--cumulative"),
+        ("--family", "classes", "--cumulative"),
+        ("--family", "primitive", "--cumulative"),
+    ],
+)
+def test_the_long_primitive_and_cumulative_refusals_take_no_time(argv):
+    # each count runs for 1.5 to 13 s before it could be refused
+    env = {**os.environ, "PYTHONPATH": str(_SRC), "PYTHONINTMAXSTRDIGITS": "4300"}
+    result, cpu = _child_cpu_seconds(["count", *argv, "--t", "200000"], env)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        "modgeod: error: Exceeds the limit (4300 digits) for integer string conversion: the "
+        "count is longer; set the environment variable PYTHONINTMAXSTRDIGITS to raise the "
+        "limit, or to 0 to lift it"
+    )
     assert cpu < 1.0
 
 

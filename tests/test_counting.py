@@ -365,6 +365,35 @@ def test_composition_floor_log2_bounds_every_count():
             assert (bound == exact) == (m == 1 or t <= m), (t, m)
 
 
+@pytest.mark.parametrize("family", ["classes", "reciprocal", "lowlying", "lowlying-reciprocal",
+                                    "compositions"])
+@pytest.mark.parametrize("primitive", [False, True])
+def test_count_floor_log2_bounds_every_count(family, primitive):
+    # the exponent the CLI refuses an over-long count by, against the exact
+    # count at every t <= 2000, for no run bound and every m <= 12 the family
+    # takes; it bounds every primitive count from t = 16, and every other
+    # count at every t, except a bounded orbit one at m = 1
+    for m in (None, *range(1, 13)):
+        try:
+            series = count_series(family, m=m, primitive=primitive)
+        except ValueError:
+            continue  # the family refuses m, or primitive counts
+        for t, exact in zip(range(1, 2001), series):
+            e = counting._count_floor_log2(family, t, m=m, primitive=primitive)
+            unknown = primitive and t < 16 or m == 1 < t and (primitive or family == "lowlying")
+            assert (e is None) == unknown, (t, m)
+            # 2^e <= exact, for a negative e too
+            assert e is None or exact >= 1 and (e < 0 or 1 << e <= exact), (t, m, e)
+
+
+def test_count_floor_log2_leaves_sizes_out_of_range_to_the_counters():
+    assert counting._count_floor_log2("classes", 0) is None
+    assert counting._count_floor_log2("classes", counting._MAX_SIZE + 1) is None
+    assert counting._count_floor_log2("classes", counting._MAX_SIZE) == 10**7 - 24
+    with pytest.raises(ValueError, match="needs the run bound m"):
+        counting._count_floor_log2("lowlying", 5)
+
+
 def test_count_series_yields_count_at_each_length():
     cases = [("classes", None, False), ("classes", None, True), ("reciprocal", None, True),
              ("compositions", None, False), ("compositions", 1, False),
@@ -520,6 +549,13 @@ def test_closed_form_matches_recursion_everywhere_contracted():
 def test_closed_form_refuses_past_precision_ceiling():
     with pytest.raises(PrecisionLimitError):
         closed_form_compositions(60, 10)
+
+
+def test_closed_form_refuses_a_bad_m_or_t():
+    with pytest.raises(ValueError, match="m must be >= 2"):
+        closed_form_compositions(5, 1)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        closed_form_compositions(-1, 3)
 
 
 def test_rnd_half_up():
