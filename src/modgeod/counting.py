@@ -633,9 +633,9 @@ def _count_floor_log2(
     of t, at most t/2.  Without a bound those are fewer than 2^(t/2+1) words,
     at most half of the 2^t, or 2^(t/2) compositions, at most half of the
     2^(t-1); a class holds at most t words.  With m >= 2, let c_k be the
-    compositions of k into parts at most m.
-    They do not decrease, c_k >= c_(k-1) + c_(k-2) >= 2 c_(k-2), and by
-    induction c_0 + ... + c_h <= c_(h+2).
+    compositions of k into parts at most m.  They do not decrease,
+    c_k >= c_(k-1) + c_(k-2) >= 2 c_(k-2), and by induction
+    c_0 + ... + c_h <= c_(h+2).
     - power: the primitive count is at least c_t - c_(t/2+2) >= c_t / 2,
       since c_t >= 2 c_(t-2) >= 2 c_(t/2+2).
     - orbit: let W(d) be the non-constant d-entry words whose cyclic runs are

@@ -936,7 +936,7 @@ def test_the_long_power_family_refusals_take_no_time(family, cumulative):
     ],
 )
 def test_the_long_primitive_and_cumulative_refusals_take_no_time(argv):
-    # each count runs for 1.5 to 13 s before it could be refused
+    # computing each of these counts takes 1.5 to 13 s
     env = {**os.environ, "PYTHONPATH": str(_SRC), "PYTHONINTMAXSTRDIGITS": "4300"}
     result, cpu = _child_cpu_seconds(["count", *argv, "--t", "200000"], env)
     assert result.returncode == 2
