@@ -6,8 +6,10 @@ word length is 2*tau.  Reciprocal (half-turn) families are parameterised by
 
 Every count is an exact Python integer; floating point only appears in the
 growth-target formulas and in the float views of the root data.  No count is
-cached; the one cache holds ``alpha``.  Lengths and run bounds past
-``_MAX_SIZE`` = 10^7 are refused.
+cached; the one cache holds ``alpha``.  Lengths past ``_MAX_SIZE`` = 10^7
+are refused.  A run bound m is read by ``_run_bound``, at any size: one below
+1 is refused, and one of at least the length bounds nothing, so that
+``count("lowlying", 5, m=10**8)`` is the 8 classes of 5 entries.
 
 Every family is one of two kinds, whole or with a run bound m (the low-lying
 families; a bound of at least the length bounds nothing), and counts from its
@@ -84,9 +86,9 @@ __all__ = [
 _ROUND_CEILING = 1 << 52
 
 
-# the largest length or run bound any counter or generator takes: a cumulative
-# count sieves two tables of about this many bytes, and past it most routes
-# would run for hours or exhaust memory before they answer
+# the largest length any counter or generator takes: a cumulative count
+# sieves two tables of about this many bytes, and past it most routes would
+# run for hours or exhaust memory before they answer
 _MAX_SIZE = 10**7
 
 
@@ -100,6 +102,16 @@ def _check_size(name: str, n: int, least: int = 1) -> None:
         raise ValueError(f"{name} must be >= {least}")
     if n > _MAX_SIZE:
         raise ValueError(f"{name} must be <= {_MAX_SIZE}")
+
+
+def _run_bound(name: str, m: Optional[int], t: Optional[int]) -> Optional[int]:
+    # a run bound m at length t: one below 1 is refused, and one that bounds
+    # nothing there, None or at least t, is None; a series has no t
+    if m is None:
+        return None
+    if m < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return m if t is None or m < t else None
 
 
 def _factorise(n: int) -> list[tuple[int, int]]:
@@ -178,10 +190,7 @@ def _kind(family: str, m: Optional[int], primitive: bool, t: Optional[int] = Non
         raise ValueError(f"primitive counts are not defined for family {family!r}")
     if m is None and family in ("lowlying", "lowlying-reciprocal"):
         raise ValueError(f"family {family!r} needs the run bound m")
-    if m is not None and m < 1:
-        raise ValueError("run bound m must be >= 1")
-    bounds = m is not None and (t is None or m < t)
-    return family in ("classes", "lowlying"), m if bounds else None
+    return family in ("classes", "lowlying"), _run_bound("run bound m", m, t)
 
 
 def _totals(orbit: bool, m: Optional[int]) -> Iterator[int]:
@@ -204,8 +213,9 @@ def _count_at(t: int, orbit: bool, m: Optional[int], primitive: bool, total=None
         total = {d: w for d, w in drawn if t % d == 0}.__getitem__
     if not orbit:
         return _mobius_sum(t, total) if primitive else total(t)
-    constants = m is not None and t <= m and (t == 1 or not primitive)
-    return _orbit_count(t, total, primitive) + 2 * constants
+    # the constant words of t entries are in when m bounds nothing at t
+    constants = m is not None and _run_bound("run bound m", m, t) is None
+    return _orbit_count(t, total, primitive) + 2 * (constants and (t == 1 or not primitive))
 
 
 def necklace_count(tau: int) -> int:
@@ -240,20 +250,19 @@ def reciprocal_count(t: int, primitive: bool = False) -> int:
     return _count_at(t, False, None, primitive)
 
 
-def bounded_compositions(t: int, m: int) -> int:
+def bounded_compositions(t: int, m: Optional[int]) -> int:
     """Number of compositions of t with every part at most m.
 
     Conventions: one empty composition of 0, none of negative totals.  For
-    m >= t >= 1 this is all 2**(t-1) compositions.  Costs O(t) big-integer
-    steps with at most m + 1 values live.
+    m None or m >= t >= 1 this is all 2**(t-1) compositions.  Costs O(t)
+    big-integer steps with at most m + 1 values live.
     """
-    if m < 1:
-        raise ValueError("part bound m must be >= 1")
+    m = _run_bound("part bound m", m, t)
     if t < 0:
         return 0
     if t == 0:
         return 1
-    return _count_at(t, False, m if m < t else None, False)
+    return _count_at(t, False, m, False)
 
 
 def count(family: str, t: int, *, m: Optional[int] = None, primitive: bool = False) -> int:
@@ -573,93 +582,62 @@ def closed_form_compositions(t: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # growth laws
 
-def _lowlying_floor_log2(t: int, m: int) -> int:
-    """An exponent e with 2^e <= count("lowlying", t, m=m), for t >= 1 and m >= 2.
-
-    Exact, unlike the float ``lowlying_lower_bound``, which overflows a double
-    past t of about 1024 / (1 - 1/m).  With k = ceil(t/m), e is
-    t - k - bitlen(t), and may be negative.
-
-    Proof.  When t <= m the count is the necklace count, at least 2^t / t.
-    Otherwise k >= 2: cut the t entries into k consecutive blocks of at most m
-    entries, the last of at least two (k - 1 blocks of m and the rest, or, when
-    the rest is one entry, the last two blocks of m - 1 and 2).  Let the first
-    entry of each block after the first differ from the entry before it, the
-    last entry differ from the first, and the other t - k entries be free.
-    Each of the 2^(t-k) free assignments gives its own word, which is not
-    constant and whose cyclic runs each lie in one block, since every block,
-    the first included, starts with a sign change: every run is at most m.  A
-    class holds at most t words, so in both cases the count is at least
-    2^(t-k) / t > 2^(t - k - bitlen(t)), as t < 2^bitlen(t).
-    """
-    return t - -(-t // m) - t.bit_length()
-
-
-def _composition_floor_log2(t: int, m: int) -> int:
-    """The exponent e = t - 1 - floor((t-1)/m), with 2^e <= bounded_compositions(t, m).
-
-    For t >= 1 and m >= 1; by the bijection the bound holds for
-    ``count("lowlying-reciprocal", t, m=m)`` too.
-
-    Proof.  A composition of t is a choice of cuts among the t - 1 gaps between
-    t entries in a row, its parts the stretches between cuts, and a part is
-    longer than m iff some m consecutive gaps are all uncut.  Cut every m-th
-    gap, the gaps after entries m, 2m, ..., floor((t-1)/m) of them, and leave
-    the other e gaps free.  Each of the 2^e free choices is its own
-    composition, and each part lies between two forced cuts (or an end), a
-    stretch of at most m entries.  At m >= t no gap is forced, and the bound is
-    the whole count 2^(t-1).
-    """
-    return t - 1 - (t - 1) // m
-
-
 def _count_floor_log2(
     family: str, t: int, *, m: Optional[int] = None, primitive: bool = False
 ) -> Optional[int]:
-    """An exponent e with 2^e <= count(family, t, m=m, primitive=primitive), or None.
+    """An exponent e with 2^e <= count(family, t, m=m, primitive=primitive) whenever e >= 0.
 
-    A cumulative count to t is at least its last term, so e bounds it too.
-    None where no bound is known: a primitive count below t = 16, and with a
-    run bound m = 1 a primitive or orbit count, which may be 0.  A length past
-    the counters' range gives None, leaving its refusal to them; any other
-    argument they refuse, ``_kind`` refuses here with the same message.
-    Without a run bound (``_kind``), e is t - bitlen(t) for an orbit family,
-    whose count is at least 2^t / t, and t - 1 for a power family, whose count
-    is 2^(t-1); with one, e is ``_lowlying_floor_log2`` or
-    ``_composition_floor_log2``.  A primitive count takes e - 1.
+    e = t - ceil(t/m) - [orbit family] bitlen(t) - [primitive], with m read as t
+    where it bounds nothing (``_run_bound``), and may be negative.  A
+    cumulative count to t is at least its last term, so e bounds it too.
+    Exact, unlike the float ``lowlying_lower_bound``, which overflows a double
+    past t of about 1024 / (1 - 1/m).  None only for a t outside
+    1..``_MAX_SIZE``, leaving its refusal to the counters; any other argument
+    they refuse, ``_kind`` refuses here with the same message.
 
-    Proof of the primitive bounds, for t >= 16.  Every word or composition
-    counted at t that is not primitive is a power of one at a proper divisor
-    of t, at most t/2.  Without a bound those are fewer than 2^(t/2+1) words,
-    at most half of the 2^t, or 2^(t/2) compositions, at most half of the
-    2^(t-1); a class holds at most t words.  With m >= 2, let c_k be the
-    compositions of k into parts at most m.  They do not decrease,
-    c_k >= c_(k-1) + c_(k-2) >= 2 c_(k-2), and by induction
-    c_0 + ... + c_h <= c_(h+2).
-    - power: the primitive count is at least c_t - c_(t/2+2) >= c_t / 2,
-      since c_t >= 2 c_(t-2) >= 2 c_(t/2+2).
-    - orbit: let W(d) be the non-constant d-entry words whose cyclic runs are
-      at most m.  A power u^(t/d) is in W(t) iff u is in W(d), and W(d) <= 2 c_d,
-      the words whose runs, read in a row, are at most m.  So t times the
-      primitive count is at least W(t) - 2 c_(t/2+2) >= W(t) - c_t / 4, since
-      c_t >= 8 c_(t-6) >= 8 c_(t/2+2).  The words of W(t) include those whose
-      first and last entries differ: 2 E_t, with E_t the compositions of t
-      into an even number of parts at most m.  E_t less the odd ones is the
-      coefficient of z^t in (1 - z) / (1 - z^(m+1)), at least -1, so
-      W(t) >= c_t - 1, and t times the count is at least c_t / 2 >= 2^(e'-1),
-      e' = ``_composition_floor_log2``(t, m) = t - ceil(t/m).  Then the count
-      exceeds 2^(e' - 1 - bitlen(t)) = 2^(``_lowlying_floor_log2``(t, m) - 1).
+    Proof.  Let k = ceil(t/m), and c_j the compositions of j into parts at
+    most m, all 2^(j-1) of them while j <= m.
+    - power, not primitive: a composition of t is a choice of cuts among the
+      t - 1 gaps between t entries in a row, and a part is longer than m iff
+      some m consecutive gaps are all uncut.  Cut the gaps after entries m,
+      2m, ..., k - 1 of them, and leave the other t - k free: each of the
+      2^(t-k) choices is its own composition, with parts at most m since the
+      forced cuts and the two ends are at most m apart, so c_t >= 2^e.
+    - orbit, not primitive, e >= 0, so t >= 2 and m >= 2: cut the t entries
+      into k consecutive blocks of at most m entries, the last of at least two
+      (k - 1 blocks of m and the rest, or, when the rest is one entry, the
+      last two blocks of m - 1 and 2).  Let the first entry of each block
+      after the first differ from the entry before it, the last entry differ
+      from the first, and the other t - k entries be free.  Each of the 2^(t-k) free
+      assignments gives its own word, which is not constant and whose cyclic
+      runs each lie in one block, since every block, the first included,
+      starts with a sign change: every run is at most m.  A class holds at
+      most t words, so the count is at least 2^(t-k) / t > 2^e, as
+      t < 2^bitlen(t).
+    - primitive, e >= 0 and t >= 16, so m >= 2: every word or composition
+      counted at t that is not primitive is a power of one at a proper divisor
+      of t, at most h = t // 2.  Now c_j >= c_(j-1) + c_(j-2) >= 2 c_(j-2), and
+      by induction c_0 + ... + c_h <= c_(h+2).
+      - power: the primitive count is at least c_t - c_(h+2) >= c_t / 2 >= 2^e,
+        since c_t >= 2 c_(t-2) >= 2 c_(h+2).
+      - orbit: let W(d) be the non-constant d-entry words whose cyclic runs
+        are at most m.  A power u^(t/d) is in W(t) iff u is in W(d), and
+        W(d) <= 2 c_d, the words whose runs, read in a row, are at most m.
+        So t times the primitive count is at least W(t) - 2 c_(h+2) >=
+        W(t) - c_t / 4, since c_t >= 8 c_(t-6) >= 8 c_(h+2).  The words of
+        W(t) include those whose first and last entries differ: 2 E_t, with
+        E_t the compositions of t into an even number of parts at most m.
+        E_t less the odd ones is the coefficient of z^t in
+        (1 - z) / (1 - z^(m+1)), at least -1, so W(t) >= c_t - 1, and t times
+        the count is at least c_t / 2 >= 2^(t-k-1).  The count exceeds
+        2^(t-k-1-bitlen(t)) = 2^e.
+    - primitive, t < 16: with m read as t, these are finitely many cases,
+      each checked against the exact count in ``tests/test_counting.py``.
     """
     if not 1 <= t <= _MAX_SIZE:
         return None
     orbit, m = _kind(family, m, primitive, t)
-    if primitive and t < 16 or m == 1 and (orbit or primitive):
-        return None
-    if m is None:
-        e = t - t.bit_length() if orbit else t - 1
-    else:
-        e = (_lowlying_floor_log2 if orbit else _composition_floor_log2)(t, m)
-    return e - primitive
+    return t - -(-t // (m or t)) - orbit * t.bit_length() - primitive
 
 
 def lowlying_lower_bound(t: int, m: int) -> float:

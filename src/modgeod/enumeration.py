@@ -52,7 +52,7 @@ from .binwords import (
     BinaryWord,
     Composition,
     HalfTurnWord,
-    _full_from_half_bits,  # unused here; kept because bench/tracer.py hooks this name
+    _full_from_half_bits,
     _k0_bits,
     _max_cyclic_run_bits,  # unused here; kept because bench/tracer.py hooks this name
     _reverse_bits,
@@ -63,7 +63,7 @@ from .binwords import (
     half_turn_partner,
     runs_of,
 )
-from .counting import _check_size, _factorise
+from .counting import _check_size, _factorise, _run_bound
 
 __all__ = [
     "ContractViolationError",
@@ -110,12 +110,11 @@ def _class_bits(
     Arguments are checked on the first pull.
     """
     _check_size("tau", tau)
-    # a run bound past tau bounds nothing, here as in the counters
-    bound = tau if m is None else min(m, tau)
-    _check_size("run bound m", bound)
+    m = _run_bound("run bound m", m, tau)
+    bound = m or tau
     # a constant word's run is its length; it is primitive only at tau = 1
-    keep_constants = bound == tau and not hyperbolic and (tau == 1 or not primitive)
-    if bound == tau:
+    keep_constants = m is None and not hyperbolic and (tau == 1 or not primitive)
+    if m is None:
         bits = 0
         if keep_constants:
             yield bits
@@ -236,8 +235,7 @@ def _reciprocal_bits(t: int, m: Optional[int] = None) -> Iterator[int]:
 def _reciprocal_blocks(t: int, m: Optional[int]) -> Iterator[list[int]]:
     # the lists _reciprocal_bits chains, one per block of halves, maybe empty
     _check_size("t", t)
-    if m is not None:
-        _check_size("run bound m", min(m, t))
+    m = _run_bound("run bound m", m, t)
     mask = (1 << t) - 1
     low, low_mask, rev_low, rev_high = _mirror_tables(t)
 
@@ -251,7 +249,7 @@ def _reciprocal_blocks(t: int, m: Optional[int]) -> Iterator[list[int]]:
 
     # both junctions of a mirrored word change sign, so its cyclic runs are
     # the runs of its half
-    halves = iter(range(1 << t) if m is None or m >= t else _bounded_run_words(t, m))
+    halves = iter(range(1 << t) if m is None else _bounded_run_words(t, m))
     while block := list(islice(halves, _RECIPROCAL_BLOCK)):
         yield [
             (half << t) | mirror
@@ -369,7 +367,7 @@ def phi_inverse(c: Composition) -> HalfTurnWord:
     low = from_composition(c, -1).bits
     preimages = (low, low ^ mask)
     for half in preimages:
-        full = (half << t) | (mask ^ _reverse_bits(half, t))
+        full = _full_from_half_bits(half, t)
         partner = _rotate_bits(full, _k0_bits(full, length), length)
         bits = min(full, partner)
         if bits >> t in preimages:
@@ -417,7 +415,7 @@ def lower_bound_witnesses(t: int, m: int) -> Iterator[BinaryWord]:
     between two forced slots, which are at most m apart).
     """
     _check_size("t", t)
-    _check_size("run bound m", min(m, t))
+    m = _run_bound("run bound m", m, t) or t
     forced = sorted({*range(m, t, m), t - 1})
     slots = [1 << (t - 1 - g) for g in forced]
     free = (1 << t) - 1 - sum(slots)

@@ -528,6 +528,9 @@ def check_sign_canonicalization(tmax: int = 6) -> Outcome:
 @_check("geometry.widened_depth_bracket")
 def check_widened_depth_bracket(tmax: int = 10) -> Outcome:
     report = geo.audit_lemma71(tmax)
+    failures = report.summary["cross_check_failures"]
+    if failures:
+        return _fail(f"{failures} depth cross-checks disagree through tau={tmax}")
     misses = [r for r in report.rows if not r.widened_hit]
     if misses:
         return _fail(f"{misses[0].word} at depth {misses[0].depth:.6f}")

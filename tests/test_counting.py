@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 from hypothesis import given
@@ -32,7 +33,12 @@ from modgeod.counting import (
     reciprocal_count,
     rnd,
 )
-from modgeod.enumeration import classes, reciprocal_classes
+from modgeod.enumeration import (
+    _reciprocal_chunks,
+    classes,
+    lower_bound_witnesses,
+    reciprocal_classes,
+)
 
 import oracles
 
@@ -345,51 +351,32 @@ def test_sieved_cumulative_matches_the_series_sum(family, m, primitive, torsion)
         assert got == sums[t - 1] + 3 * torsion, t
 
 
-def test_lowlying_floor_log2_bounds_every_count():
-    # the exponent the CLI refuses an over-long lowlying count by, checked
-    # against the exact count at every t <= 2000 for every run bound m <= 12
-    for m in range(2, 13):
-        for t, exact in zip(range(1, 2001), count_series("lowlying", m=m)):
-            e = counting._lowlying_floor_log2(t, m)
-            assert e < 0 or 1 << e <= exact, (t, m)
-
-
-def test_composition_floor_log2_bounds_every_count():
-    # the exponent the CLI refuses an over-long compositions or
-    # lowlying-reciprocal count by, against the exact count at every t <= 2000
-    # for every part bound m <= 12; it is the count itself where no gap is forced
-    for m in range(1, 13):
-        for t, exact in zip(range(1, 2001), count_series("compositions", m=m)):
-            bound = 1 << counting._composition_floor_log2(t, m)
-            assert bound <= exact, (t, m)
-            assert (bound == exact) == (m == 1 or t <= m), (t, m)
-
-
 @pytest.mark.parametrize("family", ["classes", "reciprocal", "lowlying", "lowlying-reciprocal",
                                     "compositions"])
 @pytest.mark.parametrize("primitive", [False, True])
 def test_count_floor_log2_bounds_every_count(family, primitive):
-    # the exponent the CLI refuses an over-long count by, against the exact
-    # count at every t <= 2000, for no run bound and every m <= 12 the family
-    # takes; it bounds every primitive count from t = 16, and every other
-    # count at every t, except a bounded orbit one at m = 1
-    for m in (None, *range(1, 13)):
+    # the one exponent the CLI refuses an over-long count by, against the exact
+    # count at every t <= 2000 for no run bound and every m <= 12 the family
+    # takes, and at every t < 40 for every m < 40: so at every primitive case
+    # below t = 16, which its proof leaves to this test.  A power family's
+    # bound is the whole count where no gap is forced
+    for m in (None, *range(1, 40)):
         try:
             series = count_series(family, m=m, primitive=primitive)
         except ValueError:
             continue  # the family refuses m, or primitive counts
-        for t, exact in zip(range(1, 2001), series):
+        t_max = 2000 if m is None or m <= 12 else 39
+        for t, exact in zip(range(1, t_max + 1), series):
             e = counting._count_floor_log2(family, t, m=m, primitive=primitive)
-            unknown = primitive and t < 16 or m == 1 < t and (primitive or family == "lowlying")
-            assert (e is None) == unknown, (t, m)
-            # 2^e <= exact, for a negative e too
-            assert e is None or exact >= 1 and (e < 0 or 1 << e <= exact), (t, m, e)
+            assert e < 0 or 1 << e <= exact, (t, m, e)
+            if not (primitive or family in ("classes", "lowlying")):
+                assert (1 << e == exact) == (m in (None, 1) or t <= m), (t, m)
 
 
 def test_count_floor_log2_leaves_sizes_out_of_range_to_the_counters():
     assert counting._count_floor_log2("classes", 0) is None
     assert counting._count_floor_log2("classes", counting._MAX_SIZE + 1) is None
-    assert counting._count_floor_log2("classes", counting._MAX_SIZE) == 10**7 - 24
+    assert counting._count_floor_log2("classes", counting._MAX_SIZE) == 10**7 - 25
     with pytest.raises(ValueError, match="needs the run bound m"):
         counting._count_floor_log2("lowlying", 5)
 
@@ -461,6 +448,48 @@ def test_bounded_compositions_take_any_part_bound():
 @given(st.integers(1, 18), st.integers(0, 6))
 def test_unbounded_parts_collapse(t, extra):
     assert bounded_compositions(t, t + extra) == 1 << (t - 1)
+
+
+def _bounded_families(counter):
+    # counter's values on every family that takes m, an orbit family read as
+    # classes and a primitive power family as reciprocal when m is None
+    def read(t, m):
+        orbit, power = ("classes", "reciprocal") if m is None else ("lowlying", "lowlying-reciprocal")
+        return [counter(orbit, t, m, False), counter(orbit, t, m, True),
+                counter(power, t, m, True), counter("compositions", t, m, False)]
+    return read
+
+
+# each reader's value at length t under run bound m; an iterator is pulled whole
+_RUN_BOUND_READERS = {
+    "count": _bounded_families(lambda f, t, m, p: count(f, t, m=m, primitive=p)),
+    "cumulative": _bounded_families(lambda f, t, m, p: cumulative(f, t, m=m, primitive=p)),
+    "count_series": _bounded_families(
+        lambda f, t, m, p: list(itertools.islice(count_series(f, m=m, primitive=p), t))),
+    "bounded_compositions": bounded_compositions,
+    "classes": lambda t, m: classes(t, m=m),
+    "reciprocal_classes": reciprocal_classes,
+    "_reciprocal_chunks": lambda t, m: _reciprocal_chunks(t, m, False),
+    "lower_bound_witnesses": lower_bound_witnesses,
+}
+
+
+@pytest.mark.parametrize("reader", _RUN_BOUND_READERS)
+def test_a_run_bound_of_at_least_the_length_bounds_nothing(reader):
+    read = _RUN_BOUND_READERS[reader]
+    for t in (1, 2, 5, 8):
+        # the witnesses' whole is m = t, which forces only the last slot
+        whole = read(t, t if reader == "lower_bound_witnesses" else None)
+        whole = list(whole) if isinstance(whole, Iterator) else whole
+        for m in (t, t + 1, 10**8):
+            got = read(t, m)
+            assert (list(got) if isinstance(got, Iterator) else got) == whole, (t, m)
+    message = "part bound m must be >= 1" if reader == "bounded_compositions" else (
+        "run bound m must be >= 1")
+    with pytest.raises(ValueError, match=message):
+        got = read(5, 0)
+        if isinstance(got, Iterator):
+            next(got)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from modgeod import binwords as bw
 from modgeod import counting as ct
 from modgeod import enumeration as en
+from modgeod import geometry as geo
 from modgeod import verify
 from modgeod.binwords import BinaryWord
 from modgeod.cli import main
@@ -263,6 +264,16 @@ def test_sharp_law_check_catches_an_off_by_one_length(monkeypatch):
     result = verify.check_sharp_law()
     assert not result.ok
     assert result.detail == "m=3: gaps 0.67, 0.75, 0.79, 0.82 at n in (10, 20, 40, 80)"
+
+
+def test_depth_bracket_check_catches_an_off_by_one_cross_check(monkeypatch):
+    # the depths, and so the brackets, come from the run walk alone; only the
+    # audit's cross-check count sees the reduced cycle
+    exact = geo._reduced_cycle_min_c
+    monkeypatch.setattr(geo, "_reduced_cycle_min_c", lambda M, length: exact(M, length) + 1)
+    result = verify.check_widened_depth_bracket(6)
+    assert not result.ok
+    assert result.detail == "25 depth cross-checks disagree through tau=6"
 
 
 # ---------------------------------------------------------------------------
