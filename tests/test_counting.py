@@ -351,6 +351,26 @@ def test_sieved_cumulative_matches_the_series_sum(family, m, primitive, torsion)
         assert got == sums[t - 1] + 3 * torsion, t
 
 
+def test_lowlying_floor_log2_bounds_every_count():
+    # the exponent the CLI refuses an over-long lowlying count by, checked
+    # against the exact count at every t <= 2000 for every run bound m <= 12
+    for m in range(2, 13):
+        for t, exact in zip(range(1, 2001), count_series("lowlying", m=m)):
+            e = counting._count_floor_log2("lowlying", t, m=m)
+            assert e < 0 or 1 << e <= exact, (t, m)
+
+
+def test_composition_floor_log2_bounds_every_count():
+    # the exponent the CLI refuses an over-long compositions count by, against
+    # the exact count at every t <= 2000 for every part bound m <= 12; it is
+    # the count itself where no gap is forced
+    for m in range(1, 13):
+        for t, exact in zip(range(1, 2001), count_series("compositions", m=m)):
+            bound = 1 << counting._count_floor_log2("compositions", t, m=m)
+            assert bound <= exact, (t, m)
+            assert (bound == exact) == (m == 1 or t <= m), (t, m)
+
+
 @pytest.mark.parametrize("family", ["classes", "reciprocal", "lowlying", "lowlying-reciprocal",
                                     "compositions"])
 @pytest.mark.parametrize("primitive", [False, True])
