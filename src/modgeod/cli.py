@@ -31,6 +31,7 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import os
 import stat
 import sys
@@ -394,60 +395,44 @@ def cmd_table1(args) -> int:
 # ---------------------------------------------------------------------------
 # depth and the bracket audit
 
-_DEPTH_FIELDS = [
-    "word",
-    "tau",
-    "max_run",
-    "trace_abs",
-    "length",
-    "apex",
-    "depth",
-    "winding_lo",
-    "winding_hi",
-    "cross_check_ok",
-]
+# each depth column's value on a ``DepthReport``
+_DEPTH_COLUMNS = {
+    "word": lambda r: str(r.word),
+    "tau": lambda r: r.word.length,
+    "length": operator.attrgetter("geo_length"),
+    "winding_lo": lambda r: r.winding_bracket[0],
+    "winding_hi": lambda r: r.winding_bracket[1],
+    **{k: operator.attrgetter(k) for k in (
+        "max_run", "trace_abs", "apex", "depth", "cross_check_ok",
+        "paper_bracket_hit", "shifted_bracket_hit",
+    )},
+}
+
+_SHARED_FIELDS = ["word", "tau", "max_run", "trace_abs", "length", "apex", "depth"]
+_DEPTH_FIELDS = [*_SHARED_FIELDS, "winding_lo", "winding_hi", "cross_check_ok"]
+_AUDIT_FIELDS = [*_SHARED_FIELDS, "paper_bracket_hit", "shifted_bracket_hit"]
+
+
+def _depth_columns(reports: Sequence[geo.DepthReport], fields: list[str]) -> list[list]:
+    return [list(map(_DEPTH_COLUMNS[k], reports)) for k in fields]
 
 
 def cmd_depth(args) -> int:
     report = geo.max_depth(_word_from_args(args))
-    values = (
-        str(report.word),
-        report.word.length,
-        report.max_run,
-        report.trace_abs,
-        report.geo_length,
-        report.apex,
-        report.depth,
-        *report.winding_bracket,
-        report.cross_check_ok,
-    )
     # a trace_abs past the interpreter's int-to-str digit limit is refused
     # before the row is written
-    _write_columns([[(v,) for v in values]], _DEPTH_FIELDS, args.format)
+    _write_columns([_depth_columns([report], _DEPTH_FIELDS)], _DEPTH_FIELDS, args.format)
     return 0 if report.cross_check_ok else 1
-
-
-_AUDIT_FIELDS = [
-    "word",
-    "tau",
-    "max_run",
-    "trace_abs",
-    "length",
-    "apex",
-    "depth",
-    "paper_bracket_hit",
-    "shifted_bracket_hit",
-]
 
 
 def cmd_audit(args) -> int:
     _check_enumerable("--tmax", args.tmax)
     report = geo.audit_lemma71(args.tmax)
+    columns = _depth_columns(report.rows, _AUDIT_FIELDS)
     if args.format == "json":
-        rows = [{k: getattr(r, k) for k in _AUDIT_FIELDS} for r in report.rows]
+        rows = [dict(zip(_AUDIT_FIELDS, row)) for row in zip(*columns)]
         print(json.dumps({"rows": rows, "summary": report.summary}, indent=2))
     else:
-        columns = [[getattr(r, k) for r in report.rows] for k in _AUDIT_FIELDS]
         _write_columns([columns], _AUDIT_FIELDS, args.format)
         for key in (
             "classes",

@@ -642,6 +642,11 @@ def _count_floor_log2(
 
 def lowlying_lower_bound(t: int, m: int) -> float:
     """Lower bound 2^(t - t/m - 1) / t for bounded-run classes with t entries."""
+    # not _check_size: a t past _MAX_SIZE overflows, which table1's search reads
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     return 2.0 ** (t - t / m - 1) / t
 
 
@@ -653,6 +658,9 @@ def growth_target(item: int, t: int, m: Optional[int] = None) -> float:
     3: 2^(t+1) / t                        (all classes, cumulative)
     4: 2^(t(1-1/m)) / t                   (bounded-run classes, m >= 3)
     """
+    # not _check_size: a t past _MAX_SIZE overflows, which growth's search reads
+    if t < 1:
+        raise ValueError("t must be >= 1")
     if item in (1, 3) and m is not None:
         raise ValueError(f"growth item {item} takes no m")
     if item == 1:

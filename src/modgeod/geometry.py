@@ -20,6 +20,9 @@ and the b-entry q + (n-k)v + kp + k(n-k)u is concave in k, so least at
 k = 0 or n.  Inside a +1 run, swap b and c.  ``max_depth`` checks the minimum
 against the reduced cycle of the form (c, d - a, -b) (Buchmann and Vollmer,
 *Binary Quadratic Forms*, 2007, ch. 6), ``verify`` against ``_bfs_min_c``.
+
+The bracket audit's rows are these ``max_depth`` reports, one per class; the
+rule that scores a depth against its run's bracket lives on ``DepthReport``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .enumeration import ContractViolationError, classes
 __all__ = [
     "ProjectiveMatrix",
     "DepthReport",
-    "AuditRow",
     "AuditReport",
     "GEN_A",
     "GEN_B",
@@ -211,6 +213,24 @@ class DepthReport:
     winding_bracket: tuple[int, int]
     cross_check_ok: bool
 
+    # The depth brackets of ``audit_lemma71``, for k = max_run: the paper's
+    # (log(k/2), log((k+1)/2)), the one shifted up a unit of k, and their
+    # union.  depth = log(L/2) for the irrational L = sqrt(D)/min|c|, so each
+    # bracket test is exact on the lower winding bound
+    # floor(L) = isqrt(D) // min|c|.
+
+    @property
+    def paper_bracket_hit(self) -> bool:
+        return self.winding_bracket[0] == self.max_run
+
+    @property
+    def shifted_bracket_hit(self) -> bool:
+        return self.winding_bracket[0] == self.max_run + 1
+
+    @property
+    def widened_hit(self) -> bool:
+        return self.max_run <= self.winding_bracket[0] <= self.max_run + 1
+
 
 def _boundary_rotations(base: Quad, plus: bool, runs: list[int]) -> list[Quad]:
     """Matrices of the rotations starting at each linear run, signs as they fall.
@@ -379,63 +399,24 @@ def max_depth(w: BinaryWord) -> DepthReport:
 
 
 @dataclass(frozen=True)
-class AuditRow:
-    """One hyperbolic class scored against both candidate depth brackets."""
-
-    word: str
-    tau: int
-    max_run: int
-    trace_abs: int
-    length: float
-    apex: float
-    depth: float
-    paper_bracket_hit: bool
-    shifted_bracket_hit: bool
-    widened_hit: bool
-    cross_check_ok: bool
-
-
-@dataclass(frozen=True)
 class AuditReport:
-    rows: tuple[AuditRow, ...]
+    rows: tuple[DepthReport, ...]
     summary: dict
-
-
-def _audit_row(w: BinaryWord) -> AuditRow:
-    report = max_depth(w)
-    k = report.max_run
-    # depth = log(L/2) for the irrational L = sqrt(D)/min|c|, so each bracket
-    # test is exact on the lower winding bound floor(L) = isqrt(D) // min|c|
-    lo = report.winding_bracket[0]
-    return AuditRow(
-        word=str(w),
-        tau=w.length,
-        max_run=k,
-        trace_abs=report.trace_abs,
-        length=report.geo_length,
-        apex=report.apex,
-        depth=report.depth,
-        paper_bracket_hit=lo == k,
-        shifted_bracket_hit=lo == k + 1,
-        widened_hit=k <= lo <= k + 1,
-        cross_check_ok=report.cross_check_ok,
-    )
 
 
 def audit_lemma71(tau_max: int) -> AuditReport:
     """Measure where every hyperbolic class's depth falls relative to its run.
 
-    For each class with at most tau_max entries and largest cyclic run k, the
-    depth from ``max_depth`` is scored against the bracket
-    (log(k/2), log((k+1)/2)) and against the same bracket shifted up by one
-    unit of k; both tests are integer comparisons of k with the lower winding
-    bound, so no depth sits on a bracket edge.  This is a measurement command:
-    it tabulates and never asserts which bracket ought to win.  Rows come in
-    class order.
+    The rows are the ``max_depth`` reports of the classes with at most
+    tau_max entries, in class order, and the summary tallies their bracket
+    properties: for largest cyclic run k, the paper's bracket
+    (log(k/2), log((k+1)/2)) and the same bracket shifted up by one unit of
+    k.  This is a measurement command: it tabulates and never asserts which
+    bracket ought to win.
     """
     if tau_max < 2:
         raise ValueError("tau_max must be >= 2")
-    rows = [_audit_row(w) for tau in range(1, tau_max + 1) for w in classes(tau, hyperbolic=True)]
+    rows = [max_depth(w) for tau in range(1, tau_max + 1) for w in classes(tau, hyperbolic=True)]
 
     by_run: dict[int, dict[str, int]] = {}
     for row in rows:

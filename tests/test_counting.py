@@ -622,6 +622,10 @@ def test_lowlying_lower_bound_values():
     assert abs(lowlying_lower_bound(12, 3) - 2**7 / 12) < 1e-12
     for m in (2, 5):
         assert abs(lowlying_lower_bound(m, m) - 2 ** (m - 2) / m) < 1e-12
+    # a length or run bound below 1 is refused, not divided by or bounded
+    for t, m, name in ((0, 3, "t"), (-2, 3, "t"), (3, 0, "m"), (3, -1, "m")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            lowlying_lower_bound(t, m)
 
 
 def test_growth_target_values():
@@ -643,3 +647,6 @@ def test_growth_target_errors():
         growth_target(4, 8, 2)
     with pytest.raises(ValueError):
         growth_target(5, 8)
+    for args in ((3, 0), (1, -4), (2, -3, 3), (4, 0, 3)):
+        with pytest.raises(ValueError, match="^t must be >= 1$"):
+            growth_target(*args)

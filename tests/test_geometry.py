@@ -514,14 +514,20 @@ def test_audit_smoke():
     )
     for row in report.rows:
         assert not (row.paper_bracket_hit and row.shifted_bracket_hit)
-        assert row.word == str(BinaryWord.from_text(row.word))
+        assert BinaryWord.from_text(str(row.word)) == row.word
 
 
 def test_audit_single_run_rows_sit_in_shifted_bracket():
     report = audit_lemma71(5)
-    by_word = {row.word: row for row in report.rows}
+    by_word = {str(row.word): row for row in report.rows}
     assert by_word["-+"].shifted_bracket_hit and not by_word["-+"].paper_bracket_hit
     assert by_word["-++"].shifted_bracket_hit and not by_word["-++"].paper_bracket_hit
+
+
+def test_audit_rows_are_the_depth_reports_of_the_classes():
+    report = audit_lemma71(8)
+    want = [max_depth(w) for tau in range(1, 9) for w in classes(tau, hyperbolic=True)]
+    assert list(report.rows) == want
 
 
 def test_audit_integer_scoring_matches_float_brackets():
