@@ -6,9 +6,9 @@ mirrors the CSV rows as an array of objects with the same field names.
 Every table has one writer, ``_write_columns``, which takes chunks of
 columns and renders each column whole.  ``enumerate`` streams its chunks as
 the generators make them, so its memory does not grow with the class count;
-a chunk is ``_CHUNK_ROWS`` rows, except that reciprocal words come checked
-from ``enumeration._reciprocal_chunks``, one chunk per block of the core's
-halves.  Every other table is one chunk.  A count too long to print is
+a chunk is ``_CHUNK_ROWS`` rows, except that reciprocal words come from
+``enumeration._reciprocal_chunks``, one chunk per block of its halves.
+Every other table is one chunk.  A count too long to print is
 refused before it is computed when ``counting._count_floor_log2`` already
 bounds it past the interpreter's int-to-str digit limit.
 
@@ -223,7 +223,7 @@ def _enumerate_columns(args) -> Iterator[tuple]:
 
     Words are formatted from their packed bits and build no word object.
     Classes come from the bits-level core ``_CHUNK_ROWS`` at a time;
-    reciprocal words come checked from theirs, a block at a time.
+    reciprocal words come from theirs with their k0s, a block at a time.
     """
     t = args.t
     if args.family == "classes":
@@ -374,11 +374,11 @@ def cmd_table1(args) -> int:
     families = ("classes", "reciprocal", "lowlying", "lowlying-reciprocal")
     formulas = (ct.necklace_count(t), ct.reciprocal_count(t), bound, ct.bounded_compositions(t, m))
     if enumerable:
-        # reciprocal classes are counted as the checked rows enumerate prints
+        # every class is counted off its packed core, as enumerate prints it
         counts = [
-            sum(1 for _ in en.classes(t)),
+            sum(1 for _ in en._class_bits(t)),
             sum(len(words) for words, _ in en._reciprocal_chunks(t, None, False)),
-            sum(1 for _ in en.classes(t, m=m)),
+            sum(1 for _ in en._class_bits(t, m=m)),
             sum(len(words) for words, _ in en._reciprocal_chunks(t, m, False)),
         ]
         # the lowlying formula is a lower bound, the other three exact counts

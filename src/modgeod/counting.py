@@ -641,12 +641,16 @@ def _count_floor_log2(
 
 
 def lowlying_lower_bound(t: int, m: int) -> float:
-    """Lower bound 2^(t - t/m - 1) / t for bounded-run classes with t entries."""
+    """Lower bound 2^(t - t/m - 1) / t for bounded-run classes with t entries.
+
+    Refuses m < 2: at m = 1 the formula gives 1/(2t), yet no word of odd
+    length alternates, so the count it would bound is 0 at every odd t.
+    """
     # not _check_size: a t past _MAX_SIZE overflows, which table1's search reads
     if t < 1:
         raise ValueError("t must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if m < 2:
+        raise ValueError("m must be >= 2")
     return 2.0 ** (t - t / m - 1) / t
 
 

@@ -8,14 +8,10 @@ tau, a Lyndon (primitive) word exactly when p equals tau.  A run bound m is
 applied to prefixes (Ruskey-Sawada, COCOON 2000): a prefix with a run longer
 than m is skipped together with every word that extends it.
 ``reciprocal_classes`` walks the free first halves, under a run bound only
-those whose runs are at most m, through a private core that yields packed
-bits a block of halves at a time; ``verify`` counts these and checks the
-composition bijection on them.  Both do a constant amount of big-integer work
-per class on average, and neither canonicalises a word by rotating it.  The
-CLI streams its rows from ``_reciprocal_chunks``, which makes the
-``HalfTurnWord`` constructor's checks on the core's words a block at a time:
-the mirror test, and k0 from one period test per prime dividing 2t, with
-``_k0_bits`` only for the few words that have a proper period.
+those whose runs are at most m, through the packed core ``_reciprocal_chunks``,
+which yields the kept words of a block of halves with their k0s; the CLI and
+``verify`` read the core.  Both walks do a constant amount of big-integer work
+per class on average, and neither canonicalises a word by rotating it.
 ``classes`` makes the extension of a prefix length when the walk first
 reaches it, and ``lower_bound_witnesses`` walks the assignments of its free
 slots with the submask step, so neither builds a table before its first word.
@@ -45,7 +41,7 @@ test suite.
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from typing import Iterator, Optional
 
 from .binwords import (
@@ -205,17 +201,21 @@ def _mirror_tables(t: int) -> tuple:
     return low, (1 << low) - 1, rev_low, [_reverse_bits(x, high) for x in range(1 << high)]
 
 
-# halves per block of _reciprocal_bits
+# halves per block of _reciprocal_chunks
 _RECIPROCAL_BLOCK = 4096
 
 
-def _reciprocal_bits(t: int, m: Optional[int] = None) -> Iterator[int]:
-    """Packed bits of the canonical mirrored words of ``reciprocal_classes``.
+def _reciprocal_chunks(
+    t: int, m: Optional[int], primitive: bool
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Packed bits and k0s of the words of ``reciprocal_classes``, a block at a time.
 
-    Same words in the same order, with no object and no period per word: the
-    callers check each word and find its k0.  Arguments are checked on the
-    first pull.  One list comprehension makes the words of each block of
-    ``_RECIPROCAL_BLOCK`` halves, so pulling words runs in C.
+    Same words in the same order, with no object per word.  Yields one pair
+    of equal-length lists, packed words and their k0s, per block of
+    ``_RECIPROCAL_BLOCK`` halves that keeps a word; one list comprehension
+    makes the words of each block, so pulling words runs in C.  With
+    ``primitive`` only the words with k0 = t are kept.  Arguments are checked
+    on the first pull.
 
     Canonicity is read off the two halves, with no period and no rotation.
     Let s be reverse-complement on t entries, so the word is h.s(h).  Its
@@ -228,16 +228,21 @@ def _reciprocal_bits(t: int, m: Optional[int] = None) -> Iterator[int]:
     s(h), is a mirrored word of t entries, so the test repeats on its halves.
     It ends, since the middle entry of an odd-length word is not its own
     negation, so such a word never equals its mirror.
+
+    The rotations that fix a word of L = 2t entries form a subgroup of Z_L,
+    so the word has a proper period exactly when its rotation by L/r is the
+    identity for some prime r dividing L.  Only the words that pass such a
+    test, few in any block, go to ``_k0_bits``; every other word has smallest
+    period L and so k0 = t.
     """
-    return chain.from_iterable(_reciprocal_blocks(t, m))
-
-
-def _reciprocal_blocks(t: int, m: Optional[int]) -> Iterator[list[int]]:
-    # the lists _reciprocal_bits chains, one per block of halves, maybe empty
     _check_size("t", t)
     m = _run_bound("run bound m", m, t)
+    length = 2 * t
     mask = (1 << t) - 1
     low, low_mask, rev_low, rev_high = _mirror_tables(t)
+    # the rotation by d of a word of L entries is the identity iff its first
+    # L - d entries equal its last L - d ones
+    periods = [(length // r, (1 << (length - length // r)) - 1) for r, _ in _factorise(length)]
 
     def halving_keeps(half: int) -> bool:
         # half = s(half): compare its halves, then theirs while they are equal
@@ -251,61 +256,25 @@ def _reciprocal_blocks(t: int, m: Optional[int]) -> Iterator[list[int]]:
     # the runs of its half
     halves = iter(range(1 << t) if m is None else _bounded_run_words(t, m))
     while block := list(islice(halves, _RECIPROCAL_BLOCK)):
-        yield [
+        chunk = [
             (half << t) | mirror
             for half in block
             if (mirror := mask ^ (rev_low[half & low_mask] | rev_high[half >> low])) > half
             or mirror == half and halving_keeps(half)
         ]
-
-
-def _reciprocal_chunks(
-    t: int, m: Optional[int], primitive: bool
-) -> Iterator[tuple[list[int], list[int]]]:
-    """The words of ``_reciprocal_bits`` and their k0s, checked a block at a time.
-
-    Yields one pair of equal-length lists, packed words and k0s, per block of
-    ``_reciprocal_blocks`` that keeps a word, in the core's order.  Each word
-    gets the checks the ``HalfTurnWord`` constructor makes, a block at a time:
-    a word that is not mirrored raises ``ContractViolationError`` naming it,
-    and k0 equals ``_k0_bits``.  With ``primitive`` only the words with
-    k0 = t are kept.  Arguments are checked on the first pull.
-
-    The rotations that fix a word of L = 2t entries form a subgroup of Z_L,
-    so the word has a proper period exactly when its rotation by L/r is the
-    identity for some prime r dividing L.  Only the words that pass such a
-    test, few in any block, go to ``_k0_bits``; every other word has smallest
-    period L and so k0 = t.
-    """
-    blocks = _reciprocal_blocks(t, m)
-    blocks = chain([next(blocks, [])], blocks)  # checks t and m before anything else
-    length = 2 * t
-    mask = (1 << t) - 1
-    low, low_mask, rev_low, rev_high = _mirror_tables(t)
-    hi_shift = t + low
-    # the rotation by d of a word of L entries is the identity iff its first
-    # L - d entries equal its last L - d ones
-    periods = [(length // r, (1 << (length - length // r)) - 1) for r, _ in _factorise(length)]
-    for chunk in filter(None, blocks):
-        # mirrored iff s(first half) = second half, as _is_half_turn_bits
-        broken = [
-            bits for bits in chunk
-            if mask ^ (rev_low[bits >> t & low_mask] | rev_high[bits >> hi_shift]) != bits & mask
-        ]
-        if broken:
-            raise ContractViolationError(f"not a mirrored word: {BinaryWord(broken[0], length)}")
         periodic = set()
         for d, head in periods:
             periodic.update([bits for bits in chunk if bits >> d == bits & head])
         if not periodic:
-            yield chunk, [t] * len(chunk)
+            k0s = [t] * len(chunk)
         elif primitive:
             chunk = [bits for bits in chunk if bits not in periodic]
-            if chunk:
-                yield chunk, [t] * len(chunk)
+            k0s = [t] * len(chunk)
         else:
             k0 = {bits: _k0_bits(bits, length) for bits in periodic}
-            yield chunk, [k0.get(bits, t) for bits in chunk]
+            k0s = [k0.get(bits, t) for bits in chunk]
+        if chunk:
+            yield chunk, k0s
 
 
 def reciprocal_classes(
@@ -323,15 +292,13 @@ def reciprocal_classes(
     number of survivors equals the number of compositions of t with parts
     at most m.  ``primitive`` keeps the classes whose return shift is t.
 
-    The words come from ``_reciprocal_bits``; each goes through the checked
-    ``HalfTurnWord`` constructor, which finds its k0 with one period scan.
+    The words are those of ``_reciprocal_chunks``, in its order; each goes
+    through the checked ``HalfTurnWord`` constructor, which tests the mirror
+    condition and finds its k0 with one period scan.
     """
     length = 2 * t
-    for bits in _reciprocal_bits(t, m):
-        h = HalfTurnWord(BinaryWord(bits, length))
-        if primitive and h.k0 != t:
-            continue
-        yield h
+    for words, _ in _reciprocal_chunks(t, m, primitive):
+        yield from map(HalfTurnWord, map(BinaryWord, words, repeat(length)))
 
 
 def canonical_reciprocal(h: HalfTurnWord) -> HalfTurnWord:

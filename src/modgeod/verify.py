@@ -18,8 +18,9 @@ breaks it through: ``canonical_form`` and ``rotate`` in the rotation check,
 the mirror test ``_is_half_turn_bits``, ``phi`` and ``phi_inverse`` per class
 in the bijection check, the ``HalfTurnWord`` constructor and
 ``half_turn_partner`` in the k0 check, and ``lower_bound_witnesses`` in the
-witness check.  The reciprocal count reads the checked rows that
-``enumerate`` prints, from ``_reciprocal_chunks``.  The four checks that only
+witness check.  The reciprocal count and the bijection check read the
+words of ``_reciprocal_chunks``, the core behind ``reciprocal_classes`` and
+the rows ``enumerate`` prints.  The four checks that only
 count classes, ``class_count_oracle``, ``primitive_count_oracle``,
 ``lowlying_lower_bound`` and ``filter_monotone``, count the packed words of
 ``enumeration._class_bits``, the core of ``classes``, and build no object.
@@ -350,7 +351,7 @@ def check_primitive_count_oracle(tmax: int = 16) -> Outcome:
 @_check("enumerate.reciprocal_count_oracle")
 def check_reciprocal_count_oracle(tmax: int = 16) -> Outcome:
     for t in range(1, tmax + 1):
-        # one pass over enumerate's checked rows: a class is primitive iff k0 = t
+        # one pass over enumerate's rows: a class is primitive iff k0 = t
         n = p = 0
         for words, k0s in en._reciprocal_chunks(t, None, False):
             n += len(words)
@@ -372,7 +373,7 @@ def check_bijection_round_trip(tmax: int = 12) -> Outcome:
         # checking it again at every larger m that yields it too.
         checked: set[int] = set()
         for m in range(1, t + 1):
-            reps = list(en._reciprocal_bits(t, m))
+            reps = [bits for words, _ in en._reciprocal_chunks(t, m, False) for bits in words]
             # the edge bits of the half determine its run profile at fixed t
             profiles = {(bits >> t ^ bits >> (t + 1)) & edge_mask for bits in reps}
             if len(profiles) != len(reps):

@@ -6,7 +6,6 @@ import json
 import math
 import os
 import random
-import re
 import resource
 import subprocess
 import sys
@@ -379,30 +378,33 @@ def test_enumerate_reciprocal_json_is_json_dumps_of_the_classes(capsys, m, primi
         assert out == json.dumps(rows, indent=2) + "\n", (t, m, primitive)
 
 
-# the words of enumerate --family reciprocal --t 4 in two blocks of four, the
-# sixth made non-mirrored
-_BROKEN_CORE = """
+# enumerate --family reciprocal --t 4 in blocks of three halves: the second
+# block holds 00110011, the first word with a proper period, whose k0 is
+# refused
+_BROKEN_K0 = """
 from modgeod import cli, enumeration as en
-words = list(en._reciprocal_bits(4))
-words[5] ^= 1
-en._reciprocal_blocks = lambda t, m: iter([words[:4], words[4:]])
+def refuse(bits, length):
+    raise en.ContractViolationError(f"no k0 for {bits:0{length}b}")
+en._RECIPROCAL_BLOCK = 3
+en._k0_bits = refuse
 cli.main(["enumerate", "--family", "reciprocal", "--t", "4"])
 """
 
 
-def test_enumerate_reciprocal_refuses_a_non_mirrored_word(capsys, monkeypatch):
-    words = list(en._reciprocal_bits(4))
-    assert len(words) == 8
-    words[5] ^= 1  # the second word of the second chunk
-    bad = format(words[5], "08b").translate(str.maketrans("01", "-+"))
-    monkeypatch.setattr(en, "_reciprocal_blocks", lambda t, m: iter([words[:4], words[4:]]))
-    with pytest.raises(en.ContractViolationError, match=re.escape(f"not a mirrored word: {bad}")):
+def test_enumerate_reciprocal_stops_at_a_contract_violation(capsys, monkeypatch):
+    def refuse(bits, length):
+        raise en.ContractViolationError(f"no k0 for {bits:0{length}b}")
+
+    monkeypatch.setattr(en, "_RECIPROCAL_BLOCK", 3)
+    monkeypatch.setattr(en, "_k0_bits", refuse)
+    with pytest.raises(en.ContractViolationError, match="^no k0 for 00110011$"):
         main(["enumerate", "--family", "reciprocal", "--t", "4"])
     # the first chunk went out; nothing of the second did
-    assert capsys.readouterr().out.count("\n") == 4
-    result = _python("-O", "-c", _BROKEN_CORE)
-    assert result.returncode == 1
-    assert f"ContractViolationError: not a mirrored word: {bad}\n" in result.stderr
+    first = "word,t,k0\n----++++,4,4\n---+-+++,4,4\n--+-+-++,4,4"
+    assert capsys.readouterr().out == first
+    result = _python("-O", "-c", _BROKEN_K0)
+    assert (result.returncode, result.stdout) == (1, first)
+    assert "ContractViolationError: no k0 for 00110011\n" in result.stderr
 
 
 @pytest.mark.parametrize(

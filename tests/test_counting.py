@@ -622,10 +622,20 @@ def test_lowlying_lower_bound_values():
     assert abs(lowlying_lower_bound(12, 3) - 2**7 / 12) < 1e-12
     for m in (2, 5):
         assert abs(lowlying_lower_bound(m, m) - 2 ** (m - 2) / m) < 1e-12
-    # a length or run bound below 1 is refused, not divided by or bounded
-    for t, m, name in ((0, 3, "t"), (-2, 3, "t"), (3, 0, "m"), (3, -1, "m")):
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+    # a length below 1 is refused, not divided by; so is a run bound below 2,
+    # since at m = 1 the formula gives 1/(2t) where no odd word alternates
+    for t, m in ((0, 3), (-2, 3)):
+        with pytest.raises(ValueError, match="^t must be >= 1$"):
             lowlying_lower_bound(t, m)
+    for t, m in ((3, 1), (4, 1), (3, 0), (3, -1)):
+        with pytest.raises(ValueError, match="^m must be >= 2$"):
+            lowlying_lower_bound(t, m)
+
+
+def test_lowlying_lower_bound_is_at_most_the_count():
+    for m in range(2, 9):
+        for t in range(1, 61):
+            assert lowlying_lower_bound(t, m) <= count("lowlying", t, m=m), (t, m)
 
 
 def test_growth_target_values():

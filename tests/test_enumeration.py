@@ -3,7 +3,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
 
 import pytest
@@ -161,8 +161,10 @@ def test_reciprocal_half_compare_matches_rotation_definition():
 
 
 def test_reciprocal_classes_find_each_period_once(monkeypatch):
-    # the canonical test needs no period, so the only one left is the one the
-    # constructor of each kept word computes, primitive or not
+    # the canonical test needs no period, so what is left is the one the
+    # constructor of each kept word computes, primitive or not, and the one
+    # the walk computes for each word with a proper period to give its k0;
+    # with primitive the walk drops such words unscanned
     real = binwords._smallest_period_bits
     calls = 0
 
@@ -174,78 +176,98 @@ def test_reciprocal_classes_find_each_period_once(monkeypatch):
     monkeypatch.setattr(binwords, "_smallest_period_bits", counted)
     monkeypatch.setattr(enumeration, "_smallest_period_bits", counted)
     for t, m in ((1, None), (8, None), (10, 3), (12, None), (12, 2)):
-        built = sum(1 for _ in reciprocal_classes(t, m))
+        k0s = [h.k0 for h in reciprocal_classes(t, m)]
+        periodic = sum(k0 != t for k0 in k0s)
+        assert periodic > 0 or t == 1, (t, m)
         for primitive in (False, True):
             calls = 0
-            for _ in reciprocal_classes(t, m, primitive=primitive):
-                pass
-            assert calls == built, (t, m, primitive)
+            built = sum(1 for _ in reciprocal_classes(t, m, primitive=primitive))
+            assert calls == built + (0 if primitive else periodic), (t, m, primitive)
 
 
-def test_reciprocal_bits_match_generator_and_tuple_oracle():
-    # the core yields the public generator's words, in its order; through
-    # t = 12 they are also the tuple oracle's smaller mirrored members
-    for t in range(1, 17):
-        smaller = sorted(oracles.smaller_mirrored_reps(t)) if t <= 12 else None
-        for m in (None, *range(1, 7)):
-            core = list(enumeration._reciprocal_bits(t, m))
-            assert core == [h.word.bits for h in reciprocal_classes(t, m)], (t, m)
-            if smaller is not None:
-                expected = [
-                    w for w in smaller if m is None or oracles.max_cyclic_run_tuple(w) <= m
-                ]
-                assert [BinaryWord(bits, 2 * t).entries for bits in core] == expected, (t, m)
+@pytest.fixture(scope="module")
+def mirrored_oracle():
+    # per t <= 12: the tuple oracle's smaller mirrored members in order, each
+    # with its return shift, whether it is primitive and its longest cyclic run
+    return {
+        t: [
+            (w, oracles.return_shift_tuple(w), oracles.is_primitive_tuple(w),
+             oracles.max_cyclic_run_tuple(w))
+            for w in sorted(oracles.smaller_mirrored_reps(t))
+        ]
+        for t in range(1, 13)
+    }
 
 
-def test_reciprocal_bits_blocks_match_tuple_oracle(monkeypatch):
-    # blocks of three halves: kept words fall on block edges, some blocks keep
-    # none, and at even t the halves equal to their own mirror take the
-    # halving test
-    monkeypatch.setattr(enumeration, "_RECIPROCAL_BLOCK", 3)
-    for t in range(1, 11):
-        smaller = sorted(oracles.smaller_mirrored_reps(t))
+@pytest.mark.parametrize("block", [None, 3])
+def test_reciprocal_chunks_match_tuple_oracle(monkeypatch, mirrored_oracle, block):
+    # the one reciprocal walk behind the CLI rows and reciprocal_classes: its
+    # words are the smaller mirrored members and its k0s their return shifts.
+    # Blocks of three halves put kept and periodic words on block edges, leave
+    # some blocks keeping none, and at even t give the halving test halves
+    # equal to their own mirror
+    if block is not None:
+        monkeypatch.setattr(enumeration, "_RECIPROCAL_BLOCK", block)
+    for t, reps in mirrored_oracle.items():
         for m in (None, 1, 2, 3, 4, t):
-            expected = [w for w in smaller if m is None or oracles.max_cyclic_run_tuple(w) <= m]
-            core = enumeration._reciprocal_bits(t, m)
-            assert [BinaryWord(bits, 2 * t).entries for bits in core] == expected, (t, m)
-    for t, m in [(0, None), (3, 0)]:
-        words = enumeration._reciprocal_bits(t, m)  # checked on the first pull
-        with pytest.raises(ValueError):
-            next(words)
+            for primitive in (False, True):
+                expected = [
+                    (w, k0)
+                    for w, k0, prim, run in reps
+                    if (not primitive or prim) and (m is None or run <= m)
+                ]
+                chunks = list(enumeration._reciprocal_chunks(t, m, primitive))
+                assert all(words and len(words) == len(k0s) for words, k0s in chunks)
+                got = [
+                    (BinaryWord(bits, 2 * t).entries, k0)
+                    for words, k0s in chunks
+                    for bits, k0 in zip(words, k0s)
+                ]
+                assert got == expected, (t, m, primitive, block)
 
 
 def test_reciprocal_chunks_are_the_checked_blocks_that_keep_a_word(monkeypatch):
-    # blocks of three halves, some keeping no word: each chunk is one block
-    # that keeps a word, with the k0s of the checked constructor
+    # past the oracle's reach, the k0s agree with the checked constructor's,
+    # which come from its own period scan
+    for t in range(1, 17):
+        for m in (None, *range(1, 7)):
+            chunks = list(enumeration._reciprocal_chunks(t, m, False))
+            reps = list(reciprocal_classes(t, m))
+            assert [w for words, _ in chunks for w in words] == [h.word.bits for h in reps]
+            assert [k for _, k0s in chunks for k in k0s] == [h.k0 for h in reps], (t, m)
+    # with no run bound, the halves are 0, 1, ..., so a chunk is the kept
+    # words whose halves share a block of three
     monkeypatch.setattr(enumeration, "_RECIPROCAL_BLOCK", 3)
     for t in range(1, 11):
-        for m in (None, 1, 2, 3):
-            for primitive in (False, True):
-                chunks = list(enumeration._reciprocal_chunks(t, m, primitive))
-                assert all(words for words, _ in chunks), (t, m, primitive)
-                reps = list(reciprocal_classes(t, m, primitive=primitive))
-                assert [w for words, _ in chunks for w in words] == [h.word.bits for h in reps]
-                assert [k for _, k0s in chunks for k in k0s] == [h.k0 for h in reps]
-            blocks = [block for block in enumeration._reciprocal_blocks(t, m) if block]
-            assert [words for words, _ in enumeration._reciprocal_chunks(t, m, False)] == blocks
+        for primitive in (False, True):
+            kept = [h.word.bits for h in reciprocal_classes(t, primitive=primitive)]
+            blocks = [list(g) for _, g in groupby(kept, key=lambda bits: (bits >> t) // 3)]
+            chunks = enumeration._reciprocal_chunks(t, None, primitive)
+            assert [words for words, _ in chunks] == blocks, (t, primitive)
 
 
 @pytest.mark.parametrize("t, m", [(0, None), (-1, 2), (3, 0)])
-def test_reciprocal_bits_validation(t, m):
-    with pytest.raises(ValueError):
-        next(enumeration._reciprocal_bits(t, m))
+def test_reciprocal_chunks_validation(t, m):
+    for primitive in (False, True):
+        with pytest.raises(ValueError):
+            next(enumeration._reciprocal_chunks(t, m, primitive))
 
 
 @pytest.mark.parametrize(
     "words",
-    [classes, reciprocal_classes, enumeration._reciprocal_bits, lower_bound_witnesses],
+    [classes, reciprocal_classes, enumeration._reciprocal_chunks, lower_bound_witnesses],
     ids=lambda words: words.__name__,
 )
 def test_sizes_past_maxsize_are_refused_on_the_first_pull(words):
     # refused before any table of about t entries is built, past sys.maxsize
     # as past the counters' ceiling of 10**7
     for huge in (sys.maxsize + 1, sys.maxsize, 10**7 + 1):
-        pulled = words(huge, 3) if words is lower_bound_witnesses else words(huge)
+        if words is lower_bound_witnesses:
+            pulled = words(huge, 3)
+        elif words is enumeration._reciprocal_chunks:
+            pulled = words(huge, None, False)
+        else:
+            pulled = words(huge)
         with pytest.raises(ValueError, match="must be <= 10000000"):
             next(pulled)
 

@@ -59,21 +59,30 @@ def test_bijection_check_catches_a_broken_inverse(monkeypatch):
 
 
 def test_bijection_check_catches_a_repeated_class(monkeypatch):
-    generate = en._reciprocal_bits
+    generate = en._reciprocal_chunks
 
-    def twice_first(t, m=None):
-        words = list(generate(t, m))
-        return iter(words[:1] + words)
+    def twice_first(t, m, primitive):
+        chunks = generate(t, m, primitive)
+        words, k0s = next(chunks)
+        yield words[:1] + words, k0s[:1] + k0s
+        yield from chunks
 
-    monkeypatch.setattr(en, "_reciprocal_bits", twice_first)
+    monkeypatch.setattr(en, "_reciprocal_chunks", twice_first)
     result = verify.check_bijection_round_trip(6)
     assert not result.ok
     assert result.detail == "t=1, m=1: run profiles collide"
 
 
 def test_bijection_check_catches_a_missing_class(monkeypatch):
-    generate = en._reciprocal_bits
-    monkeypatch.setattr(en, "_reciprocal_bits", lambda t, m=None: iter(list(generate(t, m))[1:]))
+    generate = en._reciprocal_chunks
+
+    def drop_first(t, m, primitive):
+        chunks = generate(t, m, primitive)
+        words, k0s = next(chunks)
+        yield words[1:], k0s[1:]
+        yield from chunks
+
+    monkeypatch.setattr(en, "_reciprocal_chunks", drop_first)
     result = verify.check_bijection_round_trip(6)
     assert not result.ok
     assert result.detail == "t=1, m=1: 0 classes vs 1 compositions"
