@@ -69,8 +69,6 @@ _REV8 = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 def _reverse_bits(bits: int, t: int) -> int:
     # bits < 2^t; up to two bytes are looked up directly
-    if t <= 8:
-        return _REV8[bits] >> (8 - t)
     if t <= 16:
         return (_REV8[bits & 0xFF] << 8 | _REV8[bits >> 8]) >> (16 - t)
     # reverse each byte and the byte order, i.e. all 8n bits, then drop the
@@ -142,12 +140,7 @@ def _is_half_turn_bits(bits: int, length: int) -> bool:
     # rev_t(l) = ~h and rev_t(h) = ~l; reversing either equation gives the
     # other, so the second alone decides
     t = length >> 1
-    mask = (1 << t) - 1
-    if t <= 16:
-        # the two-byte table path of _reverse_bits, inline
-        h = bits >> t
-        return (_REV8[h & 0xFF] << 8 | _REV8[h >> 8]) >> (16 - t) == (~bits & mask)
-    return _reverse_bits(bits >> t, t) == (~bits & mask)
+    return _reverse_bits(bits >> t, t) == (~bits & ((1 << t) - 1))
 
 
 def _k0_bits(bits: int, length: int) -> int:

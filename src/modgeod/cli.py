@@ -286,72 +286,46 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # growth
 
-def _growth_exacts(item: int, m, last: int) -> Iterator[int]:
-    """Yield the ``exact`` column at t = 1, 2, ..., through ``last`` for the sieved items 3, 4."""
-    if item in (1, 2):
-        # reciprocal lengths up to t // 2, all of them or with runs at most m:
-        # none at t = 1, then each total serves t = 2h and t = 2h + 1
-        yield 0
-        for total in itertools.accumulate(ct.count_series("compositions", m=m)):
-            yield total
-            yield total
-    else:
-        # primitive hyperbolic classes; with no run bound the sieve counts the constant ones
-        for total in itertools.accumulate(ct._primitive_class_counts(last, m)):
-            yield total - 2 * (m is None)
+def _until_overflow(f) -> Iterator[float]:
+    """Yield f(1), f(2), ... up to the first t at which f overflows a double.
+
+    f raises ``OverflowError`` there, so the values yielded number that t
+    less one.
+    """
+    for t in itertools.count(1):
+        try:
+            value = f(t)
+        except OverflowError:
+            return
+        yield value
 
 
 def cmd_growth(args) -> int:
-    item, m, last = args.item, args.m, args.tmax
-    if last < 1:
+    item, m, tmax = args.item, args.m, args.tmax
+    if tmax < 1:
         raise ValueError("--tmax must be >= 1")
     # the target at t = 1 refuses a bad item or m, before any exact value is drawn
-    ct.growth_target(item, 1, m)
-    if item in (3, 4):
-        # the rows end before the first t whose target overflows a double
+    targets = list(itertools.islice(_until_overflow(lambda t: ct.growth_target(item, t, m)), tmax))
+    exact_col, ratio_col = [], []
+    for target, exact in zip(targets, ct._growth_exacts(item, m, len(targets))):
         try:
-            ct.growth_target(item, last, m)
+            ratio_col.append(exact / target)
         except OverflowError:
-            last = _first_overflow(lambda t: ct.growth_target(item, t, m), last) - 1
-    exacts = _growth_exacts(item, m, last)
-    columns = ts, exact_col, target_col, ratio_col = range(1, args.tmax + 1), [], [], []
-    for t in ts:
-        try:
-            target = ct.growth_target(item, t, m)
-            exact = next(exacts)
-            ratio = exact / target if target else 0.0
-        except OverflowError:
-            raise ValueError(
-                f"growth item {item}: the float columns overflow a double at t={t}; "
-                f"use --tmax {t - 1} or less"
-            ) from None
+            break
         exact_col.append(exact)
-        target_col.append(target)
-        ratio_col.append(ratio)
+    if len(ratio_col) < tmax:
+        t = len(ratio_col) + 1
+        raise ValueError(
+            f"growth item {item}: the float columns overflow a double at t={t}; "
+            f"use --tmax {t - 1} or less"
+        )
+    columns = range(1, tmax + 1), exact_col, targets, ratio_col
     _write_columns([columns], ["t", "exact", "target", "ratio"], args.format)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # table1
-
-def _first_overflow(f, t: int) -> int:
-    """Smallest tau in 1..t at which f(tau) raises OverflowError.
-
-    f(t) must raise it, and f must overflow at every length past the first
-    one that does.
-    """
-    ok, bad = 0, t
-    while bad - ok > 1:
-        mid = (ok + bad) // 2
-        try:
-            f(mid)
-        except OverflowError:
-            bad = mid
-        else:
-            ok = mid
-    return bad
-
 
 def cmd_table1(args) -> int:
     t, m = args.t, args.m
@@ -365,7 +339,7 @@ def cmd_table1(args) -> int:
     try:
         bound = ct.lowlying_lower_bound(t, m)
     except OverflowError:
-        first = _first_overflow(lambda tau: ct.lowlying_lower_bound(tau, m), t)
+        first = 1 + sum(1 for _ in _until_overflow(lambda tau: ct.lowlying_lower_bound(tau, m)))
         raise ValueError(
             f"table1: the lowlying bound overflows a double at t={first} for --m {m}; "
             f"use --t {first - 1} or less"
@@ -434,20 +408,15 @@ def cmd_audit(args) -> int:
         print(json.dumps({"rows": rows, "summary": report.summary}, indent=2))
     else:
         _write_columns([columns], _AUDIT_FIELDS, args.format)
-        for key in (
-            "classes",
-            "paper_bracket_hits",
-            "shifted_bracket_hits",
-            "widened_hits",
-            "cross_check_failures",
-        ):
-            print(f"# {key}: {report.summary[key]}")
+        for key, value in report.summary.items():
+            if not isinstance(value, dict):
+                print(f"# {key}: {value}")
         for k, hist in report.summary["by_max_run"].items():
             print(
                 f"# max_run {k}: paper {hist['paper']}, shifted {hist['shifted']}, "
                 f"neither {hist['neither']}"
             )
-    return 1 if report.summary["cross_check_failures"] else 0
+    return 0 if all(r.cross_check_ok for r in report.rows) else 1
 
 
 # ---------------------------------------------------------------------------

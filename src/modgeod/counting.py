@@ -646,7 +646,7 @@ def lowlying_lower_bound(t: int, m: int) -> float:
     Refuses m < 2: at m = 1 the formula gives 1/(2t), yet no word of odd
     length alternates, so the count it would bound is 0 at every odd t.
     """
-    # not _check_size: a t past _MAX_SIZE overflows, which table1's search reads
+    # not _check_size: a t past _MAX_SIZE overflows, which ``table1 --t 10**40`` reads
     if t < 1:
         raise ValueError("t must be >= 1")
     if m < 2:
@@ -657,12 +657,13 @@ def lowlying_lower_bound(t: int, m: int) -> float:
 def growth_target(item: int, t: int, m: Optional[int] = None) -> float:
     """Right-hand side of the four headline growth laws, evaluated as printed.
 
-    1: 2^floor(t/2)                       (reciprocal, cumulative)
-    2: (alpha/(2+(m+1)(alpha-2))) * alpha^floor(t/2)   (reciprocal, run bound m >= 2)
-    3: 2^(t+1) / t                        (all classes, cumulative)
-    4: 2^(t(1-1/m)) / t                   (bounded-run classes, m >= 3)
+    The left-hand sides, exact counts up to length t, are ``_growth_exacts``':
+    1: 2^floor(t/2)          reciprocal classes of group length 4k, k <= t // 2
+    2: (alpha/(2+(m+1)(alpha-2))) * alpha^floor(t/2)   the same, runs <= m, m >= 2
+    3: 2^(t+1) / t           primitive hyperbolic classes of <= t entries
+    4: 2^(t(1-1/m)) / t      the same, runs <= m, m >= 3
     """
-    # not _check_size: a t past _MAX_SIZE overflows, which growth's search reads
+    # not _check_size: every t past a few thousand overflows, _MAX_SIZE's too
     if t < 1:
         raise ValueError("t must be >= 1")
     if item in (1, 3) and m is not None:
@@ -685,3 +686,18 @@ def growth_target(item: int, t: int, m: Optional[int] = None) -> float:
             raise ValueError("growth item 4 needs m >= 3")
         return 2.0 ** (t * (1 - 1 / m)) / t
     raise ValueError(f"unknown growth item {item!r}")
+
+
+def _growth_exacts(item: int, m: Optional[int], last: int) -> Iterator[int]:
+    """Yield the exact side of law ``item`` at t = 1, 2, ..., through ``last`` for items 3, 4."""
+    if item in (1, 2):
+        # reciprocal lengths up to t // 2, all of them or with runs at most m:
+        # none at t = 1, then each total serves t = 2h and t = 2h + 1
+        yield 0
+        for total in itertools.accumulate(count_series("compositions", m=m)):
+            yield total
+            yield total
+    else:
+        # primitive hyperbolic classes; with no run bound the sieve counts the constant ones
+        for total in itertools.accumulate(_primitive_class_counts(last, m)):
+            yield total - 2 * (m is None)

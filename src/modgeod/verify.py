@@ -24,6 +24,10 @@ the rows ``enumerate`` prints.  The four checks that only
 count classes, ``class_count_oracle``, ``primitive_count_oracle``,
 ``lowlying_lower_bound`` and ``filter_monotone``, count the packed words of
 ``enumeration._class_bits``, the core of ``classes``, and build no object.
+A closed form is checked against the library route that should reach it:
+``burnside_integrality`` against ``necklace_count``, and
+``unbounded_parts_degeneration`` against the composition recurrence;
+``composition_bijection`` fails a class with a part above its first m.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import contextlib
 import functools
 import inspect
 import io
+import itertools
 import math
 import os
 import sys
@@ -216,8 +221,8 @@ def check_max_run_rotation_invariant(tmax: int = 10) -> Outcome:
 def check_burnside_integrality(tmax: int = 200) -> Outcome:
     for tau in range(1, tmax + 1):
         total = sum(1 << math.gcd(j, tau) for j in range(1, tau + 1))
-        if total % tau:
-            return _fail(f"orbit sum not divisible at tau={tau}")
+        if divmod(total, tau) != (ct.necklace_count(tau), 0):
+            return _fail(f"orbit sum {total} is not tau times necklace_count at tau={tau}")
     return _ok(f"tau through {tmax}")
 
 
@@ -266,10 +271,13 @@ def check_closed_form_agreement(tmax: int = 40, mmax: int = 10) -> Outcome:
 
 @_check("counting.unbounded_parts_degeneration")
 def check_unbounded_parts(tmax: int = 24) -> Outcome:
+    # m >= t bounds nothing: bounded_compositions answers from the closed
+    # form, and the recurrence, run with m alone (a series has no t), must too
     for t in range(1, tmax + 1):
         for m in (t, t + 1, t + 7):
-            if ct.bounded_compositions(t, m) != 1 << (t - 1):
-                return _fail(f"t={t}, m={m} misses 2^(t-1)")
+            series = next(itertools.islice(ct.count_series("compositions", m=m), t - 1, None))
+            if not ct.bounded_compositions(t, m) == series == 1 << (t - 1):
+                return _fail(f"t={t}, m={m}: recurrence {series} misses 2^(t-1)")
     return _ok(f"t through {tmax}")
 
 
@@ -368,9 +376,9 @@ def check_bijection_round_trip(tmax: int = 12) -> Outcome:
     for t in range(1, tmax + 1):
         length = 2 * t
         edge_mask = (1 << (t - 1)) - 1
-        # The per-class assertions read the class alone, not m, so checking a
-        # class at the first m that yields it is the same assertion as
-        # checking it again at every larger m that yields it too.
+        # The per-class assertions hold at every m that yields the class once
+        # they hold at the first, so checking a class at the first m that
+        # yields it is the same as checking it again at every larger m.
         checked: set[int] = set()
         for m in range(1, t + 1):
             reps = [bits for words, _ in en._reciprocal_chunks(t, m, False) for bits in words]
@@ -389,6 +397,8 @@ def check_bijection_round_trip(tmax: int = 12) -> Outcome:
                 checked.add(bits)
                 h = HalfTurnWord(BinaryWord(bits, length))
                 c = en.phi(h)
+                if max(c.parts) > m:
+                    return _fail(f"t={t}, m={m}: kept {h.word}, with a part of {max(c.parts)}")
                 if max(c.parts) != bw.max_cyclic_run(h.word):
                     return _fail(f"largest part mismatch at {h.word}")
                 if en.phi_inverse(c) != h:

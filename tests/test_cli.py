@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -79,6 +80,23 @@ def test_count_json(capsys):
     record = json.loads(out)
     assert record["exact"] == 31
     assert record["family"] == "reciprocal"
+
+
+def _readme_count_examples() -> list[tuple[list[str], str]]:
+    # the README's documented counts: each "modgeod count ...  # N" line of
+    # its CLI block, and each "`count ...` prints N" in its prose
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    lines = re.findall(r"^modgeod (count .*?)\s+# (\d+)$", block, re.M)
+    prose = re.findall(r"`(count [^`]*)` prints (\d+)", " ".join(text.split()))
+    assert len(lines) >= 4 and prose, "the README's count examples were not found"
+    return [(argv.split(), n) for argv, n in lines + prose]
+
+
+def test_readme_count_examples_print_their_documented_counts(capsys):
+    for argv, expected in _readme_count_examples():
+        code, out = run(capsys, *argv)
+        assert (code, out) == (0, expected + "\n"), argv
 
 
 # a size past sys.maxsize, and the first size past the counters' ceiling

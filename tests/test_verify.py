@@ -88,6 +88,26 @@ def test_bijection_check_catches_a_missing_class(monkeypatch):
     assert result.detail == "t=1, m=1: 0 classes vs 1 compositions"
 
 
+def test_bijection_check_catches_a_walk_that_ignores_the_run_bound(monkeypatch):
+    # at each m, the first bounded_compositions(t, m) classes of the unbounded
+    # walk: as many classes as the bound keeps, with distinct run profiles
+    # and true round trips, but not the ones whose runs are at most m
+    generate = en._reciprocal_chunks
+
+    def unbounded_prefix(t, m, primitive):
+        words, k0s = [], []
+        for chunk_words, chunk_k0s in generate(t, None, primitive):
+            words += chunk_words
+            k0s += chunk_k0s
+        keep = ct.bounded_compositions(t, m)
+        yield words[:keep], k0s[:keep]
+
+    monkeypatch.setattr(en, "_reciprocal_chunks", unbounded_prefix)
+    result = verify.check_bijection_round_trip(6)
+    assert not result.ok
+    assert result.detail == "t=2, m=1: kept --++, with a part of 2"
+
+
 def test_orbit_check_catches_a_mirror_test_that_accepts_too_much(monkeypatch):
     monkeypatch.setattr(bw, "_is_half_turn_bits", lambda bits, length: length % 2 == 0)
     result = verify.check_orbit_meets_mirror_twice(6)
@@ -251,6 +271,27 @@ def test_witness_check_catches_a_word_with_a_long_run(monkeypatch):
     result = verify.check_witness_generator(6)
     assert not result.ok
     assert result.detail == "witness --- breaks the run bound m=2"
+
+
+def test_burnside_check_catches_an_orbit_quotient_off_by_one(monkeypatch):
+    # the orbit sums stay divisible; only the counter's quotient is wrong
+    quotient = ct._orbit_quotient
+    monkeypatch.setattr(ct, "_orbit_quotient", lambda total, n: quotient(total, n) + 1)
+    assert ct.necklace_count(6) == 15
+    result = verify.check_burnside_integrality(6)
+    assert not result.ok
+    assert result.detail == "orbit sum 2 is not tau times necklace_count at tau=1"
+
+
+def test_unbounded_parts_check_catches_an_off_by_one_recurrence(monkeypatch):
+    # bounded_compositions(t, m) at m >= t answers from the closed form and
+    # never reaches the recurrence; the check draws the recurrence itself
+    series = ct._composition_series
+    monkeypatch.setattr(ct, "_composition_series", lambda m: (c + 1 for c in series(m)))
+    assert ct.bounded_compositions(5, 2) == 9
+    result = verify.check_unbounded_parts()
+    assert not result.ok
+    assert result.detail == "t=1, m=1: recurrence 2 misses 2^(t-1)"
 
 
 def test_sharp_law_check_catches_a_perturbed_alpha(monkeypatch):
