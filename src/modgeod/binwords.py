@@ -22,7 +22,7 @@ of the other, reversing t bits instead of 2t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .counting import _factorise
@@ -268,7 +268,6 @@ class HalfTurnWord:
     """
 
     word: BinaryWord
-    k0: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.word.length % 2:
@@ -277,13 +276,17 @@ class HalfTurnWord:
             raise ValueError(
                 f"entries do not satisfy the mirror condition: {self.word}"
             )
-        object.__setattr__(self, "k0", _k0_bits(self.word.bits, self.word.length))
 
     @classmethod
     def from_half(cls, half: BinaryWord) -> "HalfTurnWord":
         """Build the full word whose free first half is ``half``."""
         t = half.length
         return cls(BinaryWord(_full_from_half_bits(half.bits, t), 2 * t))
+
+    @property
+    def k0(self) -> int:
+        # one period scan per read
+        return _k0_bits(self.word.bits, self.word.length)
 
     @property
     def t(self) -> int:
@@ -345,8 +348,8 @@ def half_turn_partner(h: HalfTurnWord) -> tuple[HalfTurnWord, int]:
     A rotation orbit meets the mirrored family in exactly two points; the
     partner is always distinct from h.
     """
-    partner = HalfTurnWord(rotate(h.word, h.k0))
-    return partner, h.k0
+    k0 = h.k0
+    return HalfTurnWord(rotate(h.word, k0)), k0
 
 
 def runs_of(halfword: BinaryWord) -> Composition:

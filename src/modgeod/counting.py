@@ -662,6 +662,8 @@ def growth_target(item: int, t: int, m: Optional[int] = None) -> float:
     2: (alpha/(2+(m+1)(alpha-2))) * alpha^floor(t/2)   the same, runs <= m, m >= 2
     3: 2^(t+1) / t           primitive hyperbolic classes of <= t entries
     4: 2^(t(1-1/m)) / t      the same, runs <= m, m >= 3
+
+    Each raises ``OverflowError`` once its value passes the largest double.
     """
     # not _check_size: every t past a few thousand overflows, _MAX_SIZE's too
     if t < 1:
@@ -676,7 +678,11 @@ def growth_target(item: int, t: int, m: Optional[int] = None) -> float:
         if m < 2:
             raise ValueError("growth item 2 needs m >= 2")
         a = alpha(m).alpha
-        return (a / (2 + (m + 1) * (a - 2))) * a ** (t // 2)
+        target = (a / (2 + (m + 1) * (a - 2))) * a ** (t // 2)
+        if math.isinf(target):
+            # the power can be a double while the product is not
+            raise OverflowError(f"growth item 2 overflows a double at t={t}, m={m}")
+        return target
     if item == 3:
         return 2.0 ** (t + 1) / t
     if item == 4:

@@ -13,8 +13,7 @@ which yields the kept words of a block of halves with their k0s; the CLI and
 ``verify`` read the core.  Both walks do a constant amount of big-integer work
 per class on average, and neither canonicalises a word by rotating it.
 ``classes`` makes the extension of a prefix length when the walk first
-reaches it, and ``lower_bound_witnesses`` walks the assignments of its free
-slots with the submask step, so neither builds a table before its first word.
+reaches it, so it builds no table before its first word.
 
 The FKM walk is the packed-int core ``_class_bits``, which ``classes`` wraps
 in a ``BinaryWord`` per class.  What only counts classes reads the core and
@@ -24,13 +23,9 @@ and ``enumerate --family classes``.  ``phi_inverse`` decides between the two
 preimages of a composition on packed bits and builds one ``HalfTurnWord``,
 its answer.
 
-``lower_bound_witnesses`` completes each free assignment by an iterative
-depth-first search over the forced slots, about t/m of them, so it serves
-every admitted t, where a frame per slot would pass the interpreter's
-recursion limit from t = 2500 at m = 2.  It is exact while testing only the
-run through the slot just set, and at a complete word only the run that wraps
-from the last entry to the first: any other run either was tested whole at an
-earlier slot or lies in a stretch of free entries no longer than m.
+``lower_bound_witnesses`` yields the words of the proof behind
+``counting._count_floor_log2``, each a few whole-int operations on the
+assignment of its free entries, with no search.
 
 Emission is in increasing bit order of the canonical representative, which is
 lexicographic order of the entries with -1 first, so output is sorted and
@@ -294,7 +289,7 @@ def reciprocal_classes(
 
     The words are those of ``_reciprocal_chunks``, in its order; each goes
     through the checked ``HalfTurnWord`` constructor, which tests the mirror
-    condition and finds its k0 with one period scan.
+    condition and scans no period: k0 is found when it is read.
     """
     length = 2 * t
     for words, _ in _reciprocal_chunks(t, m, primitive):
@@ -364,77 +359,43 @@ def power_map(w: BinaryWord, n: int) -> BinaryWord:
 def lower_bound_witnesses(t: int, m: int) -> Iterator[BinaryWord]:
     """Generate bounded-run words from the forced-slot construction.
 
-    Slots are grouped m at a time; the first slot of every group after the
-    first, plus the final slot, are forced, and the rest choose signs freely.
-    For each free assignment the forced slots are set to the first value
-    combination (in sign order) that keeps every cyclic run at most m; free
-    patterns admitting no such combination are skipped.  The number of free
-    slots is at least t - floor(t/m) - 1, which is what makes these words a
-    counting witness for the lower bound on bounded-run classes.
-
-    The combination is found by an iterative depth-first search over the
-    forced slots, -1 before +1, so its depth is no limit on t.  Setting a
-    slot tests only the run through it, read up to the entry before the next
-    forced slot, and a complete word tests only the run that wraps from its
-    last entry to its first.  That is exact: every other run of the known
-    entries was tested whole at an earlier slot, or lies in a stretch of free
-    entries, at most m long (the first m entries) or shorter than m (those
-    between two forced slots, which are at most m apart).
+    The words of the proof of ``counting._count_floor_log2``, orbit family:
+    the t entries are cut into k = ceil(t/m) blocks of at most m entries, the
+    last of at least two; the first entry of each block after the first
+    negates the entry before it, the last entry negates the first, and the
+    other t - k entries take every assignment.  So at t, m >= 2 this yields
+    2^(t-k) distinct, non-constant words with cyclic runs at most m, in
+    increasing order; m is read as t where it bounds nothing.  At m = 1 the words alternate, two at even t and none at odd t,
+    and at t = 1 they are the two one-entry words.
     """
     _check_size("t", t)
     m = _run_bound("run bound m", m, t) or t
-    forced = sorted({*range(m, t, m), t - 1})
-    slots = [1 << (t - 1 - g) for g in forced]
-    free = (1 << t) - 1 - sum(slots)
-    # per forced slot: the bit b of its entry, the shift b + 1 that leaves the
-    # entries before it, and the shift and mask that leave the free entries
-    # up to the next forced slot, the n bits b-1 .. b-n
-    spans = [
-        (1 << b, b + 1, b - n, (1 << n) - 1, n)
-        for b, n in ((t - 1 - g, end - g - 1) for g, end in zip(forced, (*forced[1:], t)))
-    ]
-    last = spans[-1]
     mask = (1 << t) - 1
-
-    def wrap_fits(bits: int) -> bool:
-        # the run through the last and first entries; every other cyclic run
-        # is a linear run, and a constant word's one run was tested linearly
-        if bits >> (t - 1) != bits & 1:
-            return True
-        if bits & 1:
-            bits ^= mask
-        # leading and trailing -1s, or none for the constant word
-        return not bits or t - bits.bit_length() + (bits & -bits).bit_length() - 1 <= m
-
-    # entry j is bit t-1-j, so increasing order of the free assignments is
-    # entry order; the submask step walks the subsets of free in that order
-    # (Knuth, TAOCP 4A, 7.1.3)
+    if m == 1:
+        if t == 1 or t % 2 == 0:
+            alternating = mask // 3
+            yield from (BinaryWord(alternating, t), BinaryWord(alternating ^ mask, t))
+        return
+    # the starts of the blocks after the first, entries m, 2m, ..., top, as a
+    # repunit; entry j is bit t-1-j.  When the last block would be one entry,
+    # its start, the last entry, moves one entry back, so that the last two
+    # blocks are m - 1 and 2 entries; at m = 2 that start follows another.
+    top = m * (-(-t // m) - 1)
+    starts = ((1 << top) - 1) // ((1 << m) - 1) << (t - 1 - top)
+    if starts & 1:
+        starts ^= 3
+    chained = starts & (starts >> 1)
+    # the free entries are the rest but the last; the submask step walks
+    # their subsets in increasing order (Knuth, TAOCP 4A, 7.1.3)
+    free = mask ^ starts ^ 1
     subset = 0
     while True:
-        bits, k = subset, 0
-        while k >= 0:
-            # bits holds the choices of slots 0..k, and -1 at every later slot
-            slot, shift, low, tail, n = span = spans[k]
-            # x holds the sign of slot k as +1, so the run through the slot is
-            # the +1s that end the entries before it, its own entry, and the
-            # +1s that start the free entries after it
-            x = bits if bits & slot else bits ^ mask
-            above = x >> shift
-            run = (above ^ (above + 1)).bit_length() + n - (tail ^ (x >> low & tail)).bit_length()
-            if run <= m:
-                if span is not last:
-                    k += 1
-                    continue
-                if wrap_fits(bits):
-                    yield BinaryWord(bits, t)
-                    break
-            # the next choice in sign order: raise slot k, or clear it and
-            # back up to the last slot still at -1
-            while k >= 0 and bits & slots[k]:
-                bits ^= slots[k]
-                k -= 1
-            if k >= 0:
-                bits |= slots[k]
+        bits = subset | starts & ~(subset >> 1)
+        if chained:
+            # a second pass reads the start before a chained one
+            bits = subset | starts & ~(bits >> 1)
+        # the last entry, bit 0, negates the first, bit t-1
+        yield BinaryWord(bits | (bits >> (t - 1)) ^ 1, t)
         if subset == free:
             return
         subset = (subset - free) & free

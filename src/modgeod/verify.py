@@ -8,22 +8,10 @@ registration order, with what each wrote to stderr forwarded in that order;
 with one usable CPU, or where ``fork`` is missing, they run one after
 another in the calling process.
 
-The word-level checks run on the packed-bits kernels of ``binwords``, read
-as module attributes at call time: a word's rotations come from
-``_rotations_bits`` and mirrored words from ``_full_from_half_bits``.  The
-orbit, run and mirror checks build a ``BinaryWord`` only to print a failing
-witness, and the mirror-orbit and cyclic-run checks test each orbit once.
-Some calls stay as they were, being what a check checks or what a test
-breaks it through: ``canonical_form`` and ``rotate`` in the rotation check,
-the mirror test ``_is_half_turn_bits``, ``phi`` and ``phi_inverse`` per class
-in the bijection check, the ``HalfTurnWord`` constructor and
-``half_turn_partner`` in the k0 check, and ``lower_bound_witnesses`` in the
-witness check.  The reciprocal count and the bijection check read the
-words of ``_reciprocal_chunks``, the core behind ``reciprocal_classes`` and
-the rows ``enumerate`` prints.  The four checks that only
-count classes, ``class_count_oracle``, ``primitive_count_oracle``,
-``lowlying_lower_bound`` and ``filter_monotone``, count the packed words of
-``enumeration._class_bits``, the core of ``classes``, and build no object.
+The checks read the packed-bits kernels of ``binwords`` and the packed cores
+of ``enumeration`` as module attributes at call time, so that a test can
+break a check through the name it reads; the checks that only count classes
+build no word object.
 A closed form is checked against the library route that should reach it:
 ``burnside_integrality`` against ``necklace_count``, and
 ``unbounded_parts_degeneration`` against the composition recurrence;

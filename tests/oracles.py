@@ -116,83 +116,37 @@ def bounded_compositions_list(t, m):
 def witness_entries(t, m):
     """The forced-slot lower-bound witnesses of t entries, built entry by entry.
 
-    Forced slots are m, 2m, ... below t and the last slot; the free slots take
-    every sign pattern in order, the first free slot most significant with -1
-    before +1, and each pattern is completed by the first forced pattern, in
-    the same order, whose cyclic runs are all at most m.
+    m is read as t when it is at least t.  At t = 1 both one-entry words; at
+    m = 1 the two alternating words when t is even, none when it is odd.
+    Otherwise the entries are cut into blocks of m and a last block of the
+    rest, and a last block of one entry is merged with the block before it
+    and split as m - 1 and 2.  The entries that start no block, save the
+    last, take every sign pattern in order, the first most significant with
+    -1 before +1; each block start after the first negates the entry before
+    it, and the last entry negates the first.
     """
-    forced = sorted({*range(m, t, m), t - 1})
-    free = [j for j in range(t) if j not in forced]
-    entries = [0] * t
-    for free_signs in product((-1, 1), repeat=len(free)):
-        for slot, sign in zip(free, free_signs):
-            entries[slot] = sign
-        for forced_signs in product((-1, 1), repeat=len(forced)):
-            for slot, sign in zip(forced, forced_signs):
-                entries[slot] = sign
-            if max_cyclic_run_tuple(tuple(entries)) <= m:
-                yield tuple(entries)
-                break
-
-
-def _longest_ones(x):
-    # each step shortens every block of ones by one
-    n = 0
-    while x:
-        x &= x >> 1
-        n += 1
-    return n
-
-
-def _max_cyclic_run_bits(bits, t):
-    mask = (1 << t) - 1
-    if bits == 0 or bits == mask:
-        return t
-    doubled = (bits << t) | bits
-    return max(_longest_ones(doubled), _longest_ones(doubled ^ ((mask << t) | mask)))
-
-
-def recursive_witness_bits(t, m):
-    """The packed forced-slot witnesses by the former recursive completion.
-
-    ``complete`` is the library's earlier search, kept verbatim: it recurses
-    once per forced slot and rescans the whole known prefix at each, so it
-    serves only small t.  Free assignments come in increasing order, as in
-    ``witness_entries``.
-    """
-    forced = sorted({*range(m, t, m), t - 1})
-    slots = [1 << (t - 1 - g) for g in forced]
-    free = (1 << t) - 1 - sum(slots)
-    # once forced slot k is set, the entries before the next one are known
-    known = [(t - end, (1 << end) - 1) for end in (*forced[1:], t)]
-
-    def complete(bits, k):
-        # the first setting of forced slots k, k+1, ... in sign order that
-        # keeps every cyclic run at most m, or None.  Depth first, -1 before
-        # +1, so the first leaf reached is the first combination; a branch
-        # whose known entries hold a linear run above m is dropped, since the
-        # cyclic run through those entries is at least as long.
-        if k == len(slots):
-            return bits if _max_cyclic_run_bits(bits, t) <= m else None
-        shift, full = known[k]
-        for choice in (bits, bits | slots[k]):
-            head = choice >> shift
-            if _longest_ones(head) <= m and _longest_ones(head ^ full) <= m:
-                found = complete(choice, k + 1)
-                if found is not None:
-                    return found
-        return None
-
-    # the subsets of free in increasing order, by the submask step
-    words = []
-    subset = 0
-    while True:
-        bits = complete(subset, 0)
-        if bits is not None:
-            words.append(bits)
-        if subset == free:
-            return words
-        subset = (subset - free) & free
+    m = min(m, t)
+    if m == 1:
+        if t == 1 or t % 2 == 0:
+            for first in (-1, 1):
+                yield tuple(first * (-1) ** j for j in range(t))
+        return
+    sizes = [m] * (t // m) + ([t % m] if t % m else [])
+    if sizes[-1] == 1:
+        sizes[-2:] = [m - 1, 2]
+    starts = {sum(sizes[:i]) for i in range(1, len(sizes))}
+    free = [j for j in range(t - 1) if j not in starts]
+    for signs in product((-1, 1), repeat=len(free)):
+        chosen = dict(zip(free, signs))
+        entries = []
+        for j in range(t):
+            if j in chosen:
+                entries.append(chosen[j])
+            elif j == t - 1:
+                entries.append(-entries[0])
+            else:
+                entries.append(-entries[j - 1])
+        yield tuple(entries)
 
 
 def alpha_fraction_bisection(m, tol):

@@ -701,16 +701,20 @@ def test_growth_exact_column_matches_oracle_sums(capsys, item, tmax, m, oracle_m
         (2, ("--m", "3"), 2330),
         (3, (), 1023),
         (4, ("--m", "3"), 1176),
+        # the target overflows at the exact column's t
+        (2, ("--m", "5"), 2100),
     ],
 )
 def test_growth_past_the_double_range_names_item_and_t(capsys, item, extra, first_t):
     def growth(tmax):
         return main(["growth", "--item", str(item), "--tmax", str(tmax), *extra])
 
-    assert growth(5000) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"growth item {item}: the float columns overflow a double at t={first_t};" in captured.err
+    for tmax in (first_t, 5000):
+        assert growth(tmax) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"growth item {item}: the float columns overflow a double at t={first_t};"
+        assert message in captured.err
     assert growth(first_t - 1) == 0
     capsys.readouterr()
 

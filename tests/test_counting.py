@@ -648,6 +648,14 @@ def test_growth_target_values():
     assert abs(growth_target(4, 9, 3) - 2.0 ** (9 * (2 / 3)) / 9) < 1e-12
 
 
+@pytest.mark.parametrize("m, first", [(2, 2948), (5, 2100)])
+def test_growth_target_2_overflows_where_its_product_does(m, first):
+    # the power a^(t // 2) is still a double at both points; the product is not
+    assert math.isfinite(growth_target(2, first - 1, m))
+    with pytest.raises(OverflowError):
+        growth_target(2, first, m)
+
+
 def test_growth_target_errors():
     with pytest.raises(ValueError):
         growth_target(2, 8)

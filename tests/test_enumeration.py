@@ -161,10 +161,9 @@ def test_reciprocal_half_compare_matches_rotation_definition():
 
 
 def test_reciprocal_classes_find_each_period_once(monkeypatch):
-    # the canonical test needs no period, so what is left is the one the
-    # constructor of each kept word computes, primitive or not, and the one
-    # the walk computes for each word with a proper period to give its k0;
-    # with primitive the walk drops such words unscanned
+    # the canonical test and the constructor need no period, so what is left
+    # is the one the walk computes for each word with a proper period to give
+    # its k0; with primitive the walk drops such words unscanned
     real = binwords._smallest_period_bits
     calls = 0
 
@@ -182,7 +181,7 @@ def test_reciprocal_classes_find_each_period_once(monkeypatch):
         for primitive in (False, True):
             calls = 0
             built = sum(1 for _ in reciprocal_classes(t, m, primitive=primitive))
-            assert calls == built + (0 if primitive else periodic), (t, m, primitive)
+            assert built and calls == (0 if primitive else periodic), (t, m, primitive)
 
 
 @pytest.fixture(scope="module")
@@ -339,11 +338,11 @@ def test_classes_keep_no_table_of_tau_entries():
 
 
 def test_long_witnesses_come_before_any_table():
-    # the free slots all -1, then the last free slot (entry 77) +1, then the
-    # one before it (entry 76), each completed by the first forced setting
-    # whose runs are at most 3
-    first = ["---+" + "--+" * 24 + "---+", "---+" + "--+" * 24 + "-+-+"]
-    first.append("---+" + "--+" * 23 + "---+--+")
+    # the free entries all -1, then the last free entry (77) +1, then the one
+    # before it (76); entries 3, 6, ..., 78 negate the entry before them and
+    # entry 79 negates entry 0
+    first = ["---" + "+--" * 25 + "++", "---" + "+--" * 24 + "+-+-+"]
+    first.append("---" + "+--" * 24 + "++-++")
     out = _first_words_under_600_mb(
         "[str(w) for w in islice(enumeration.lower_bound_witnesses(80, 3), 3)]"
     )
@@ -476,29 +475,32 @@ def test_power_map_validation():
 # lower-bound witness generator
 
 def test_witnesses_stay_low_lying_and_plentiful():
-    for m in (2, 3, 4):
-        for t in range(1, 13):
+    # the proof's 2^(t - ceil(t/m)) distinct, non-constant words, m read as t
+    # where it bounds nothing, so at least 2^(t - floor(t/m) - 1) / t classes;
+    # the alternating words at m = 1, and both one-entry words
+    for t in range(1, 15):
+        for m in (*range(1, 12), 10**8):
             words = list(lower_bound_witnesses(t, m))
-            assert all(max_cyclic_run(w) <= m for w in words)
-            distinct = {canonical_form(w) for w in words}
-            need = -(-(1 << max(t - t // m - 1, 0)) // t)
-            assert len(distinct) >= need
+            bits = {w.bits for w in words}
+            if t == 1:
+                expected = 2
+            elif m == 1:
+                expected = 2 if t % 2 == 0 else 0
+            else:
+                expected = 1 << (t - -(-t // min(m, t)))
+                assert not {0, (1 << t) - 1} & bits, (t, m)
+                distinct = {canonical_form(w) for w in words}
+                assert len(distinct) >= -(-(1 << max(t - t // m - 1, 0)) // t), (t, m)
+            assert len(bits) == len(words) == expected, (t, m)
+            assert all(max_cyclic_run(w) <= m for w in words), (t, m)
 
 
 def test_witnesses_match_entry_oracle():
-    for m in range(1, 7):
-        for t in range(1, 17):
+    # m >= t from m = t + 1 through 8, and m = t past that
+    for t in range(1, 17):
+        for m in sorted({*range(1, 9), t}):
             words = [w.entries for w in lower_bound_witnesses(t, m)]
             assert words == list(oracles.witness_entries(t, m)), (t, m)
-
-
-@pytest.mark.parametrize("m", range(1, 9))
-def test_witnesses_match_the_recursive_completion(m):
-    # the iterative search yields the former recursion's words, in its order,
-    # past the ceilings of the entry oracle and for m >= t too
-    for t in range(1, 23):
-        words = [w.bits for w in lower_bound_witnesses(t, m)]
-        assert words == oracles.recursive_witness_bits(t, m), (t, m)
 
 
 @pytest.mark.parametrize("t, m", [(20_000, 2), (5000, 3)])

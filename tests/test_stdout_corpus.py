@@ -146,6 +146,12 @@ def _other_argvs() -> list[list[str]]:
     argvs += [["table1", "--t", "0", "--m", "3"], ["table1", "--t", "5", "--m", "1"],
               ["growth", "--item", "2", "--m", "1", "--tmax", "3"],
               ["verify", "--suite", "all", "--tmax", "5"]]
+    # table1's own refusals, the lowlying bound past a double and a bad
+    # --oracle-max, and the last t before the first
+    for argv in (["--t", "1537", "--m", "3"], ["--t", "1538", "--m", "3"],
+                 ["--t", "10000000000000000000000000000000000000000", "--m", "2"],
+                 ["--t", "5", "--m", "3", "--oracle-max", "-1"]):
+        argvs += _fmts(["table1", *argv])
     return argvs
 
 
