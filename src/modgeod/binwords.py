@@ -214,10 +214,6 @@ class BinaryWord:
     def is_constant(self) -> bool:
         return self.bits == 0 or self.bits == (1 << self.length) - 1
 
-    def entry(self, j: int) -> int:
-        j %= self.length
-        return 1 if (self.bits >> (self.length - 1 - j)) & 1 else -1
-
     def __str__(self) -> str:
         return format(self.bits, f"0{self.length}b").translate(_SIGN_CHARS)
 

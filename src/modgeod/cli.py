@@ -248,7 +248,7 @@ def cmd_enumerate(args) -> int:
 # alpha
 
 def cmd_alpha(args) -> int:
-    data = ct.alpha(args.m, args.tol)
+    data = ct.alpha(args.m)
     row = {
         "m": data.m,
         "alpha": f"{data.alpha:.15g}",
@@ -472,7 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="growth root and coefficient for a run bound")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-13)
     add_format(p)
     p.set_defaults(func=cmd_alpha)
 

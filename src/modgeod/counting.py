@@ -81,8 +81,9 @@ __all__ = [
     "rnd",
 ]
 
-# float ceiling above which a rounded double can no longer be trusted to name
-# an exact integer
+# x = d * alpha^t from which ``closed_form_compositions`` refuses: a
+# conservative margin on the root's bracket error, 2^-(m+130), which moves the
+# exact x by at most about x * t * 2^-(m+130), far below 1/2 while x < 2^52
 _ROUND_CEILING = 1 << 52
 
 
@@ -483,7 +484,7 @@ def _run_polynomial(z: Fraction, m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _alpha_cached(m: int, tol: float) -> AlphaData:
+def _alpha_cached(m: int) -> AlphaData:
     # the bracket [2(1 - 2^-m), 2] as dyadic integers lo = a / 2^s, hi = b / 2^s
     s = m - 1
     a, b = (1 << m) - 1, 1 << m
@@ -500,12 +501,9 @@ def _alpha_cached(m: int, tol: float) -> AlphaData:
             f"[{Fraction(a, 1 << s)}, 2] does not bracket the growth root for m={m}"
         )
 
-    width = float(Fraction(b - a, 1 << s))
-    # halvings for the requested width, with a floor that pins the exact
-    # residual orders of magnitude below 1e-12 even at m = 40; the logs are
-    # taken apart, since width / tol overflows a double for a subnormal tol
-    steps = max(130, math.ceil(math.log2(width) - math.log2(tol)) + 1 if tol < width else 0)
-    for _ in range(steps):
+    # enough halvings to pin the exact residual orders of magnitude below
+    # 1e-12 even at m = 40
+    for _ in range(130):
         # the midpoint (a + b) / 2^(s+1), with the bracket rescaled to 2^(s+1)
         s += 1
         mid = a + b
@@ -526,28 +524,26 @@ def _alpha_cached(m: int, tol: float) -> AlphaData:
     )
 
 
-# the largest run bound ``alpha`` takes: each of its at least 130 bisection
+# the largest run bound ``alpha`` takes: each of its 130 bisection
 # steps raises a numerator of more than m bits to the m-th power, so a root
 # costs about m^3, about 1 s at this m
 _ALPHA_MAX_M = 512
 
 
-def alpha(m: int, tol: float = 1e-13) -> AlphaData:
+def alpha(m: int) -> AlphaData:
     """Bisect for the unique positive root of z^m - z^(m-1) - ... - 1.
 
-    Deterministic bisection on the bracket [2(1 - 2^-m), 2], exact on dyadic
-    rationals held as integer numerators over a power of two; no
-    floating-point transcendentals are involved.  m runs from 2 to
-    ``_ALPHA_MAX_M`` = 512; a larger m is refused before any work.
+    Deterministic bisection on the bracket [2(1 - 2^-m), 2], halved 130
+    times, exact on dyadic rationals held as integer numerators over a power
+    of two; no floating-point transcendentals are involved.  m runs from 2
+    to ``_ALPHA_MAX_M`` = 512; a larger m is refused before any work.
     """
     _check_size("m", m, 2)
     if m > _ALPHA_MAX_M:
         raise ValueError(
             f"m must be <= {_ALPHA_MAX_M} for the growth root alpha(m), whose cost grows as m^3"
         )
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    return _alpha_cached(m, tol)
+    return _alpha_cached(m)
 
 
 def rnd(x) -> int:
@@ -560,10 +556,10 @@ def rnd(x) -> int:
 def closed_form_compositions(t: int, m: int) -> int:
     """Bounded-composition count via the rounded growth formula rnd(d * alpha^t).
 
-    Must agree exactly with ``bounded_compositions`` wherever it answers;
-    refuses with ``PrecisionLimitError`` once d * alpha^t reaches 2**52, where
-    a rounded double could no longer be trusted.  The recursion remains the
-    authority beyond that point.
+    Exact on ``d_exact`` and ``alpha_exact``, so it agrees with
+    ``bounded_compositions`` wherever it answers; refuses with
+    ``PrecisionLimitError`` once d * alpha^t reaches the margin 2**52.  The
+    recursion remains the authority beyond that point.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -573,8 +569,8 @@ def closed_form_compositions(t: int, m: int) -> int:
     x = data.d_exact * data.alpha_exact ** t
     if x >= _ROUND_CEILING:
         raise PrecisionLimitError(
-            f"d * alpha^t = {float(x):.6g} at t={t}, m={m} exceeds the 2^52 "
-            "rounding ceiling; use the recursion instead"
+            f"d * alpha^t = {float(x):.6g} at t={t}, m={m} reaches the 2^52 "
+            "margin on the root's bracket error; use the recursion instead"
         )
     return rnd(x)
 

@@ -19,9 +19,9 @@ The FKM walk is the packed-int core ``_class_bits``, which ``classes`` wraps
 in a ``BinaryWord`` per class.  What only counts classes reads the core and
 builds no object: the verify checks ``class_count_oracle``,
 ``primitive_count_oracle``, ``lowlying_lower_bound`` and ``filter_monotone``,
-and ``enumerate --family classes``.  ``phi_inverse`` decides between the two
-preimages of a composition on packed bits and builds one ``HalfTurnWord``,
-its answer.
+and ``enumerate --family classes``.  One rule, ``_half_rule``, picks each
+reciprocal class's representative: ``_reciprocal_chunks`` applies it by table
+lookups, and ``phi_inverse`` and ``canonical_reciprocal`` call it.
 
 ``lower_bound_witnesses`` yields the words of the proof behind
 ``counting._count_floor_log2``, each a few whole-int operations on the
@@ -47,7 +47,6 @@ from .binwords import (
     _k0_bits,
     _max_cyclic_run_bits,  # unused here; kept because bench/tracer.py hooks this name
     _reverse_bits,
-    _rotate_bits,
     _smallest_period_bits,
     canonical_form,
     from_composition,
@@ -196,6 +195,29 @@ def _mirror_tables(t: int) -> tuple:
     return low, (1 << low) - 1, rev_low, [_reverse_bits(x, high) for x in range(1 << high)]
 
 
+def _half_rule(half: int, mirror: int, t: int) -> bool:
+    """Whether the mirrored word h.s(h) is smaller than its rotation partner.
+
+    h is ``half``, s(h) is ``mirror``, s is reverse-complement on t entries,
+    and the rule reads no period and no rotation.  The partner of h.s(h) is
+    its rotation by k0 = p/2, p the smallest period, and p divides 2t.  If
+    h != s(h), then 2t/p is odd (were it even, t would be a period and
+    h = s(h)), so t = k0 (mod p) and the partner is the rotation by t,
+    s(h).h: the word is the smaller iff h < s(h).  If h = s(h), t is even and
+    the word is h.h, whose rotations are the doubled rotations of h, so it is
+    the smaller of its pair iff h is the smaller of its own; and h, equal to
+    s(h), is a mirrored word of t entries, so the test repeats on its halves.
+    It ends, since the middle entry of an odd-length word is not its own
+    negation, so such a word never equals its mirror.
+    """
+    head, tail, n = half, mirror, t
+    while head == tail:
+        # the word is head.head, and head is mirrored: compare its halves
+        n >>= 1
+        head, tail = head >> n, head & ((1 << n) - 1)
+    return head < tail
+
+
 # halves per block of _reciprocal_chunks
 _RECIPROCAL_BLOCK = 4096
 
@@ -212,17 +234,8 @@ def _reciprocal_chunks(
     ``primitive`` only the words with k0 = t are kept.  Arguments are checked
     on the first pull.
 
-    Canonicity is read off the two halves, with no period and no rotation.
-    Let s be reverse-complement on t entries, so the word is h.s(h).  Its
-    partner is its rotation by k0 = p/2, p the smallest period, and p divides
-    2t.  If h != s(h), then 2t/p is odd (were it even, t would be a period
-    and h = s(h)), so t = k0 (mod p) and the partner is the rotation by t,
-    s(h).h: the word is the smaller iff h < s(h).  If h = s(h), t is even and
-    the word is h.h, whose rotations are the doubled rotations of h, so it is
-    the smaller of its pair iff h is the smaller of its own; and h, equal to
-    s(h), is a mirrored word of t entries, so the test repeats on its halves.
-    It ends, since the middle entry of an odd-length word is not its own
-    negation, so such a word never equals its mirror.
+    A half h is kept by ``_half_rule``, with s(h) from two table lookups and
+    a call only where h = s(h).
 
     The rotations that fix a word of L = 2t entries form a subgroup of Z_L,
     so the word has a proper period exactly when its rotation by L/r is the
@@ -239,14 +252,6 @@ def _reciprocal_chunks(
     # L - d entries equal its last L - d ones
     periods = [(length // r, (1 << (length - length // r)) - 1) for r, _ in _factorise(length)]
 
-    def halving_keeps(half: int) -> bool:
-        # half = s(half): compare its halves, then theirs while they are equal
-        head, tail, n = half, half, t
-        while head == tail:
-            n >>= 1
-            head, tail = head >> n, head & ((1 << n) - 1)
-        return head < tail
-
     # both junctions of a mirrored word change sign, so its cyclic runs are
     # the runs of its half
     halves = iter(range(1 << t) if m is None else _bounded_run_words(t, m))
@@ -255,7 +260,7 @@ def _reciprocal_chunks(
             (half << t) | mirror
             for half in block
             if (mirror := mask ^ (rev_low[half & low_mask] | rev_high[half >> low])) > half
-            or mirror == half and halving_keeps(half)
+            or mirror == half and _half_rule(half, mirror, t)
         ]
         periodic = set()
         for d, head in periods:
@@ -297,9 +302,11 @@ def reciprocal_classes(
 
 
 def canonical_reciprocal(h: HalfTurnWord) -> HalfTurnWord:
-    """The lexicographically smaller of h and its rotation partner."""
-    partner, _ = half_turn_partner(h)
-    return h if h.word <= partner.word else partner
+    """The smaller of h and its rotation partner: h if ``_half_rule`` keeps it."""
+    t = h.t
+    if _half_rule(h.half.bits, h.word.bits & ((1 << t) - 1), t):
+        return h
+    return half_turn_partner(h)[0]
 
 
 def phi(h: HalfTurnWord) -> Composition:
@@ -315,25 +322,20 @@ def phi(h: HalfTurnWord) -> Composition:
 def phi_inverse(c: Composition) -> HalfTurnWord:
     """Canonical reciprocal representative whose half has run profile c.
 
-    The two run-profile preimages differ by a global sign flip and land in
-    mirror-image classes; the one whose canonical representative maps back to
-    c is returned.  A half has run profile c exactly when it is one of the two
-    preimages, so each candidate is decided on packed bits: its mirrored word,
-    the rotation of that word by k0, and the smaller of the two.
+    The halves with run profile c are h and its complement ~h, and
+    s(~h) = ~s(h), so ``_half_rule``, which compares complemented halves,
+    keeps exactly one of the two mirrored words they make; that one is
+    returned.
     """
     t = c.total
     if t < 1:
         raise ValueError("composition must have positive total")
-    length = 2 * t
     mask = (1 << t) - 1
     low = from_composition(c, -1).bits
-    preimages = (low, low ^ mask)
-    for half in preimages:
+    for half in (low, low ^ mask):
         full = _full_from_half_bits(half, t)
-        partner = _rotate_bits(full, _k0_bits(full, length), length)
-        bits = min(full, partner)
-        if bits >> t in preimages:
-            return HalfTurnWord(BinaryWord(bits, length))
+        if _half_rule(half, full & mask, t):
+            return HalfTurnWord(BinaryWord(full, 2 * t))
     raise ContractViolationError(
         f"no canonical reciprocal representative maps onto {c.parts!r}"
     )

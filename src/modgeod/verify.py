@@ -389,6 +389,9 @@ def check_bijection_round_trip(tmax: int = 12) -> Outcome:
                     return _fail(f"t={t}, m={m}: kept {h.word}, with a part of {max(c.parts)}")
                 if max(c.parts) != bw.max_cyclic_run(h.word):
                     return _fail(f"largest part mismatch at {h.word}")
+                # a representative's definition, apart from the rule that keeps it
+                if bw._rotate_bits(bits, h.k0, length) < bits:
+                    return _fail(f"kept {h.word}, larger than its rotation by k0")
                 if en.phi_inverse(c) != h:
                     return _fail(f"round trip failed at {h.word}")
     return _ok(f"t through {tmax}, every m")

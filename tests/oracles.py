@@ -5,7 +5,6 @@ entries) and never goes through the bit-packed library paths, so agreement
 between an oracle and the library is meaningful evidence.
 """
 
-import math
 from fractions import Fraction
 from itertools import groupby, product
 from math import gcd
@@ -79,13 +78,16 @@ def is_mirrored_tuple(entries):
     return n % 2 == 0 and all(entries[j] == -entries[n - 1 - j] for j in range(n))
 
 
+def smaller_mirrored_rotation(entries):
+    """The smaller of the two mirrored words in the rotation orbit of ``entries``."""
+    return min(r for r in all_rotations(entries) if is_mirrored_tuple(r))
+
+
 def smaller_mirrored_reps(t):
     """The smaller mirrored member of each orbit of mirrored words of 2t entries."""
     # every free half h of t entries, followed by its reverse negated
     mirrored = [h + tuple(-e for e in reversed(h)) for h in all_words(t)]
-    return {
-        min(r for r in all_rotations(w) if is_mirrored_tuple(r)) for w in mirrored
-    }
+    return {smaller_mirrored_rotation(w) for w in mirrored}
 
 
 def return_shift_tuple(entries):
@@ -149,17 +151,14 @@ def witness_entries(t, m):
         yield tuple(entries)
 
 
-def alpha_fraction_bisection(m, tol):
+def alpha_fraction_bisection(m):
     """The fields of ``AlphaData`` from a bisection on ``Fraction`` midpoints.
 
-    The bracket [2(1 - 2^-m), 2] is halved max(130, ceil(log2(width/tol)) + 1)
-    times (130 when tol is at least the width) on the sign of
+    The bracket [2(1 - 2^-m), 2] is halved 130 times on the sign of
     z^(m+1) - 2 z^m + 1, and the root is the final midpoint.
     """
     lo, hi = 2 * (1 - Fraction(1, 2**m)), Fraction(2)
-    width = float(hi - lo)
-    steps = max(130, math.ceil(math.log2(width / tol)) + 1 if tol < width else 0)
-    for _ in range(steps):
+    for _ in range(130):
         mid = (lo + hi) / 2
         if mid ** (m + 1) - 2 * mid**m + 1 < 0:
             lo = mid

@@ -530,7 +530,7 @@ def test_alpha_bracket_check_is_explicit():
     # at m = 1 the lower end 2(1 - 2^-m) = 1 is a root of the sign polynomial,
     # so it brackets nothing; alpha itself rejects m < 2 before this check
     with pytest.raises(ArithmeticError, match="m=1"):
-        _alpha_cached(1, 1e-13)
+        _alpha_cached(1)
 
 
 def test_alpha_bracket_and_monotonicity():
@@ -553,10 +553,9 @@ def test_alpha_residual_is_exact_polynomial_value():
     assert data.residual == float(direct)
 
 
-@pytest.mark.parametrize("tol", [1e-3, 1e-13, 1e-40])
-def test_alpha_matches_fraction_bisection(tol):
+def test_alpha_matches_fraction_bisection():
     for m in range(2, 61):
-        assert dataclasses.asdict(alpha(m, tol)) == oracles.alpha_fraction_bisection(m, tol), m
+        assert dataclasses.asdict(alpha(m)) == oracles.alpha_fraction_bisection(m), m
 
 
 def test_alpha_refuses_a_run_bound_past_its_ceiling():
@@ -573,8 +572,6 @@ def test_alpha_refuses_a_run_bound_past_its_ceiling():
 def test_alpha_domain_errors():
     with pytest.raises(ValueError):
         alpha(1)
-    with pytest.raises(ValueError):
-        alpha(3, tol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +590,21 @@ def test_closed_form_matches_recursion_everywhere_contracted():
     for m in range(2, 11):
         for t in range(1, 41):
             assert closed_form_compositions(t, m) == bounded_compositions(t, m)
+
+
+@pytest.mark.parametrize("m, refused, exact", [(2, 76, 186), (3, 60, 144), (40, 54, 164)])
+def test_closed_form_ceiling_is_a_margin_on_the_bracket_error(m, refused, exact):
+    # the 2^52 ceiling refuses from t = refused, while rnd(d * alpha^t) on the
+    # exact approximants agrees with the recursion through t = exact (and
+    # through t = 134 and 136 at m = 5 and 10, where it refuses from 55 and 54)
+    closed_form_compositions(refused - 1, m)
+    with pytest.raises(PrecisionLimitError):
+        closed_form_compositions(refused, m)
+    data = alpha(m)
+    x = data.d_exact
+    for t in range(1, exact + 2):
+        x *= data.alpha_exact
+        assert (rnd(x) == bounded_compositions(t, m)) == (t <= exact), t
 
 
 def test_closed_form_refuses_past_precision_ceiling():

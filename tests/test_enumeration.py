@@ -121,6 +121,28 @@ def test_reciprocal_counts_and_canonicality():
         assert all(primitive_root(h.word)[1] == 1 for h in prim)
 
 
+def test_canonical_reciprocal_matches_the_tuple_oracle_on_every_mirrored_word():
+    # kept words and their partners alike
+    for t in range(1, 13):
+        for half in range(1 << t):
+            h = HalfTurnWord.from_half(BinaryWord(half, t))
+            expected = oracles.smaller_mirrored_rotation(h.word.entries)
+            assert canonical_reciprocal(h).word.entries == expected, h
+
+
+def test_the_half_rule_keeps_one_of_each_complementary_pair():
+    # the two run-profile preimages of a composition, which phi_inverse
+    # decides between
+    for t in range(1, 17):
+        mask = (1 << t) - 1
+        for half in range(1 << (t - 1)):
+            keeps = [
+                enumeration._half_rule(h, binwords._full_from_half_bits(h, t) & mask, t)
+                for h in (half, half ^ mask)
+            ]
+            assert keeps.count(True) == 1, (t, half)
+
+
 def test_reciprocal_against_tuple_oracle():
     # each class once, as the smaller mirrored member of its orbit, in order
     for t in range(1, 9):
@@ -394,45 +416,37 @@ def test_phi_inverse_validation():
         phi_inverse(Composition(()))
 
 
-def _phi_inverse_by_objects(c):
-    # the object route phi_inverse took before it decided on packed bits
-    if c.total < 1:
-        raise ValueError("composition must have positive total")
+def _phi_inverse_by_objects(parts):
+    # phi_inverse by its definition, on entry tuples and apart from the half
+    # rule: the smaller mirrored rotation of each preimage's mirrored word,
+    # kept when its half maps back onto parts
+    t = sum(parts)
     for leading in (-1, 1):
-        candidate = canonical_reciprocal(
-            HalfTurnWord.from_half(binwords.from_composition(c, leading))
-        )
-        if phi(candidate) == c:
-            return candidate
-    raise enumeration.ContractViolationError(
-        f"no canonical reciprocal representative maps onto {c.parts!r}"
-    )
+        half = oracles.composition_entries(parts, leading)
+        smaller = oracles.smaller_mirrored_rotation(half + tuple(-e for e in reversed(half)))
+        if oracles.runs_tuple(smaller[:t]) == parts:
+            return smaller
+    raise AssertionError(f"no smaller mirrored rotation maps onto {parts!r}")
 
 
 def test_phi_inverse_matches_the_object_route():
     for t in range(1, 13):
         for parts in oracles.compositions(t):
-            c = Composition(parts)
-            h = phi_inverse(c)
-            assert h == _phi_inverse_by_objects(c), parts
+            h = phi_inverse(Composition(parts))
+            assert h.word.entries == _phi_inverse_by_objects(parts), parts
 
 
-def test_phi_inverse_raises_where_the_object_route_does(monkeypatch):
-    # a k0 rotation that lands on the mirrored word whose half is all -1 makes
-    # that word the smaller of every pair, and it maps back only onto (t,)
-    def onto_the_least(bits, k, length):
-        return (1 << (length // 2)) - 1
-
-    monkeypatch.setattr(binwords, "_rotate_bits", onto_the_least)
-    monkeypatch.setattr(enumeration, "_rotate_bits", onto_the_least)
+def test_phi_inverse_raises_where_the_rule_keeps_neither_preimage(monkeypatch):
+    # a rule that keeps only the mirrored word whose half is all -1, which
+    # maps back only onto (t,)
+    monkeypatch.setattr(enumeration, "_half_rule", lambda half, mirror, t: half == 0)
     for parts in oracles.compositions(5):
         c = Composition(parts)
         if parts == (5,):
-            assert phi_inverse(c) == _phi_inverse_by_objects(c)
+            assert phi_inverse(c).word.entries == _phi_inverse_by_objects(parts)
             continue
-        for route in (phi_inverse, _phi_inverse_by_objects):
-            with pytest.raises(enumeration.ContractViolationError, match=re.escape(repr(parts))):
-                route(c)
+        with pytest.raises(enumeration.ContractViolationError, match=re.escape(repr(parts))):
+            phi_inverse(c)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,32 @@ def test_bijection_check_catches_a_broken_inverse(monkeypatch):
     assert result.detail == "round trip failed at -+"
 
 
+def test_bijection_check_catches_a_rule_that_keeps_the_larger_member(monkeypatch):
+    def walk_by_the_rule(t, m, primitive):
+        # the words of the walk, each half kept by en._half_rule as it reads
+        # at the call; the k0s are t, which the check does not read
+        mask = (1 << t) - 1
+        full = (bw._full_from_half_bits(half, t) for half in range(1 << t))
+        words = [
+            bits
+            for bits in full
+            if bw._max_cyclic_run_bits(bits, 2 * t) <= m
+            and en._half_rule(bits >> t, bits & mask, t)
+        ]
+        yield words, [t] * len(words)
+
+    for t in range(1, 7):
+        for m in range(1, t + 1):
+            kept = [bits for words, _ in en._reciprocal_chunks(t, m, False) for bits in words]
+            assert [bits for words, _ in walk_by_the_rule(t, m, False) for bits in words] == kept
+    rule = en._half_rule
+    monkeypatch.setattr(en, "_half_rule", lambda half, mirror, t: not rule(half, mirror, t))
+    monkeypatch.setattr(en, "_reciprocal_chunks", walk_by_the_rule)
+    result = verify.check_bijection_round_trip(6)
+    assert not result.ok
+    assert result.detail == "kept +-, larger than its rotation by k0"
+
+
 def test_bijection_check_catches_a_repeated_class(monkeypatch):
     generate = en._reciprocal_chunks
 
@@ -288,8 +314,8 @@ def test_sharp_law_check_catches_a_perturbed_alpha(monkeypatch):
     # one part in 10^11 on alpha moves alpha^80 by about 8e-10
     alpha = ct.alpha
 
-    def perturbed(m, tol=1e-13):
-        data = alpha(m, tol)
+    def perturbed(m):
+        data = alpha(m)
         return dataclasses.replace(data, alpha_exact=data.alpha_exact * (1 + Fraction(1, 10**11)))
 
     monkeypatch.setattr(ct, "alpha", perturbed)
