@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .counting import _factorise
 
@@ -52,11 +53,12 @@ def _rotate_bits(bits: int, k: int, t: int) -> int:
     return (bits >> k) | ((bits & ((1 << k) - 1)) << (t - k))
 
 
-def _rotations_bits(bits: int, t: int) -> list[int]:
-    # the rotations by 0, 1, ..., t-1: the t-bit windows of the doubled word
+def _rotations_bits(bits: int, t: int) -> Iterator[int]:
+    # the rotations by 0, 1, ..., t-1: the t-bit windows of the doubled word,
+    # one at a time
     mask = (1 << t) - 1
     doubled = (bits << t) | bits
-    return [doubled >> k & mask for k in range(t)]
+    return (doubled >> k & mask for k in range(t))
 
 
 def _min_rotation_bits(bits: int, t: int) -> int:

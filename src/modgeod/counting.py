@@ -238,9 +238,6 @@ def primitive_class_count(tau: int) -> int:
     return _count_at(tau, True, None, True)
 
 
-primitive_class_count_mobius = primitive_class_count  # the former name, for existing importers
-
-
 def reciprocal_count(t: int, primitive: bool = False) -> int:
     """Reciprocal classes of group length 4t: 2**(t-1), or the primitive part.
 
@@ -263,6 +260,7 @@ def bounded_compositions(t: int, m: Optional[int]) -> int:
         return 0
     if t == 0:
         return 1
+    _check_size("t", t)
     return _count_at(t, False, m, False)
 
 
@@ -559,20 +557,25 @@ def closed_form_compositions(t: int, m: int) -> int:
     Exact on ``d_exact`` and ``alpha_exact``, so it agrees with
     ``bounded_compositions`` wherever it answers; refuses with
     ``PrecisionLimitError`` once d * alpha^t reaches the margin 2**52.  The
-    recursion remains the authority beyond that point.
+    recursion remains the authority beyond that point.  A t whose float
+    estimate of log2(d * alpha^t) is already 53 or more is refused before the
+    exact power, which costs seconds from t of about 10^5, is built.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     if t < 0:
         raise ValueError("t must be >= 0")
     data = alpha(m)
-    x = data.d_exact * data.alpha_exact ** t
-    if x >= _ROUND_CEILING:
-        raise PrecisionLimitError(
-            f"d * alpha^t = {float(x):.6g} at t={t}, m={m} reaches the 2^52 "
-            "margin on the root's bracket error; use the recursion instead"
-        )
-    return rnd(x)
+    # t is clamped so that the float product cannot overflow; the estimate
+    # passes 53 long before t reaches _MAX_SIZE
+    if min(t, _MAX_SIZE) * math.log2(data.alpha) + math.log2(data.d) < 53:
+        x = data.d_exact * data.alpha_exact ** t
+        if x < _ROUND_CEILING:
+            return rnd(x)
+    raise PrecisionLimitError(
+        f"d * alpha^t at t={t}, m={m} reaches the 2^52 margin on the root's "
+        "bracket error; use the recursion instead"
+    )
 
 
 # ---------------------------------------------------------------------------

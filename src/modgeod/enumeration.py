@@ -45,7 +45,7 @@ from .binwords import (
     HalfTurnWord,
     _full_from_half_bits,
     _k0_bits,
-    _max_cyclic_run_bits,  # unused here; kept because bench/tracer.py hooks this name
+    _prime_divisors,
     _reverse_bits,
     _smallest_period_bits,
     canonical_form,
@@ -53,7 +53,7 @@ from .binwords import (
     half_turn_partner,
     runs_of,
 )
-from .counting import _check_size, _factorise, _run_bound
+from .counting import _check_size, _run_bound
 
 __all__ = [
     "ContractViolationError",
@@ -250,7 +250,7 @@ def _reciprocal_chunks(
     low, low_mask, rev_low, rev_high = _mirror_tables(t)
     # the rotation by d of a word of L entries is the identity iff its first
     # L - d entries equal its last L - d ones
-    periods = [(length // r, (1 << (length - length // r)) - 1) for r, _ in _factorise(length)]
+    periods = [(length // r, (1 << (length - length // r)) - 1) for r in _prime_divisors(length)]
 
     # both junctions of a mirrored word change sign, so its cyclic runs are
     # the runs of its half

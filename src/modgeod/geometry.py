@@ -32,8 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-# rotate is unused here; the layer tracer in bench/tracer.py hooks geometry.rotate
-from .binwords import BinaryWord, _run_lengths_bits, max_cyclic_run, rotate
+from .binwords import BinaryWord, _run_lengths_bits, max_cyclic_run
 from .enumeration import ContractViolationError, classes
 
 __all__ = [

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -126,6 +127,20 @@ def test_min_rotation_bits_matches_tuple_oracle_on_every_short_word():
             bits = BinaryWord.from_entries(entries).bits
             least = BinaryWord.from_entries(oracles.canonical_tuple(entries)).bits
             assert _min_rotation_bits(bits, t) == least, (t, entries)
+
+
+def test_canonical_form_holds_one_rotation_at_a_time():
+    # the 20 000 rotations of a 20 000-entry word, each a 2.7 kB int, would
+    # hold about 54 MB if built at once
+    t = 20_000
+    w = BinaryWord(random.Random(7).getrandbits(t), t)
+    tracemalloc.start()
+    try:
+        canonical_form(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @given(words, st.integers(0, 40))

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from typing import Iterator
@@ -29,7 +30,6 @@ from modgeod.counting import (
     lowlying_lower_bound,
     necklace_count,
     primitive_class_count,
-    primitive_class_count_mobius,
     reciprocal_count,
     rnd,
 )
@@ -75,7 +75,6 @@ def test_primitive_examples():
     assert primitive_class_count(2) == 1
     assert primitive_class_count(4) == 6 - 2 - 1 == 3
     assert primitive_class_count(6) == 14 - 2 - 1 - 2 == 9
-    assert primitive_class_count_mobius(6) == 9
 
 
 @pytest.mark.parametrize("tau", range(1, 13))
@@ -85,11 +84,9 @@ def test_primitive_against_filter_oracle(tau):
 
 
 def test_recursion_agrees_with_mobius_far_out():
-    # the old name of the inversion route is kept, bound to the one route
-    assert primitive_class_count_mobius is primitive_class_count
     peeled = oracles.primitive_table([0] + [necklace_count(n) for n in range(1, 65)])
     for tau in range(1, 65):
-        assert primitive_class_count_mobius(tau) == peeled[tau]
+        assert primitive_class_count(tau) == peeled[tau]
 
 
 def test_inversion_matches_divisor_peel_to_2000():
@@ -452,6 +449,15 @@ def test_bounded_composition_conventions():
         bounded_compositions(4, 0)
 
 
+@pytest.mark.parametrize("m", [None, 3])
+def test_bounded_compositions_refuse_past_the_size_ceiling(m):
+    # the ceiling of count("compositions", ...), checked before any work but
+    # after the conventions for t <= 0
+    with pytest.raises(ValueError, match=r"^t must be <= 10000000$"):
+        bounded_compositions(counting._MAX_SIZE + 1, m)
+    assert (bounded_compositions(0, m), bounded_compositions(-5, m)) == (1, 0)
+
+
 def test_bounded_compositions_match_window_table():
     for m in range(1, 13):
         table = oracles.composition_table(400, m)
@@ -610,6 +616,32 @@ def test_closed_form_ceiling_is_a_margin_on_the_bracket_error(m, refused, exact)
 def test_closed_form_refuses_past_precision_ceiling():
     with pytest.raises(PrecisionLimitError):
         closed_form_compositions(60, 10)
+
+
+def test_closed_form_refuses_a_long_t_before_the_power():
+    # the exact power alone takes seconds from t of about 10^5 at m = 3, and
+    # a t past a double's range cannot reach the float estimate whole
+    alpha(3)
+    for t in (1166, 10**6, 10**400):
+        start = time.perf_counter()
+        with pytest.raises(PrecisionLimitError, match=f"at t={t}, m=3 reaches the 2\\^52"):
+            closed_form_compositions(t, 3)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_closed_form_refuses_where_the_exact_margin_does():
+    # the float estimate refuses before the power only past 2^53, so the
+    # exact test alone decides every t below it
+    for m in range(2, 11):
+        data = alpha(m)
+        x = data.d_exact
+        for t in range(1, 201):
+            x *= data.alpha_exact
+            if x < 1 << 52:
+                assert closed_form_compositions(t, m) == rnd(x)
+            else:
+                with pytest.raises(PrecisionLimitError):
+                    closed_form_compositions(t, m)
 
 
 def test_closed_form_refuses_a_bad_m_or_t():

@@ -2,15 +2,23 @@
 
 ``stdout_corpus.json`` maps each argv to its exit code, the sha256 of its
 stdout and, for an argv that exits non-zero, the last line of its stderr,
-the message that is the contract of a refusal.  The test reruns every argv
-in-process through ``cli.main`` and compares.  A change that keeps stdout
-byte-identical leaves the file alone; one that changes stdout on purpose
-regenerates it in the same commit, so its diff names every argv that moved:
+the message that is the contract of a refusal.  The tests rerun every argv
+in-process through ``cli.main`` and compare: once in the test process, and
+once more in a child interpreter under ``python -O``, which strips
+``assert`` statements, so that no command's output rests on one.  The same
+comparison runs from the command line, where it prints each argv whose
+output moved and exits 1 if any did:
+
+    PYTHONPATH=src python -O tests/test_stdout_corpus.py --check
+
+A change that keeps stdout byte-identical leaves the file alone; one that
+changes stdout on purpose regenerates it in the same commit, so its diff
+names every argv that moved:
 
     PYTHONPATH=src python tests/test_stdout_corpus.py --write
 
 Only ``--write`` builds the argv list, partly from the benchmark's op lists
-in ``bench/workloads.py``; the test reads the data file alone.  Both run
+in ``bench/workloads.py``; the checks read the data file alone.  All run
 under the default int-to-str digit limit, 4300, whatever the environment
 sets.
 """
@@ -19,6 +27,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,10 +55,33 @@ def _outcome(argv: list[str]) -> dict:
     return record
 
 
+def _moved(records: list[dict]) -> list[list[str]]:
+    # the argvs whose outcome differs from their record
+    return [r["argv"] for r in records if _outcome(r["argv"]) != r]
+
+
 def test_every_argv_gives_its_recorded_output():
+    assert _moved(json.loads(_CORPUS.read_text(encoding="utf-8"))) == []
+
+
+def test_every_argv_gives_its_recorded_output_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", __file__, "--check"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=600)
+    records = len(json.loads(_CORPUS.read_text(encoding="utf-8")))
+    assert (proc.returncode, proc.stdout.splitlines()) == (
+        0, [f"{records} argvs under python -O: 0 moved"]), proc.stdout + proc.stderr
+
+
+def _check() -> int:
+    # a check with no assert, so that -O keeps it whole
     records = json.loads(_CORPUS.read_text(encoding="utf-8"))
-    moved = [r["argv"] for r in records if _outcome(r["argv"]) != r]
-    assert moved == []
+    moved = _moved(records)
+    for argv in moved:
+        print(json.dumps(argv))
+    mode = " under python -O" if sys.flags.optimize else ""
+    print(f"{len(records)} argvs{mode}: {len(moved)} moved")
+    return 1 if moved else 0
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +188,44 @@ def _other_argvs() -> list[list[str]]:
     return argvs
 
 
+def _larger_argvs() -> list[list[str]]:
+    # mid-sized argvs of each subcommand, and the whole verify suite
+    return [
+        ["enumerate", "--family", "reciprocal", "--t", "7", "--m", "2"],
+        ["enumerate", "--family", "classes", "--t", "9", "--primitive", "--hyperbolic"],
+        ["count", "--family", "lowlying", "--t", "10", "--m", "3", "--cumulative"],
+        ["verify", "--suite", "enumerate", "--tmax", "6"],
+        ["audit-lemma71", "--tmax", "6"],
+        ["depth", "--word=--++++-+--", "--format", "json"],
+        ["count", "--family", "compositions", "--t", "300", "--m", "4", "--cumulative"],
+        ["growth", "--item", "2", "--m", "3", "--tmax", "60"],
+        ["growth", "--item", "3", "--tmax", "40"],
+        ["verify", "--suite", "binwords", "--tmax", "8"],
+        ["verify", "--suite", "enumerate", "--tmax", "10"],
+        ["enumerate", "--family", "reciprocal", "--t", "9", "--format", "json"],
+        ["enumerate", "--family", "classes", "--t", "12", "--m", "3", "--format", "json"],
+        ["depth", "--word=+++++-----++-", "--format", "json"],
+        ["verify", "--suite", "geometry", "--tmax", "9"],
+        ["count", "--family", "lowlying-reciprocal", "--t", "60", "--m", "3", "--primitive",
+         "--cumulative"],
+        ["growth", "--item", "4", "--m", "3", "--tmax", "40"],
+        ["count", "--family", "lowlying", "--t", "60", "--m", "4", "--primitive", "--cumulative"],
+        ["enumerate", "--family", "reciprocal", "--t", "15", "--m", "3"],
+        ["count", "--family", "reciprocal-primitive", "--t", "2000", "--cumulative"],
+        ["count", "--family", "classes+torsion", "--t", "800", "--cumulative"],
+        ["count", "--family", "lowlying", "--t", "2000", "--m", "3", "--cumulative"],
+        ["count", "--family", "lowlying", "--t", "2000", "--m", "3", "--cumulative",
+         "--primitive"],
+        ["growth", "--item", "3", "--tmax", "400"],
+        ["growth", "--item", "4", "--m", "3", "--tmax", "400"],
+        ["table1", "--t", "16", "--m", "3"],
+        ["verify", "--suite", "all"],
+    ]
+
+
 def _write() -> None:
-    groups = (_workload_argvs(), _growth_argvs(), _table1_argvs(), _count_argvs(), _other_argvs())
+    groups = (_workload_argvs(), _growth_argvs(), _table1_argvs(), _count_argvs(), _other_argvs(),
+              _larger_argvs())
     # the first of any repeated argv, in order
     argvs = list(map(list, dict.fromkeys(tuple(a) for argvs in groups for a in argvs)))
     lines = ",\n".join(json.dumps(_outcome(argv)) for argv in argvs)
@@ -165,6 +234,9 @@ def _write() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_stdout_corpus.py --write")
-    _write()
+    if sys.argv[1:] == ["--write"]:
+        _write()
+    elif sys.argv[1:] == ["--check"]:
+        sys.exit(_check())
+    else:
+        sys.exit("usage: python tests/test_stdout_corpus.py --write | --check")
