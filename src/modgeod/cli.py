@@ -4,8 +4,13 @@ Output is deterministic for a fixed argv: rows are emitted in sorted order,
 reals are printed with 12 significant digits in CSV mode, and JSON mode
 mirrors the CSV rows as an array of objects with the same field names.
 Every table has one writer, ``_write_columns``, which takes chunks of
-columns and renders each column whole.  ``enumerate`` streams its chunks as
-the generators make them, so its memory does not grow with the class count;
+columns and renders each column whole; a column that prints alike on every
+row of a chunk, such as ``enumerate``'s t, is folded into the fixed text
+between the others, so each row costs two join pieces per column that
+varies.  ``enumerate`` builds the sign strings of a chunk's words in one
+pass: their ``bin`` texts joined, translated and split as one string.  It
+streams its chunks as the generators make them, so its memory does not grow
+with the class count;
 a chunk is ``_CHUNK_ROWS`` rows, except that reciprocal words come from
 ``enumeration._reciprocal_chunks``, one chunk per block of its halves.
 Every other table is one chunk.  A count too long to print is
@@ -63,13 +68,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _column(values: Sequence, fmt: str) -> Iterable[str]:
-    # the text json.dumps or _fmt gives each value; a column of str or of int,
-    # nearly every column printed, is rendered with no Python call per value
+# the types whose equal values print alike; 1 == 1.0 == True and 0.0 == -0.0
+# do not
+_FOLDABLE = frozenset({int, str, bool, type(None)})
+
+
+def _text(value, fmt: str) -> str:
+    # the text json.dumps or _fmt gives one value
+    if type(value) is int:
+        return repr(value)
+    if fmt == "json":
+        return _json_str(value) if type(value) is str else json.dumps(value)
+    return _fmt(value)
+
+
+def _column(values: Sequence, fmt: str) -> str | Iterable[str]:
+    # the text json.dumps or _fmt gives each value, or the one text of a
+    # column that prints alike on every row; a column of str or of int, nearly
+    # every column printed, is rendered with no Python call per value
+    first = values[0]
+    if len(values) == 1:
+        return _text(first, fmt)
     kinds = set(map(type, values))
+    if (
+        len(kinds) == 1 and kinds <= _FOLDABLE
+        and values[-1] == first and values.count(first) == len(values)
+    ):
+        return _text(first, fmt)
     if kinds == {int}:
-        # a column of few distinct values, such as enumerate's t and k0, looks
-        # each value's text up instead of formatting it again
+        # a column of few distinct values, such as enumerate's k0, looks each
+        # value's text up instead of formatting it again
         distinct = set(values)
         if 4 * len(distinct) > len(values):
             return map(repr, values)
@@ -88,21 +116,20 @@ def _layout(fields: tuple[str, ...], fmt: str) -> tuple:
     """The fixed text around the values of ``_write_columns``' rows, per field list.
 
     Returns ``(lead, first, glue, close, end, empty)``: the text before the
-    first row's first value; the text before a later row's first value; one
-    endless iterator per field of the text before that field's value, the
-    first repeating ``first``; a tuple of at most one endless iterator of the
-    text that closes a row; the text after the last row; and the whole output
-    for no rows.  ``itertools.repeat`` keeps no position, so calls share them.
+    first row's first value; the text before a later row's first value; the
+    text before each field's value, the first being ``first``; the text that
+    closes a row; the text after the last row; and the whole output for no
+    rows.
     """
     if fmt == "json":
         glue = [f",\n    {_json_str(k)}: " for k in fields]
         lead, glue[0] = "[\n  {" + glue[0][1:], ",\n  {" + glue[0][1:]
-        close, end, empty = (itertools.repeat("\n  }"),), "\n]\n", "[]\n"
+        close, end, empty = "\n  }", "\n]\n", "[]\n"
     else:
         glue = ["\n", *[","] * (len(fields) - 1)]
         lead = empty = ",".join(fields) + "\n"
-        close, end = (), "\n"
-    return lead, glue[0], tuple(map(itertools.repeat, glue)), close, end, empty
+        close, end = "", "\n"
+    return lead, glue[0], tuple(glue), close, end, empty
 
 
 def _write_columns(chunks: Iterable[Sequence[Sequence]], fields: list[str], fmt: str) -> None:
@@ -112,20 +139,45 @@ def _write_columns(chunks: Iterable[Sequence[Sequence]], fields: list[str], fmt:
     order), all of one length, of JSON scalars: str, int, float, bool or None.
     Each chunk is written to the ``sys.stdout`` of the call as soon as it is
     pulled, so an error a generator raises on its first pull leaves stdout
-    empty.  Its columns are rendered whole and interleaved with fixed glue in
-    one join, with no Python call per row.
+    empty.  Its columns are rendered whole.  A column that prints alike on
+    every row of the chunk, such as ``enumerate``'s t, is folded into the
+    fixed text around the others: its values are equal and of one type in
+    ``_FOLDABLE``, or it has one row.  The columns left are interleaved with
+    that text in one join, with no Python call per row.
     """
     lead, first, glue, close, end, empty = _layout(tuple(fields), fmt)
     wrote = False
     for columns in chunks:
-        # glue, column, glue, column, ...: zipped, they give the pieces row by row
-        rendered = map(_column, columns, itertools.repeat(fmt))
-        pieces = itertools.chain.from_iterable(
-            zip(*itertools.chain.from_iterable(zip(glue, rendered)), *close)
-        )
-        if next(pieces, None) is not None:  # the first glue gives way to the lead
-            sys.stdout.write("".join(itertools.chain((first if wrote else lead,), pieces)))
-            wrote = True
+        rows = len(columns[0])
+        if not rows:
+            continue
+        # a row is texts[0], a value of varying[0], texts[1], ..., and tail;
+        # the columns that print alike are part of that fixed text
+        texts, varying, text = [], [], ""
+        for before, values in zip(glue, columns):
+            rendered = _column(values, fmt)
+            if isinstance(rendered, str):
+                text += before + rendered
+            else:
+                texts.append(text + before)
+                varying.append(rendered)
+                text = ""
+        tail = text + close
+        if not varying:  # every row is the same text
+            texts, tail = [tail], ""
+        # every row but the first starts with ``first``, which the first
+        # row of the output trades for ``lead``
+        head, between = texts[0][len(first):], tail + texts[0]
+        pieces = itertools.chain.from_iterable(zip(
+            itertools.repeat(between, rows),
+            *varying[:1],
+            *itertools.chain.from_iterable(zip(map(itertools.repeat, texts[1:]), varying[1:])),
+        ))
+        next(pieces)  # the first row's text before its values is head
+        sys.stdout.write("".join(itertools.chain(
+            (first + head if wrote else lead + head,), pieces, (tail,)
+        )))
+        wrote = True
     sys.stdout.write(end if wrote else empty)
 
 
@@ -213,9 +265,19 @@ def cmd_count(args) -> int:
 # ---------------------------------------------------------------------------
 # enumerate
 
-def _sign_texts(words: list[int], spec: str) -> list[str]:
-    # the sign strings of packed words, formatted and translated as one text
-    return "\n".join(map(format, words, itertools.repeat(spec))).translate(_SIGN_CHARS).split("\n")
+def _sign_texts(words: list[int], length: int) -> list[str]:
+    """The sign strings of a non-empty list of packed words of ``length`` entries.
+
+    ``bin(w | 1 << length)`` is ``"0b1"`` and the word's digits, so the
+    chunk's texts, joined by newlines and translated as one text, read
+    ``"-b+"`` before each word.  An empty list would give ``[""]``.
+    """
+    text = "\n".join(map(bin, map((1 << length).__or__, words))).translate(_SIGN_CHARS)
+    texts = text.split("\n-b+")
+    # the first word's "-b+" has no newline before it; cutting it from the
+    # whole text would copy the chunk's text once more
+    texts[0] = texts[0][3:]
+    return texts
 
 
 def _enumerate_columns(args) -> Iterator[tuple]:
@@ -229,10 +291,10 @@ def _enumerate_columns(args) -> Iterator[tuple]:
     if args.family == "classes":
         words = en._class_bits(t, args.primitive, args.m, args.hyperbolic)
         while chunk := list(itertools.islice(words, _CHUNK_ROWS)):
-            yield _sign_texts(chunk, f"0{t}b"), [t] * len(chunk)
+            yield _sign_texts(chunk, t), [t] * len(chunk)
         return
     for words, k0s in en._reciprocal_chunks(t, args.m, args.primitive):
-        yield _sign_texts(words, f"0{2 * t}b"), [t] * len(words), k0s
+        yield _sign_texts(words, 2 * t), [t] * len(words), k0s
 
 
 def cmd_enumerate(args) -> int:

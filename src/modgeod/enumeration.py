@@ -170,29 +170,35 @@ def _bounded_run_words(t: int, bound: int) -> Iterator[int]:
             bits |= 1 << ones
 
 
-# the longest halves whose reversals ``_mirror_tables`` tabulates, 2^16 per table
+# the longest halves whose mirrors ``_mirror_tables`` tabulates, 2^16 per table
 _TABULATED_HALF = 32
 
 
-class _Reversals:
-    # rev_n(x) = rev_n[x], for halves too long to tabulate
+class _Mirrors:
+    # s(x) = mirrors[x] on n entries, for halves too long to tabulate
     def __init__(self, n: int) -> None:
         self.n = n
+        self.mask = (1 << n) - 1
 
     def __getitem__(self, x: int) -> int:
-        return _reverse_bits(x, self.n)
+        return self.mask ^ _reverse_bits(x, self.n)
 
 
 def _mirror_tables(t: int) -> tuple:
-    # s(h) = ~rev_t(h) on t entries: with h = hi.lo, lo of `low` bits,
-    # rev_t(h) = rev(lo).rev(hi), so s(h) = mask ^ (rev_low[lo] | rev_high[hi]);
-    # past _TABULATED_HALF, lo is empty and rev_high reverses all t bits
+    """``(low, low_mask, s_low, s_high)`` with s(h) = s_low[h & low_mask] | s_high[h >> low].
+
+    s(h) = ~rev_t(h) on t entries.  With h = hi.lo, lo of ``low`` bits,
+    rev_t(h) = rev(lo).rev(hi), so s(h) is the complemented reversal of lo,
+    placed high, beside that of hi.  Past ``_TABULATED_HALF``, lo is empty
+    and s_high mirrors all t bits.
+    """
     if t > _TABULATED_HALF:
-        return 0, 0, (0,), _Reversals(t)
+        return 0, 0, (0,), _Mirrors(t)
     low = t >> 1
     high = t - low
-    rev_low = [_reverse_bits(x, low) << high for x in range(1 << low)]
-    return low, (1 << low) - 1, rev_low, [_reverse_bits(x, high) for x in range(1 << high)]
+    low_mask, high_mask = (1 << low) - 1, (1 << high) - 1
+    s_low = [(low_mask ^ _reverse_bits(x, low)) << high for x in range(1 << low)]
+    return low, low_mask, s_low, [high_mask ^ _reverse_bits(x, high) for x in range(1 << high)]
 
 
 def _half_rule(half: int, mirror: int, t: int) -> bool:
@@ -246,8 +252,7 @@ def _reciprocal_chunks(
     _check_size("t", t)
     m = _run_bound("run bound m", m, t)
     length = 2 * t
-    mask = (1 << t) - 1
-    low, low_mask, rev_low, rev_high = _mirror_tables(t)
+    low, low_mask, s_low, s_high = _mirror_tables(t)
     # the rotation by d of a word of L entries is the identity iff its first
     # L - d entries equal its last L - d ones
     periods = [(length // r, (1 << (length - length // r)) - 1) for r in _prime_divisors(length)]
@@ -259,7 +264,7 @@ def _reciprocal_chunks(
         chunk = [
             (half << t) | mirror
             for half in block
-            if (mirror := mask ^ (rev_low[half & low_mask] | rev_high[half >> low])) > half
+            if (mirror := s_low[half & low_mask] | s_high[half >> low]) > half
             or mirror == half and _half_rule(half, mirror, t)
         ]
         periodic = set()

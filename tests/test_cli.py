@@ -250,6 +250,39 @@ def test_enumerate_reciprocal_golden_format(capsys):
     assert out == expected.getvalue()
 
 
+def test_enumerate_reciprocal_golden_across_blocks(capsys):
+    # t = 13 has two blocks of halves, and only the block of the alternating
+    # word, the one periodic word, has k0 varying; so one chunk folds k0 into
+    # its fixed text and the other does not
+    assert sorted(len(set(k0s)) for _, k0s in en._reciprocal_chunks(13, None, False)) == [1, 2]
+    rows = [
+        {"word": oracles.sign_text(w), "t": 13, "k0": oracles.return_shift_tuple(w)}
+        for w in sorted(oracles.smaller_mirrored_reps(13))
+    ]
+    code, out = run(capsys, "enumerate", "--family", "reciprocal", "--t", "13",
+                    "--format", "json")
+    assert code == 0
+    assert out == json.dumps(rows, indent=2) + "\n"
+    expected = io.StringIO()
+    writer = csv.DictWriter(expected, fieldnames=["word", "t", "k0"], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    code, out = run(capsys, "enumerate", "--family", "reciprocal", "--t", "13")
+    assert code == 0
+    assert out == expected.getvalue()
+
+
+@pytest.mark.parametrize("length", range(1, 65))
+def test_sign_texts_are_the_formatted_words(length):
+    rng = random.Random(length)
+    top = (1 << length) - 1
+    words = [0, top, *(rng.getrandbits(length) for _ in range(20))]
+    signs = str.maketrans("01", "-+")
+    for chunk in (words, words[:1], words[1:2]):
+        expected = [format(w, f"0{length}b").translate(signs) for w in chunk]
+        assert cli._sign_texts(chunk, length) == expected
+
+
 _AWKWARD_ROWS = [
     {"s": 'say "hi"', "b": True, "n": None, "f": 1.5, "i": 10**40, "extra": "dropped"},
     {"s": "back\\slash\ttab", "b": False, "n": None, "f": float("nan"), "i": -7, "extra": 0},
@@ -324,6 +357,40 @@ def test_write_columns_matches_json_dumps_and_fmt(capsys, monkeypatch, fmt, n):
     else:
         lines = [",".join(_CHUNK_FIELDS)]
         lines += [",".join(_fmt(row[k]) for k in _CHUNK_FIELDS) for row in rows]
+        assert out == "".join(line + "\n" for line in lines)
+
+
+# columns that are equal but print differently (1, 1.0 and true; 0.0 and
+# -0.0), a str column that prints alike everywhere, and "c", alike on the first
+# three rows but not on the next three
+_FOLD_FIELDS = ["mixed", "zero", "s", "c", "n"]
+_FOLD_COLUMNS = [
+    [1, 1.0, True, True, True, True],
+    [0.0, -0.0, 0.0, -0.0, -0.0, -0.0],
+    ['sa"me'] * 6,
+    [5, 5, 5, 5, 6, 5],
+    [None] * 6,
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("rows", [
+    [dict(zip(_FOLD_FIELDS, row)) for row in zip(*_FOLD_COLUMNS)],
+    # every column alike on every row
+    [{"mixed": True, "zero": 2, "s": "x", "c": 5, "n": None}] * 4,
+])
+@pytest.mark.parametrize("size", [1, 2, 3, 6])
+def test_write_columns_folds_only_columns_that_print_alike(capsys, fmt, rows, size):
+    chunks = [_columns(rows[i:i + size], _FOLD_FIELDS) for i in range(0, len(rows), size)]
+    _write_columns(iter(chunks), _FOLD_FIELDS, fmt)
+    out = capsys.readouterr().out
+    _write_columns([_columns(rows, _FOLD_FIELDS)], _FOLD_FIELDS, fmt)
+    assert capsys.readouterr().out == out
+    if fmt == "json":
+        assert out == json.dumps(rows, indent=2) + "\n"
+    else:
+        lines = [",".join(_FOLD_FIELDS)]
+        lines += [",".join(_fmt(row[k]) for k in _FOLD_FIELDS) for row in rows]
         assert out == "".join(line + "\n" for line in lines)
 
 

@@ -83,12 +83,6 @@ def test_primitive_against_filter_oracle(tau):
     assert primitive_class_count(tau) == len(reps)
 
 
-def test_recursion_agrees_with_mobius_far_out():
-    peeled = oracles.primitive_table([0] + [necklace_count(n) for n in range(1, 65)])
-    for tau in range(1, 65):
-        assert primitive_class_count(tau) == peeled[tau]
-
-
 def test_inversion_matches_divisor_peel_to_2000():
     T = 2000
     necklaces = [0] + [necklace_count(n) for n in range(1, T + 1)]

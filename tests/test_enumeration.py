@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -326,6 +327,19 @@ def test_long_reciprocal_words_come_before_any_table():
         "next(enumeration._reciprocal_chunks(60, None, False))[0][:3]"
     )
     assert out == f"{first} {first}\n"
+
+
+@pytest.mark.parametrize("t", range(1, 41))
+def test_mirror_tables_give_the_complemented_reversal(t):
+    # past 32 entries the halves are mirrored one by one, not tabulated
+    low, low_mask, s_low, s_high = enumeration._mirror_tables(t)
+    rng = random.Random(t)
+    halves = range(1 << t)
+    if t > 12:
+        halves = [0, (1 << t) - 1, *(rng.getrandbits(t) for _ in range(500))]
+    for half in halves:
+        mirror = int(format(half, f"0{t}b")[::-1].translate({48: 49, 49: 48}), 2)
+        assert s_low[half & low_mask] | s_high[half >> low] == mirror, (t, half)
 
 
 def test_class_bits_are_the_words_of_classes():
