@@ -7,10 +7,12 @@ Every table has one writer, ``_write_columns``, which takes chunks of
 columns and renders each column whole; a column that prints alike on every
 row of a chunk, such as ``enumerate``'s t, is folded into the fixed text
 between the others, so each row costs two join pieces per column that
-varies.  ``enumerate`` builds the sign strings of a chunk's words in one
-pass: their ``bin`` texts joined, translated and split as one string.  It
-streams its chunks as the generators make them, so its memory does not grow
-with the class count;
+varies, and a chunk with one column that varies is that column joined with
+the text between its values.  ``enumerate`` builds the sign strings of a
+chunk's words in one pass: their ``bin`` texts joined, translated and split
+as one string, and marked as ``_Signs``, whose JSON quotes are part of the
+fixed text, since a sign string needs no escaping.  It streams its chunks as
+the generators make them, so its memory does not grow with the class count;
 a chunk is ``_CHUNK_ROWS`` rows, except that reciprocal words come from
 ``enumeration._reciprocal_chunks``, one chunk per block of its halves.
 Every other table is one chunk.  A count too long to print is
@@ -82,13 +84,25 @@ def _text(value, fmt: str) -> str:
     return _fmt(value)
 
 
+class _Signs(list):
+    """A column of sign strings, marked by the code that makes it.
+
+    A string of ``+`` and ``-`` needs no JSON escaping, so ``_write_columns``
+    puts the quotes of a ``_Signs`` column in its fixed text; no scan of the
+    values checks that they are sign strings.
+    """
+
+
 def _column(values: Sequence, fmt: str) -> str | Iterable[str]:
     # the text json.dumps or _fmt gives each value, or the one text of a
     # column that prints alike on every row; a column of str or of int, nearly
-    # every column printed, is rendered with no Python call per value
+    # every column printed, is rendered with no Python call per value, and a
+    # column of sign strings is returned as it is, to be quoted by the writer
     first = values[0]
     if len(values) == 1:
         return _text(first, fmt)
+    if type(values) is _Signs:
+        return values
     kinds = set(map(type, values))
     if (
         len(kinds) == 1 and kinds <= _FOLDABLE
@@ -143,9 +157,12 @@ def _write_columns(chunks: Iterable[Sequence[Sequence]], fields: list[str], fmt:
     every row of the chunk, such as ``enumerate``'s t, is folded into the
     fixed text around the others: its values are equal and of one type in
     ``_FOLDABLE``, or it has one row.  The columns left are interleaved with
-    that text in one join, with no Python call per row.
+    that text in one join, with no Python call per row; one column left is
+    joined with the text between its values.  A ``_Signs`` column is written
+    as it is, its JSON quotes part of the fixed text.
     """
     lead, first, glue, close, end, empty = _layout(tuple(fields), fmt)
+    quote = '"' if fmt == "json" else ""
     wrote = False
     for columns in chunks:
         rows = len(columns[0])
@@ -159,24 +176,30 @@ def _write_columns(chunks: Iterable[Sequence[Sequence]], fields: list[str], fmt:
             if isinstance(rendered, str):
                 text += before + rendered
             else:
-                texts.append(text + before)
+                quoted = quote if type(rendered) is _Signs else ""
+                texts.append(text + before + quoted)
                 varying.append(rendered)
-                text = ""
+                text = quoted
         tail = text + close
         if not varying:  # every row is the same text
             texts, tail = [tail], ""
         # every row but the first starts with ``first``, which the first
         # row of the output trades for ``lead``
-        head, between = texts[0][len(first):], tail + texts[0]
-        pieces = itertools.chain.from_iterable(zip(
-            itertools.repeat(between, rows),
-            *varying[:1],
-            *itertools.chain.from_iterable(zip(map(itertools.repeat, texts[1:]), varying[1:])),
-        ))
-        next(pieces)  # the first row's text before its values is head
-        sys.stdout.write("".join(itertools.chain(
-            (first + head if wrote else lead + head,), pieces, (tail,)
-        )))
+        start = (first if wrote else lead) + texts[0][len(first):]
+        between = tail + texts[0]
+        if len(varying) == 1:
+            values = list(varying[0])
+            values[0] = start + values[0]
+            values[-1] += tail
+            sys.stdout.write(between.join(values))
+        else:
+            pieces = itertools.chain.from_iterable(zip(
+                itertools.repeat(between, rows),
+                *varying[:1],
+                *itertools.chain.from_iterable(zip(map(itertools.repeat, texts[1:]), varying[1:])),
+            ))
+            next(pieces)  # the first row's text before its values is start
+            sys.stdout.write("".join(itertools.chain((start,), pieces, (tail,))))
         wrote = True
     sys.stdout.write(end if wrote else empty)
 
@@ -265,15 +288,15 @@ def cmd_count(args) -> int:
 # ---------------------------------------------------------------------------
 # enumerate
 
-def _sign_texts(words: list[int], length: int) -> list[str]:
-    """The sign strings of a non-empty list of packed words of ``length`` entries.
+def _sign_texts(words: list[int], length: int) -> _Signs:
+    """The sign strings of a non-empty list of packed words of ``length`` entries, as ``_Signs``.
 
     ``bin(w | 1 << length)`` is ``"0b1"`` and the word's digits, so the
     chunk's texts, joined by newlines and translated as one text, read
     ``"-b+"`` before each word.  An empty list would give ``[""]``.
     """
     text = "\n".join(map(bin, map((1 << length).__or__, words))).translate(_SIGN_CHARS)
-    texts = text.split("\n-b+")
+    texts = _Signs(text.split("\n-b+"))
     # the first word's "-b+" has no newline before it; cutting it from the
     # whole text would copy the chunk's text once more
     texts[0] = texts[0][3:]

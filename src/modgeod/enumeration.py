@@ -10,8 +10,11 @@ than m is skipped together with every word that extends it.
 ``reciprocal_classes`` walks the free first halves, under a run bound only
 those whose runs are at most m, through the packed core ``_reciprocal_chunks``,
 which yields the kept words of a block of halves with their k0s; the CLI and
-``verify`` read the core.  Both walks do a constant amount of big-integer work
-per class on average, and neither canonicalises a word by rotating it.
+``verify`` read the core.  With no run bound, a half whose first and last
+entries are equal is kept or dropped by them alone; the words with a proper
+period are built from their roots, so only they are scanned for k0.  Both
+walks do a constant amount of big-integer work per class on average, and
+neither canonicalises a word by rotating it.
 ``classes`` makes the extension of a prefix length when the walk first
 reaches it, so it builds no table before its first word.
 
@@ -20,7 +23,7 @@ in a ``BinaryWord`` per class.  What only counts classes reads the core and
 builds no object: the verify checks ``class_count_oracle``,
 ``primitive_count_oracle``, ``lowlying_lower_bound`` and ``filter_monotone``,
 and ``enumerate --family classes``.  One rule, ``_half_rule``, picks each
-reciprocal class's representative: ``_reciprocal_chunks`` applies it by table
+reciprocal class's representative: ``_block_chunker`` applies it by table
 lookups, and ``phi_inverse`` and ``canonical_reciprocal`` call it.
 
 ``lower_bound_witnesses`` yields the words of the proof behind
@@ -36,8 +39,9 @@ test suite.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import islice, repeat
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .binwords import (
     BinaryWord,
@@ -235,51 +239,113 @@ def _reciprocal_chunks(
 
     Same words in the same order, with no object per word.  Yields one pair
     of equal-length lists, packed words and their k0s, per block of
-    ``_RECIPROCAL_BLOCK`` halves that keeps a word; one list comprehension
-    makes the words of each block, so pulling words runs in C.  With
+    ``_RECIPROCAL_BLOCK`` halves that keeps a word; ``_block_chunker`` makes
+    each pair.  With no run bound a block is a range of halves; under a run
+    bound m it is a list of the halves whose runs are at most m.  With
     ``primitive`` only the words with k0 = t are kept.  Arguments are checked
     on the first pull.
-
-    A half h is kept by ``_half_rule``, with s(h) from two table lookups and
-    a call only where h = s(h).
-
-    The rotations that fix a word of L = 2t entries form a subgroup of Z_L,
-    so the word has a proper period exactly when its rotation by L/r is the
-    identity for some prime r dividing L.  Only the words that pass such a
-    test, few in any block, go to ``_k0_bits``; every other word has smallest
-    period L and so k0 = t.
     """
     _check_size("t", t)
     m = _run_bound("run bound m", m, t)
-    length = 2 * t
-    low, low_mask, s_low, s_high = _mirror_tables(t)
-    # the rotation by d of a word of L entries is the identity iff its first
-    # L - d entries equal its last L - d ones
-    periods = [(length // r, (1 << (length - length // r)) - 1) for r in _prime_divisors(length)]
+    chunk_of = _block_chunker(t, primitive)
+    size = _RECIPROCAL_BLOCK
+    if m is None:
+        end = 1 << t
+        blocks = (range(start, min(start + size, end)) for start in range(0, end, size))
+    else:
+        # both junctions of a mirrored word change sign, so its cyclic runs
+        # are the runs of its half
+        halves = _bounded_run_words(t, m)
+        blocks = iter(lambda: list(islice(halves, size)), [])
+    for block in blocks:
+        words, k0s = chunk_of(block)
+        if words:
+            yield words, k0s
 
-    # both junctions of a mirrored word change sign, so its cyclic runs are
-    # the runs of its half
-    halves = iter(range(1 << t) if m is None else _bounded_run_words(t, m))
-    while block := list(islice(halves, _RECIPROCAL_BLOCK)):
-        chunk = [
+
+def _block_chunker(t: int, primitive: bool) -> Callable[[Sequence[int]], tuple]:
+    """The function from a block of halves to the words it keeps and their k0s.
+
+    The block is a non-empty, increasing sequence of halves of t entries: a
+    range of step 1, or any other sequence.  The words are the mirrored words
+    h.s(h) that ``_half_rule`` keeps, in increasing order; list
+    comprehensions make them, so pulling words runs in C.  With
+    ``primitive`` only the words with k0 = t are returned.
+
+    A half h is kept by ``_half_rule``, with s(h) from two table lookups and
+    a call only where h = s(h).  The first entry of s(h) negates the last
+    entry of h, so a half whose first and last entries are both -1 is kept
+    with no test and one whose first and last entries are both +1 is never
+    kept.  In a range, a parity and the top bit pick those halves out, and
+    only the other half of the range meets the test.
+
+    A word of L = 2t entries has a proper period exactly when its rotation
+    by L/r is the identity for some prime r dividing L, since the rotations
+    that fix it form a subgroup of Z_L.  For a mirrored word h.s(h) that
+    holds exactly when it is (a.s(a))^r for a root a of t/r entries, r a
+    prime dividing t: at r = 2 these are the words with h = s(h), and an odd
+    r divides L only by dividing t.  So a block's periodic words are built
+    from the roots whose words have their half in the block, few in any
+    block and none made before the block is reached, and only those go to
+    ``_k0_bits``; every other word has smallest period L and so k0 = t.
+    """
+    length, top = 2 * t, 1 << (t - 1)
+    low, low_mask, s_low, s_high = _mirror_tables(t)
+    # per prime r dividing t: the root length n = t/r, the shift that keeps
+    # the first n entries of a half, and the repunit of r ones 2n bits apart,
+    # which repeats a 2n-entry word r times (read in base 2 in linear time)
+    roots = [
+        (n, t - n, int("1".zfill(2 * n) * r, 2))
+        for r in _prime_divisors(t)
+        for n in [t // r]
+    ]
+
+    def tested(halves) -> list[int]:
+        return [
             (half << t) | mirror
-            for half in block
+            for half in halves
             if (mirror := s_low[half & low_mask] | s_high[half >> low]) > half
             or mirror == half and _half_rule(half, mirror, t)
         ]
-        periodic = set()
-        for d, head in periods:
-            periodic.update([bits for bits in chunk if bits >> d == bits & head])
-        if not periodic:
-            k0s = [t] * len(chunk)
-        elif primitive:
-            chunk = [bits for bits in chunk if bits not in periodic]
-            k0s = [t] * len(chunk)
+
+    def chunk_of(block: Sequence[int]) -> tuple[list[int], list[int]]:
+        if type(block) is range:
+            start, stop = block.start, block.stop
+            # halves below mid start with -1: the even ones end with -1 and
+            # are kept, the odd ones are tested; from mid on, halves start
+            # with +1, the even ones are tested and the odd ones dropped
+            mid = min(max(start, top), stop)
+            chunk = [
+                (half << t) | s_low[half & low_mask] | s_high[half >> low]
+                for half in range(start + (start & 1), mid, 2)
+            ]
+            if odd := tested(range(start | 1, mid, 2)):
+                chunk += odd
+                chunk.sort()
+            chunk += tested(range(mid + (mid & 1), stop, 2))
         else:
-            k0 = {bits: _k0_bits(bits, length) for bits in periodic}
-            k0s = [k0.get(bits, t) for bits in chunk]
-        if chunk:
-            yield chunk, k0s
+            chunk = tested(block)
+        # the periodic words whose halves lie between the block's first and
+        # last, found in the chunk by bisection where it keeps them
+        first, last = block[0], block[-1]
+        periodic = set()
+        for n, shift, repunit in roots:
+            mask = (1 << n) - 1
+            for root in range(first >> shift, (last >> shift) + 1):
+                bits = ((root << n) | (mask ^ _reverse_bits(root, n))) * repunit
+                i = bisect_left(chunk, bits)
+                if i < len(chunk) and chunk[i] == bits:
+                    periodic.add(i)
+        if primitive:
+            for i in sorted(periodic, reverse=True):
+                del chunk[i]
+            return chunk, [t] * len(chunk)
+        k0s = [t] * len(chunk)
+        for i in sorted(periodic):
+            k0s[i] = _k0_bits(chunk[i], length)
+        return chunk, k0s
+
+    return chunk_of
 
 
 def reciprocal_classes(

@@ -394,6 +394,67 @@ def test_write_columns_folds_only_columns_that_print_alike(capsys, fmt, rows, si
         assert out == "".join(line + "\n" for line in lines)
 
 
+# enumerate's fields and chunk shapes: one row, three rows with only the word
+# varying, and two rows with the word and k0 varying
+_SIGN_FIELDS = ["word", "t", "k0"]
+_SIGN_CHUNKS = [
+    [("--++", 4, 4)],
+    [("---+", 4, 4), ("-+++", 4, 4), ("+--+", 4, 4)],
+    [("-+-+", 4, 1), ("+++-", 4, 4)],
+]
+
+
+def _written(capsys, chunks, fields, fmt):
+    _write_columns(iter(chunks), fields, fmt)
+    return capsys.readouterr().out
+
+
+def _expected_text(rows, fields, fmt):
+    if fmt == "json":
+        return json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows(rows)
+    return expected.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("shapes", [[0], [1], [2], [0, 1, 2], [2, 1, 0]])
+def test_write_columns_quotes_sign_columns_in_the_fixed_text(capsys, fmt, shapes):
+    # a _Signs column is written unescaped, its JSON quotes in the text around
+    # it: alone as the one column that varies, beside a varying k0, and
+    # folded on a one-row chunk
+    rows = [row for i in shapes for row in _SIGN_CHUNKS[i]]
+    chunks = [
+        [cli._Signs(column) if k == "word" else list(column)
+         for k, column in zip(_SIGN_FIELDS, zip(*_SIGN_CHUNKS[i]))]
+        for i in shapes
+    ]
+    assert _written(capsys, chunks, _SIGN_FIELDS, fmt) == _expected_text(rows, _SIGN_FIELDS, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_write_columns_escapes_a_lone_str_column(capsys, fmt):
+    # a plain str column is still escaped when it is the one column that varies
+    texts = [row["s"] for row in _AWKWARD_ROWS]
+    rows = [(s, 7) for s in texts]
+    out = _written(capsys, [[texts, [7] * len(texts)]], ["s", "n"], fmt)
+    if fmt == "json":
+        assert out == _expected_text(rows, ["s", "n"], fmt)
+    else:
+        assert out == "s,n\n" + "".join(f"{s},7\n" for s in texts)
+
+
+def test_enumerate_marks_its_word_columns():
+    for family, t in (("classes", 6), ("reciprocal", 6)):
+        args = cli._build_parser().parse_args(
+            ["enumerate", "--family", family, "--t", str(t)]
+        )
+        words = next(cli._enumerate_columns(args))[0]
+        assert type(words) is cli._Signs and set("".join(words)) == {"+", "-"}
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_write_rows_writes_each_chunk_as_it_fills(capsys, fmt):
     def chunks():

@@ -342,6 +342,75 @@ def test_mirror_tables_give_the_complemented_reversal(t):
         assert s_low[half & low_mask] | s_high[half >> low] == mirror, (t, half)
 
 
+def _s(half, t):
+    # s(h), the reversed negation of a half of t entries, by its text
+    return int(format(half, f"0{t}b")[::-1].translate({48: 49, 49: 48}), 2)
+
+
+def _periodic_halves(t, m):
+    # halves h whose mirrored word h.s(h) is (a.s(a))^r, for a prime r
+    # dividing t and a root a of t/r entries, that the rule keeps and whose
+    # runs are at most m: two per prime, from the ends of its list
+    found = []
+    for r in (r for r in range(2, t + 1) if t % r == 0 and all(r % q for q in range(2, r))):
+        n = t // r
+        roots = range(1 << n) if n <= 12 else random.Random(t).sample(range(1 << n), 4096)
+        halves = []
+        for root in roots:
+            unit = format(root, f"0{n}b") + format(_s(root, n), f"0{n}b")
+            half = int((unit * r)[:t], 2)
+            text = format(half, f"0{t}b")
+            if m is not None and ("0" * (m + 1) in text or "1" * (m + 1) in text):
+                continue
+            if _s(half, t) > half or _s(half, t) == half and enumeration._half_rule(half, half, t):
+                halves.append(half)
+        found += sorted(halves)[:1] + sorted(halves)[-1:]
+    return found
+
+
+@pytest.mark.parametrize("m", [None, 3])
+@pytest.mark.parametrize("size", [enumeration._RECIPROCAL_BLOCK, 3])
+@pytest.mark.parametrize("t", [15, 18, 20, 21, 45])
+def test_block_chunks_give_periodic_words_their_k0(t, size, m):
+    # 15 and 21 have two odd primes, 18 and 20 are twice an odd prime's
+    # multiple, and halves of 45 entries are past _TABULATED_HALF.  Each block
+    # holds a periodic word: with no run bound, the range of size halves that
+    # the walk reads; under a bound, up to size of the nearby halves whose
+    # runs are at most m, a list as the walk reads it
+    length = 2 * t
+    chunk_of = enumeration._block_chunker(t, False)
+    primitive_chunk_of = enumeration._block_chunker(t, True)
+    periodic = _periodic_halves(t, m)
+    assert periodic
+    for half in periodic:
+        if m is None:
+            start = half - half % size
+            block = range(start, min(start + size, 1 << t))
+        else:
+            near = [
+                x for x in range(max(0, half - 4 * size), min(1 << t, half + 4 * size))
+                if "0" * (m + 1) not in format(x, f"0{t}b")
+                and "1" * (m + 1) not in format(x, f"0{t}b")
+            ]
+            i = near.index(half)
+            block = near[max(0, i - size // 2):][:size]
+        words, k0s = chunk_of(block)
+        expected = [
+            (x << t) | _s(x, t)
+            for x in block
+            if _s(x, t) > x or _s(x, t) == x and enumeration._half_rule(x, x, t)
+        ]
+        assert words == expected, (t, size, m, half)
+        assert k0s == [binwords._k0_bits(w, length) for w in words], (t, size, m, half)
+        # the chosen word is there, with a proper period
+        word = (half << t) | _s(half, t)
+        k0 = k0s[words.index(word)]
+        assert k0 < t and k0 == oracles.return_shift_tuple(BinaryWord(word, length).entries)
+        assert primitive_chunk_of(block) == (
+            [w for w, k in zip(words, k0s) if k == t], [t] * k0s.count(t)
+        )
+
+
 def test_class_bits_are_the_words_of_classes():
     # every filter combination, run bounds past tau included
     for tau in range(1, 15):
