@@ -3,21 +3,17 @@
 Output is deterministic for a fixed argv: rows are emitted in sorted order,
 reals are printed with 12 significant digits in CSV mode, and JSON mode
 mirrors the CSV rows as an array of objects with the same field names.
-Every table has one writer, ``_write_columns``, which takes chunks of
-columns and renders each column whole; a column that prints alike on every
-row of a chunk, such as ``enumerate``'s t, is folded into the fixed text
-between the others, so each row costs two join pieces per column that
-varies, and a chunk with one column that varies is that column joined with
-the text between its values.  ``enumerate`` builds the sign strings of a
-chunk's words in one pass: their ``bin`` texts joined, translated and split
-as one string, and marked as ``_Signs``, whose JSON quotes are part of the
-fixed text, since a sign string needs no escaping.  It streams its chunks as
-the generators make them, so its memory does not grow with the class count;
-a chunk is ``_CHUNK_ROWS`` rows, except that reciprocal words come from
-``enumeration._reciprocal_chunks``, one chunk per block of its halves.
-Every other table is one chunk.  A count too long to print is
-refused before it is computed when ``counting._count_floor_log2`` already
-bounds it past the interpreter's int-to-str digit limit.
+Every table but ``enumerate``'s is a few hundred rows at most, and its whole
+text comes from ``_table`` and is written at once.  ``enumerate`` streams
+its rows as the generators make them, so its memory does not grow with the
+class count: a chunk is ``_CHUNK_ROWS`` classes, or the words one block of
+halves keeps in ``enumeration._reciprocal_chunks``.  The sign strings of a
+chunk's words are made in one pass, their ``bin`` texts joined, translated
+and split as one string, and each row is its sign string between two fixed
+texts that ``_table`` gives, so the layout is defined once.  A count too
+long to print is refused before it is computed when
+``counting._count_floor_log2`` already bounds it past the interpreter's
+int-to-str digit limit.
 
 Exit codes: 0 on success, and also when the reader of stdout closes it early
 (as ``| head`` does); 1 when a verification or dual-source cross-check fails;
@@ -38,11 +34,9 @@ import argparse
 import functools
 import itertools
 import json
-import operator
 import os
 import stat
 import sys
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import counting as ct
@@ -70,138 +64,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# the types whose equal values print alike; 1 == 1.0 == True and 0.0 == -0.0
-# do not
-_FOLDABLE = frozenset({int, str, bool, type(None)})
+def _table(rows: Iterable[Sequence], fields: Sequence[str], fmt: str) -> str:
+    """The whole text of a table: ``json.dumps`` of its row objects with ``indent=2``, or CSV.
 
-
-def _text(value, fmt: str) -> str:
-    # the text json.dumps or _fmt gives one value
-    if type(value) is int:
-        return repr(value)
-    if fmt == "json":
-        return _json_str(value) if type(value) is str else json.dumps(value)
-    return _fmt(value)
-
-
-class _Signs(list):
-    """A column of sign strings, marked by the code that makes it.
-
-    A string of ``+`` and ``-`` needs no JSON escaping, so ``_write_columns``
-    puts the quotes of a ``_Signs`` column in its fixed text; no scan of the
-    values checks that they are sign strings.
+    A CSV table is a header line of ``fields`` and one line per row of its
+    values, each as ``_fmt`` prints it.  The text is built before anything
+    is written, so a value that cannot be printed, such as an int past the
+    interpreter's int-to-str digit limit, leaves stdout empty.
     """
+    if fmt == "json":
+        return json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in itertools.chain([fields], rows))
 
 
-def _column(values: Sequence, fmt: str) -> str | Iterable[str]:
-    # the text json.dumps or _fmt gives each value, or the one text of a
-    # column that prints alike on every row; a column of str or of int, nearly
-    # every column printed, is rendered with no Python call per value, and a
-    # column of sign strings is returned as it is, to be quoted by the writer
-    first = values[0]
-    if len(values) == 1:
-        return _text(first, fmt)
-    if type(values) is _Signs:
-        return values
-    kinds = set(map(type, values))
-    if (
-        len(kinds) == 1 and kinds <= _FOLDABLE
-        and values[-1] == first and values.count(first) == len(values)
-    ):
-        return _text(first, fmt)
-    if kinds == {int}:
-        # a column of few distinct values, such as enumerate's k0, looks each
-        # value's text up instead of formatting it again
-        distinct = set(values)
-        if 4 * len(distinct) > len(values):
-            return map(repr, values)
-        return map({v: repr(v) for v in distinct}.__getitem__, values)
-    if kinds == {str}:
-        return map(_json_str, values) if fmt == "json" else values
-    return map(json.dumps if fmt == "json" else _fmt, values)
-
-
-# rows per chunk of tables and of ``enumerate``'s classes
+# rows per chunk of ``enumerate``'s classes
 _CHUNK_ROWS = 4096
-
-
-@functools.cache
-def _layout(fields: tuple[str, ...], fmt: str) -> tuple:
-    """The fixed text around the values of ``_write_columns``' rows, per field list.
-
-    Returns ``(lead, first, glue, close, end, empty)``: the text before the
-    first row's first value; the text before a later row's first value; the
-    text before each field's value, the first being ``first``; the text that
-    closes a row; the text after the last row; and the whole output for no
-    rows.
-    """
-    if fmt == "json":
-        glue = [f",\n    {_json_str(k)}: " for k in fields]
-        lead, glue[0] = "[\n  {" + glue[0][1:], ",\n  {" + glue[0][1:]
-        close, end, empty = "\n  }", "\n]\n", "[]\n"
-    else:
-        glue = ["\n", *[","] * (len(fields) - 1)]
-        lead = empty = ",".join(fields) + "\n"
-        close, end = "", "\n"
-    return lead, glue[0], tuple(glue), close, end, empty
-
-
-def _write_columns(chunks: Iterable[Sequence[Sequence]], fields: list[str], fmt: str) -> None:
-    """Write column chunks as CSV, or as ``json.dumps`` of the row objects with ``indent=2``.
-
-    A chunk holds one sequence per name in ``fields`` (non-empty, in output
-    order), all of one length, of JSON scalars: str, int, float, bool or None.
-    Each chunk is written to the ``sys.stdout`` of the call as soon as it is
-    pulled, so an error a generator raises on its first pull leaves stdout
-    empty.  Its columns are rendered whole.  A column that prints alike on
-    every row of the chunk, such as ``enumerate``'s t, is folded into the
-    fixed text around the others: its values are equal and of one type in
-    ``_FOLDABLE``, or it has one row.  The columns left are interleaved with
-    that text in one join, with no Python call per row; one column left is
-    joined with the text between its values.  A ``_Signs`` column is written
-    as it is, its JSON quotes part of the fixed text.
-    """
-    lead, first, glue, close, end, empty = _layout(tuple(fields), fmt)
-    quote = '"' if fmt == "json" else ""
-    wrote = False
-    for columns in chunks:
-        rows = len(columns[0])
-        if not rows:
-            continue
-        # a row is texts[0], a value of varying[0], texts[1], ..., and tail;
-        # the columns that print alike are part of that fixed text
-        texts, varying, text = [], [], ""
-        for before, values in zip(glue, columns):
-            rendered = _column(values, fmt)
-            if isinstance(rendered, str):
-                text += before + rendered
-            else:
-                quoted = quote if type(rendered) is _Signs else ""
-                texts.append(text + before + quoted)
-                varying.append(rendered)
-                text = quoted
-        tail = text + close
-        if not varying:  # every row is the same text
-            texts, tail = [tail], ""
-        # every row but the first starts with ``first``, which the first
-        # row of the output trades for ``lead``
-        start = (first if wrote else lead) + texts[0][len(first):]
-        between = tail + texts[0]
-        if len(varying) == 1:
-            values = list(varying[0])
-            values[0] = start + values[0]
-            values[-1] += tail
-            sys.stdout.write(between.join(values))
-        else:
-            pieces = itertools.chain.from_iterable(zip(
-                itertools.repeat(between, rows),
-                *varying[:1],
-                *itertools.chain.from_iterable(zip(map(itertools.repeat, texts[1:]), varying[1:])),
-            ))
-            next(pieces)  # the first row's text before its values is start
-            sys.stdout.write("".join(itertools.chain((start,), pieces, (tail,))))
-        wrote = True
-    sys.stdout.write(end if wrote else empty)
 
 
 def _parse_syllables(text: str) -> BinaryWord:
@@ -288,44 +165,74 @@ def cmd_count(args) -> int:
 # ---------------------------------------------------------------------------
 # enumerate
 
-def _sign_texts(words: list[int], length: int) -> _Signs:
-    """The sign strings of a non-empty list of packed words of ``length`` entries, as ``_Signs``.
+def _sign_texts(words: list[int], length: int) -> list[str]:
+    """The sign strings of a non-empty list of packed words of ``length`` entries.
 
     ``bin(w | 1 << length)`` is ``"0b1"`` and the word's digits, so the
     chunk's texts, joined by newlines and translated as one text, read
     ``"-b+"`` before each word.  An empty list would give ``[""]``.
     """
     text = "\n".join(map(bin, map((1 << length).__or__, words))).translate(_SIGN_CHARS)
-    texts = _Signs(text.split("\n-b+"))
+    texts = text.split("\n-b+")
     # the first word's "-b+" has no newline before it; cutting it from the
     # whole text would copy the chunk's text once more
     texts[0] = texts[0][3:]
     return texts
 
 
-def _enumerate_columns(args) -> Iterator[tuple]:
-    """The rows of ``enumerate`` as column chunks.
+def cmd_enumerate(args) -> int:
+    """Write the rows of ``enumerate`` a chunk at a time, as the core yields them.
 
     Words are formatted from their packed bits and build no word object.
-    Classes come from the bits-level core ``_CHUNK_ROWS`` at a time;
-    reciprocal words come from theirs with their k0s, a block at a time.
+    Classes come from the bits-level core ``_CHUNK_ROWS`` at a time, with no
+    k0; reciprocal words come from theirs with their k0s, a block at a time.
+    A row is its word's sign string between the two texts that ``_table``
+    gives a row whose word is ``"@"``, less the table's framing, so a chunk
+    whose k0s are all t is its sign strings joined by one text.  Each chunk
+    is written whole as soon as it is pulled; the separator after its last
+    row waits for the next chunk or the end.
     """
-    t = args.t
+    t, fmt = args.t, args.format
+    _check_enumerable("--t", t)
     if args.family == "classes":
-        words = en._class_bits(t, args.primitive, args.m, args.hyperbolic)
-        while chunk := list(itertools.islice(words, _CHUNK_ROWS)):
-            yield _sign_texts(chunk, t), [t] * len(chunk)
-        return
-    for words, k0s in en._reciprocal_chunks(t, args.m, args.primitive):
-        yield _sign_texts(words, 2 * t), [t] * len(words), k0s
+        fields, length = ["word", "tau"], t
+        classes = en._class_bits(t, args.primitive, args.m, args.hyperbolic)
+        chunks = ((chunk, None) for chunk in iter(
+            lambda: list(itertools.islice(classes, _CHUNK_ROWS)), []))
+    else:
+        fields, length = ["word", "t", "k0"], 2 * t
+        chunks = en._reciprocal_chunks(t, args.m, args.primitive)
+    # the text before the first row, between two rows and after the last
+    if fmt == "json":
+        head, sep, end = "[\n", ",\n", "\n]\n"
+    else:
+        head, sep, end = ",".join(fields) + "\n", "\n", "\n"
 
+    @functools.cache
+    def row_texts(k0: int) -> tuple[str, str]:
+        # the texts before and after the word of a row with this k0
+        before, after = _table([("@", t, k0)[:len(fields)]], fields, fmt).split("@")
+        return before[len(head):], after[:-len(end)]
 
-def cmd_enumerate(args) -> int:
-    _check_enumerable("--t", args.t)
-    fields = ["word", "tau"] if args.family == "classes" else ["word", "t", "k0"]
+    before, after = row_texts(t)
+    between = after + sep + before
+    # a primitive word has k0 = t
+    uniform = args.family == "classes" or args.primitive
+    lead = head
     # the generators check t and m on their first pull, which comes before
     # the first write
-    _write_columns(_enumerate_columns(args), fields, args.format)
+    for words, k0s in chunks:
+        signs = _sign_texts(words, length)
+        if uniform or k0s.count(t) == len(k0s):
+            signs[0] = lead + before + signs[0]
+            signs[-1] += after
+            sys.stdout.write(between.join(signs))
+        else:
+            rows = [b + w + a for w, (b, a) in zip(signs, map(row_texts, k0s))]
+            sys.stdout.write(lead + sep.join(rows))
+        lead = sep
+    # the lead is still the head when no row was written
+    sys.stdout.write(end if lead == sep else _table([], fields, fmt))
     return 0
 
 
@@ -404,8 +311,8 @@ def cmd_growth(args) -> int:
             f"growth item {item}: the float columns overflow a double at t={t}; "
             f"use --tmax {t - 1} or less"
         )
-    columns = range(1, tmax + 1), exact_col, targets, ratio_col
-    _write_columns([columns], ["t", "exact", "target", "ratio"], args.format)
+    rows = zip(range(1, tmax + 1), exact_col, targets, ratio_col)
+    sys.stdout.write(_table(rows, ["t", "exact", "target", "ratio"], args.format))
     return 0
 
 
@@ -445,62 +352,51 @@ def cmd_table1(args) -> int:
         checks[2] = "bound-ok" if counts[2] >= bound else "BOUND-FAIL"
     else:
         counts, checks = [""] * 4, ["skipped"] * 4
-    columns = families, (2 * t, 4 * t, 2 * t, 4 * t), formulas, counts, checks
-    _write_columns([columns], ["family", "word_length", "formula", "enumerated", "check"],
-                   args.format)
+    rows = zip(families, (2 * t, 4 * t, 2 * t, 4 * t), formulas, counts, checks)
+    fields = ["family", "word_length", "formula", "enumerated", "check"]
+    sys.stdout.write(_table(rows, fields, args.format))
     return 1 if {"MISMATCH", "BOUND-FAIL"} & set(checks) else 0
 
 
 # ---------------------------------------------------------------------------
 # depth and the bracket audit
 
-# each depth column's value on a ``DepthReport``
-_DEPTH_COLUMNS = {
-    "word": lambda r: str(r.word),
-    "tau": lambda r: r.word.length,
-    "length": operator.attrgetter("geo_length"),
-    "winding_lo": lambda r: r.winding_bracket[0],
-    "winding_hi": lambda r: r.winding_bracket[1],
-    **{k: operator.attrgetter(k) for k in (
-        "max_run", "trace_abs", "apex", "depth", "cross_check_ok",
-        "paper_bracket_hit", "shifted_bracket_hit",
-    )},
-}
-
 _SHARED_FIELDS = ["word", "tau", "max_run", "trace_abs", "length", "apex", "depth"]
 _DEPTH_FIELDS = [*_SHARED_FIELDS, "winding_lo", "winding_hi", "cross_check_ok"]
 _AUDIT_FIELDS = [*_SHARED_FIELDS, "paper_bracket_hit", "shifted_bracket_hit"]
 
 
-def _depth_columns(reports: Sequence[geo.DepthReport], fields: list[str]) -> list[list]:
-    return [list(map(_DEPTH_COLUMNS[k], reports)) for k in fields]
+def _shared_row(r: geo.DepthReport) -> tuple:
+    # the values of _SHARED_FIELDS
+    return str(r.word), r.word.length, r.max_run, r.trace_abs, r.geo_length, r.apex, r.depth
 
 
 def cmd_depth(args) -> int:
-    report = geo.max_depth(_word_from_args(args))
+    r = geo.max_depth(_word_from_args(args))
+    row = (*_shared_row(r), *r.winding_bracket, r.cross_check_ok)
     # a trace_abs past the interpreter's int-to-str digit limit is refused
-    # before the row is written
-    _write_columns([_depth_columns([report], _DEPTH_FIELDS)], _DEPTH_FIELDS, args.format)
-    return 0 if report.cross_check_ok else 1
+    # before anything is written
+    sys.stdout.write(_table([row], _DEPTH_FIELDS, args.format))
+    return 0 if r.cross_check_ok else 1
 
 
 def cmd_audit(args) -> int:
     _check_enumerable("--tmax", args.tmax)
     report = geo.audit_lemma71(args.tmax)
-    columns = _depth_columns(report.rows, _AUDIT_FIELDS)
+    rows = [(*_shared_row(r), r.paper_bracket_hit, r.shifted_bracket_hit) for r in report.rows]
     if args.format == "json":
-        rows = [dict(zip(_AUDIT_FIELDS, row)) for row in zip(*columns)]
+        rows = [dict(zip(_AUDIT_FIELDS, row)) for row in rows]
         print(json.dumps({"rows": rows, "summary": report.summary}, indent=2))
     else:
-        _write_columns([columns], _AUDIT_FIELDS, args.format)
-        for key, value in report.summary.items():
-            if not isinstance(value, dict):
-                print(f"# {key}: {value}")
-        for k, hist in report.summary["by_max_run"].items():
-            print(
-                f"# max_run {k}: paper {hist['paper']}, shifted {hist['shifted']}, "
-                f"neither {hist['neither']}"
-            )
+        lines = [_table(rows, _AUDIT_FIELDS, "csv")]
+        lines += [f"# {key}: {value}\n" for key, value in report.summary.items()
+                  if not isinstance(value, dict)]
+        lines += [
+            f"# max_run {k}: paper {hist['paper']}, shifted {hist['shifted']}, "
+            f"neither {hist['neither']}\n"
+            for k, hist in report.summary["by_max_run"].items()
+        ]
+        sys.stdout.write("".join(lines))
     return 0 if all(r.cross_check_ok for r in report.rows) else 1
 
 
@@ -549,9 +445,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list canonical class representatives")
     p.add_argument("--family", required=True, choices=("classes", "reciprocal"))
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--primitive", action="store_true")
-    p.add_argument("--hyperbolic", action="store_true")
+    p.add_argument("--m", type=int, help="keep only words whose cyclic runs are at most m")
+    p.add_argument("--primitive", action="store_true",
+                   help="drop the proper powers of shorter words")
+    p.add_argument(
+        "--hyperbolic", action="store_true",
+        help="drop the two constant-sign classes; changes nothing for --family "
+             "reciprocal, since a mirrored word always has both signs",
+    )
     add_format(p)
     p.set_defaults(func=cmd_enumerate)
 

@@ -23,7 +23,8 @@ from modgeod import cli
 from modgeod import enumeration as en
 from modgeod import geometry as geo
 from modgeod import verify as vf
-from modgeod.cli import _fmt, _write_columns, main
+from modgeod.binwords import BinaryWord
+from modgeod.cli import _fmt, _table, main
 from modgeod.counting import (
     bounded_compositions,
     count,
@@ -252,8 +253,8 @@ def test_enumerate_reciprocal_golden_format(capsys):
 
 def test_enumerate_reciprocal_golden_across_blocks(capsys):
     # t = 13 has two blocks of halves, and only the block of the alternating
-    # word, the one periodic word, has k0 varying; so one chunk folds k0 into
-    # its fixed text and the other does not
+    # word, the one periodic word, has k0 varying; so one chunk is written row
+    # by row and the other is one join
     assert sorted(len(set(k0s)) for _, k0s in en._reciprocal_chunks(13, None, False)) == [1, 2]
     rows = [
         {"word": oracles.sign_text(w), "t": 13, "k0": oracles.return_shift_tuple(w)}
@@ -290,187 +291,95 @@ _AWKWARD_ROWS = [
      "extra": 1},
     {"s": "", "b": False, "n": None, "f": 1e-300, "i": 2**63, "extra": 2},
 ]
-_AWKWARD_FIELDS = ["s", "b", "n", "f", "i"]
+# "extra" mixes str and int in one column
+_AWKWARD_FIELDS = ["s", "b", "n", "f", "i", "extra"]
 
 
-def _columns(rows: list[dict], fields: list[str]) -> list[list]:
-    # one chunk: the column of each named value, as the table commands build it
-    return [[row[k] for row in rows] for k in fields]
+def _values(rows: list[dict]) -> list[tuple]:
+    # each row's values in field order, as the table commands pass them
+    return [tuple(row[k] for k in _AWKWARD_FIELDS) for row in rows]
 
 
 @pytest.mark.parametrize("rows", [_AWKWARD_ROWS, _AWKWARD_ROWS[:1], []])
-def test_emit_rows_json_is_json_dumps(capsys, rows):
-    _write_columns([_columns(rows, _AWKWARD_FIELDS)], _AWKWARD_FIELDS, "json")
-    cut = [{k: row[k] for k in _AWKWARD_FIELDS} for row in rows]
-    assert capsys.readouterr().out == json.dumps(cut, indent=2) + "\n"
+def test_emit_rows_json_is_json_dumps(rows):
+    assert _table(_values(rows), _AWKWARD_FIELDS, "json") == json.dumps(rows, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("rows", [_AWKWARD_ROWS, []])
-def test_emit_rows_csv_is_one_line_per_row(capsys, rows):
-    _write_columns([_columns(rows, _AWKWARD_FIELDS)], _AWKWARD_FIELDS, "csv")
+def test_emit_rows_csv_is_one_line_per_row(rows):
     lines = [",".join(_AWKWARD_FIELDS)]
     lines += [",".join(_fmt(row[k]) for k in _AWKWARD_FIELDS) for row in rows]
-    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+    assert _table(_values(rows), _AWKWARD_FIELDS, "csv") == "".join(line + "\n" for line in lines)
 
 
-# the chunk test's fields: "extra" mixes str and int in one column
-_CHUNK_FIELDS = [*_AWKWARD_FIELDS, "extra"]
+def _reciprocal_rows(words, k0s, t):
+    # enumerate's row objects for packed reciprocal words of half-length t
+    return [{"word": str(BinaryWord(w, 2 * t)), "t": t, "k0": k0} for w, k0 in zip(words, k0s)]
+
+
+def _table_text(rows, fmt):
+    # the text of a whole table of row objects, from json.dumps or _fmt alone
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    fields = ["word", "t", "k0"]
+    lines = [fields] + [[_fmt(row[k]) for k in fields] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def _patch_chunks(monkeypatch, chunks):
+    # enumerate's reciprocal rows come from the iterable chunks
+    monkeypatch.setattr(en, "_reciprocal_chunks", lambda t, m, primitive: iter(chunks))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("n", [0, 1, 3, 4])
-def test_write_rows_in_chunks_matches_whole_output(capsys, fmt, n):
-    # n = 0, 1, one chunk of three rows and one chunk plus a row, written in
-    # chunks of three and as one chunk
-    rows = [_AWKWARD_ROWS[i % len(_AWKWARD_ROWS)] for i in range(n)]
-    chunks = [_columns(rows[i:i + 3], _CHUNK_FIELDS) for i in range(0, n, 3)]
-    _write_columns(iter(chunks), _CHUNK_FIELDS, fmt)
-    out = capsys.readouterr().out
-    _write_columns([_columns(rows, _CHUNK_FIELDS)], _CHUNK_FIELDS, fmt)
-    assert capsys.readouterr().out == out
-    if fmt == "json":
-        cut = [{k: row[k] for k in _CHUNK_FIELDS} for row in rows]
-        assert out == json.dumps(cut, indent=2) + "\n"
-    else:
-        lines = [",".join(_CHUNK_FIELDS)]
-        lines += [",".join(_fmt(row[k]) for k in _CHUNK_FIELDS) for row in rows]
-        assert out == "".join(line + "\n" for line in lines)
+def test_write_rows_in_chunks_matches_whole_output(capsys, monkeypatch, fmt, n):
+    # the first n reciprocal rows at t = 4 (none, one row, one chunk and one
+    # chunk plus a row), written by enumerate in chunks of three and as one
+    # chunk; the fourth row's k0 is 2, so its chunk is written row by row
+    words, k0s = next(en._reciprocal_chunks(4, None, False))
+    words, k0s = words[:n], k0s[:n]
+    assert k0s == [4, 4, 4, 2][:n]
+    expected = _table_text(_reciprocal_rows(words, k0s, 4), fmt)
+    for size in (3, max(n, 1)):
+        _patch_chunks(monkeypatch, [(words[i:i + size], k0s[i:i + size])
+                                    for i in range(0, n, size)])
+        assert run(capsys, "enumerate", "--family", "reciprocal", "--t", "4",
+                   "--format", fmt) == (0, expected), size
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("n", [0, 1, 3, 4])
-def test_write_columns_matches_json_dumps_and_fmt(capsys, monkeypatch, fmt, n):
-    # column chunks of _CHUNK_ROWS rows: none, one row, one chunk and one
-    # chunk plus a row; "extra" mixes str and int in one column
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
-    rows = [_AWKWARD_ROWS[i % len(_AWKWARD_ROWS)] for i in range(n)]
-    size = cli._CHUNK_ROWS
-    chunks = [
-        [[row[k] for row in rows[i:i + size]] for k in _CHUNK_FIELDS]
-        for i in range(0, n, size)
-    ]
-    _write_columns(iter(chunks), _CHUNK_FIELDS, fmt)
-    out = capsys.readouterr().out
-    if fmt == "json":
-        cut = [{k: row[k] for k in _CHUNK_FIELDS} for row in rows]
-        assert out == json.dumps(cut, indent=2) + "\n"
-    else:
-        lines = [",".join(_CHUNK_FIELDS)]
-        lines += [",".join(_fmt(row[k]) for k in _CHUNK_FIELDS) for row in rows]
-        assert out == "".join(line + "\n" for line in lines)
+def test_enumerate_writes_each_chunk_as_it_comes(capsys, monkeypatch, fmt):
+    # two chunks, one with a periodic word and one without, then a failure
+    words, k0s = next(en._reciprocal_chunks(4, None, False))
+    chunks = [(words[:4], k0s[:4]), (words[6:], k0s[6:])]
+    assert k0s[:4] == [4, 4, 4, 2] and k0s[6:] == [4, 4]
 
+    def fail_after(chunks):
+        yield from chunks
+        raise RuntimeError("the next chunk fails")
 
-# columns that are equal but print differently (1, 1.0 and true; 0.0 and
-# -0.0), a str column that prints alike everywhere, and "c", alike on the first
-# three rows but not on the next three
-_FOLD_FIELDS = ["mixed", "zero", "s", "c", "n"]
-_FOLD_COLUMNS = [
-    [1, 1.0, True, True, True, True],
-    [0.0, -0.0, 0.0, -0.0, -0.0, -0.0],
-    ['sa"me'] * 6,
-    [5, 5, 5, 5, 6, 5],
-    [None] * 6,
-]
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("rows", [
-    [dict(zip(_FOLD_FIELDS, row)) for row in zip(*_FOLD_COLUMNS)],
-    # every column alike on every row
-    [{"mixed": True, "zero": 2, "s": "x", "c": 5, "n": None}] * 4,
-])
-@pytest.mark.parametrize("size", [1, 2, 3, 6])
-def test_write_columns_folds_only_columns_that_print_alike(capsys, fmt, rows, size):
-    chunks = [_columns(rows[i:i + size], _FOLD_FIELDS) for i in range(0, len(rows), size)]
-    _write_columns(iter(chunks), _FOLD_FIELDS, fmt)
-    out = capsys.readouterr().out
-    _write_columns([_columns(rows, _FOLD_FIELDS)], _FOLD_FIELDS, fmt)
-    assert capsys.readouterr().out == out
-    if fmt == "json":
-        assert out == json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = [",".join(_FOLD_FIELDS)]
-        lines += [",".join(_fmt(row[k]) for k in _FOLD_FIELDS) for row in rows]
-        assert out == "".join(line + "\n" for line in lines)
-
-
-# enumerate's fields and chunk shapes: one row, three rows with only the word
-# varying, and two rows with the word and k0 varying
-_SIGN_FIELDS = ["word", "t", "k0"]
-_SIGN_CHUNKS = [
-    [("--++", 4, 4)],
-    [("---+", 4, 4), ("-+++", 4, 4), ("+--+", 4, 4)],
-    [("-+-+", 4, 1), ("+++-", 4, 4)],
-]
-
-
-def _written(capsys, chunks, fields, fmt):
-    _write_columns(iter(chunks), fields, fmt)
-    return capsys.readouterr().out
-
-
-def _expected_text(rows, fields, fmt):
-    if fmt == "json":
-        return json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows(rows)
-    return expected.getvalue()
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("shapes", [[0], [1], [2], [0, 1, 2], [2, 1, 0]])
-def test_write_columns_quotes_sign_columns_in_the_fixed_text(capsys, fmt, shapes):
-    # a _Signs column is written unescaped, its JSON quotes in the text around
-    # it: alone as the one column that varies, beside a varying k0, and
-    # folded on a one-row chunk
-    rows = [row for i in shapes for row in _SIGN_CHUNKS[i]]
-    chunks = [
-        [cli._Signs(column) if k == "word" else list(column)
-         for k, column in zip(_SIGN_FIELDS, zip(*_SIGN_CHUNKS[i]))]
-        for i in shapes
-    ]
-    assert _written(capsys, chunks, _SIGN_FIELDS, fmt) == _expected_text(rows, _SIGN_FIELDS, fmt)
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_write_columns_escapes_a_lone_str_column(capsys, fmt):
-    # a plain str column is still escaped when it is the one column that varies
-    texts = [row["s"] for row in _AWKWARD_ROWS]
-    rows = [(s, 7) for s in texts]
-    out = _written(capsys, [[texts, [7] * len(texts)]], ["s", "n"], fmt)
-    if fmt == "json":
-        assert out == _expected_text(rows, ["s", "n"], fmt)
-    else:
-        assert out == "s,n\n" + "".join(f"{s},7\n" for s in texts)
-
-
-def test_enumerate_marks_its_word_columns():
-    for family, t in (("classes", 6), ("reciprocal", 6)):
-        args = cli._build_parser().parse_args(
-            ["enumerate", "--family", family, "--t", str(t)]
-        )
-        words = next(cli._enumerate_columns(args))[0]
-        assert type(words) is cli._Signs and set("".join(words)) == {"+", "-"}
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_write_rows_writes_each_chunk_as_it_fills(capsys, fmt):
-    def chunks():
-        for i in (0, 2):
-            yield [f"w{i}", f"w{i + 1}"], [i, i + 1]
-        raise RuntimeError("the third chunk fails")
-
+    argv = ["enumerate", "--family", "reciprocal", "--t", "4", "--format", fmt]
+    _patch_chunks(monkeypatch, fail_after(chunks))
     with pytest.raises(RuntimeError):
-        _write_columns(chunks(), ["word", "n"], fmt)
-    # two whole chunks went out before the third one failed
-    out = capsys.readouterr().out
-    written = [{"word": f"w{i}", "n": i} for i in range(4)]
-    if fmt == "json":
-        assert out == json.dumps(written, indent=2)[: -len("\n]")]
-    else:
-        assert out == "word,n\n" + "\n".join(f"w{i},{i}" for i in range(4))
+        main(argv)
+    # every row of both chunks went out; the text after the last row waits
+    # for the next chunk or the end
+    whole = _table_text(_reciprocal_rows(words[:4] + words[6:], k0s[:4] + k0s[6:], 4), fmt)
+    assert capsys.readouterr().out == whole[:-len("\n]\n" if fmt == "json" else "\n")]
+    # a failure on the first pull leaves stdout empty, with no header
+    _patch_chunks(monkeypatch, fail_after([]))
+    with pytest.raises(RuntimeError):
+        main(argv)
+    assert capsys.readouterr().out == ""
+
+
+def test_enumerate_reciprocal_ignores_hyperbolic(capsys):
+    # a mirrored word has both signs, so every reciprocal class is hyperbolic
+    # and the flag drops none
+    plain = run(capsys, "enumerate", "--family", "reciprocal", "--t", "6")
+    assert plain[0] == 0 and plain[1].count("\n") > 1
+    assert run(capsys, "enumerate", "--family", "reciprocal", "--t", "6", "--hyperbolic") == plain
 
 
 def _reciprocal_csv_rows(capsys, t, m, primitive):
