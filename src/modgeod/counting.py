@@ -475,66 +475,76 @@ class AlphaData:
             raise ValueError("closed-form coefficient must be positive")
 
 
-def _run_polynomial(z: Fraction, m: int) -> Fraction:
-    # z^m - z^(m-1) - ... - z - 1, via the equivalent quotient
-    # (z^(m+1) - 2 z^m + 1) / (z - 1); exact for rational z != 1
-    return (z ** (m + 1) - 2 * z ** m + 1) / (z - 1)
-
-
 @lru_cache(maxsize=None)
 def _alpha_cached(m: int) -> AlphaData:
-    # the bracket [2(1 - 2^-m), 2] as dyadic integers lo = a / 2^s, hi = b / 2^s
-    s = m - 1
-    a, b = (1 << m) - 1, 1 << m
-
-    def negative(x: int, k: int) -> bool:
-        # z^(m+1) - 2 z^m + 1 < 0 at z = x / 2^k, times 2^(k(m+1)):
-        # x^(m+1) - (x^m << (k+1)) + 2^(k(m+1)) < 0; the polynomial shares
-        # the root's sign for z > 1
+    # the root is the midpoint of the bracket [x - 1, x] / 2^s with
+    # x - 1 = floor(alpha * 2^s) at s = m + 129, the bracket that 130 halvings
+    # of [2(1 - 2^-m), 2] reach
+    def scaled(x: int, k: int) -> int:
+        # z^(m+1) - 2 z^m + 1 at z = x / 2^k, times 2^(k(m+1)):
+        # x^(m+1) - (x^m << (k+1)) + 2^(k(m+1)); for z > 1 it has the sign
+        # of z^m - z^(m-1) - ... - 1, which is its quotient by z - 1
         p = x**m
-        return p * x - (p << (k + 1)) + (1 << (k * (m + 1))) < 0
+        return p * x - (p << (k + 1)) + (1 << (k * (m + 1)))
 
-    if not negative(a, s):
+    lower = (1 << m) - 1  # 2(1 - 2^-m) over 2^(m-1)
+    if scaled(lower, m - 1) >= 0:
         raise ArithmeticError(
-            f"[{Fraction(a, 1 << s)}, 2] does not bracket the growth root for m={m}"
+            f"[{Fraction(lower, 1 << (m - 1))}, 2] does not bracket the growth root for m={m}"
         )
 
-    # enough halvings to pin the exact residual orders of magnitude below
-    # 1e-12 even at m = 40
-    for _ in range(130):
-        # the midpoint (a + b) / 2^(s+1), with the bracket rescaled to 2^(s+1)
-        s += 1
-        mid = a + b
-        if negative(mid, s):
-            a, b = mid, b << 1
-        else:
-            a, b = a << 1, mid
+    # Newton's method on p(z) = z^(m+1) - 2 z^m + 1 from z = 2, on numerators
+    # x over 2^s.  p' and p'' are positive on [alpha, 2], since
+    # alpha >= 2(1 - 2^-m) > 2m / (m+1) for m >= 2, so an exact step from
+    # above alpha lands in [alpha, x), and rounding it up, to
+    # x - floor(p / p'), keeps x at or above alpha * 2^s.  The steps stop once
+    # one is shorter than 1, and the sign test takes x down to the bracket.
+    s = m + 129
+    x = 2 << s
+    one = 1 << (s * (m + 1))
+    while True:
+        q = x ** (m - 1)
+        p = q * x
+        step = (p * x - (p << (s + 1)) + one) // (q * ((m + 1) * x - (m << (s + 1))))
+        if not step:
+            break
+        x -= step
+    while scaled(x - 1, s) >= 0:
+        x -= 1
 
-    root = Fraction(a + b, 1 << (s + 1))
+    # the midpoint of [x - 1, x] / 2^s
+    n, k = 2 * x - 1, s + 1
+    root = Fraction(n, 1 << k)
     d_exact = (root - 1) / (2 + (m + 1) * (root - 2))
+    # the residual, the scaled polynomial at root over (z - 1) 2^(km): one
+    # correctly rounded int division, as float() of the reduced Fraction is
+    residual = scaled(n, k) / ((n - (1 << k)) << (k * m))
     return AlphaData(
         m=m,
         alpha=float(root),
         d=float(d_exact),
-        residual=float(_run_polynomial(root, m)),
+        residual=residual,
         alpha_exact=root,
         d_exact=d_exact,
     )
 
 
-# the largest run bound ``alpha`` takes: each of its 130 bisection
-# steps raises a numerator of more than m bits to the m-th power, so a root
-# costs about m^3, about 1 s at this m
+# the largest run bound ``alpha`` takes: each of its few Newton steps raises
+# a numerator of m + 130 bits to the m-th power, a number of about m^2 bits,
+# tens of milliseconds at this m; the cap keeps every refusal where it was
 _ALPHA_MAX_M = 512
 
 
 def alpha(m: int) -> AlphaData:
-    """Bisect for the unique positive root of z^m - z^(m-1) - ... - 1.
+    """The unique positive root of z^m - z^(m-1) - ... - 1, exactly bracketed.
 
-    Deterministic bisection on the bracket [2(1 - 2^-m), 2], halved 130
-    times, exact on dyadic rationals held as integer numerators over a power
-    of two; no floating-point transcendentals are involved.  m runs from 2
-    to ``_ALPHA_MAX_M`` = 512; a larger m is refused before any work.
+    ``alpha_exact`` is the midpoint of the dyadic bracket of width
+    2^-(m+129) that holds the root: the bracket that 130 halvings of
+    [2(1 - 2^-m), 2] reach.  Its lower end is found by exact integer Newton
+    steps from 2, which approach the root from above, and checked by the
+    bisection's sign test; no floating-point transcendentals are involved.
+    m runs from 2 to ``_ALPHA_MAX_M`` = 512, a root there costs tens of
+    milliseconds, and a larger m is refused before any work.
     """
     _check_size("m", m, 2)
     if m > _ALPHA_MAX_M:

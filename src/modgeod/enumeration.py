@@ -10,9 +10,12 @@ than m is skipped together with every word that extends it.
 ``reciprocal_classes`` walks the free first halves, under a run bound only
 those whose runs are at most m, through the packed core ``_reciprocal_chunks``,
 which yields the kept words of a block of halves with their k0s; the CLI and
-``verify`` read the core.  With no run bound, a half whose first and last
-entries are equal is kept or dropped by them alone; the words with a proper
-period are built from their roots, so only they are scanned for k0.  Both
+``verify`` read the core.  The bounded halves are a prefix walk times a
+table of suffixes, keyed by the last sign and trailing run of the prefix
+(``_bounded_run_blocks``), so that walk takes one step per prefix, not per
+half.  With no run bound, a half whose first and last entries are equal
+is kept or dropped by them alone; the words with a proper period are built
+from their roots, so only they are scanned for k0.  Both
 walks do a constant amount of big-integer work per class on average, and
 neither canonicalises a word by rotating it.
 ``classes`` makes the extension of a prefix length when the walk first
@@ -40,7 +43,7 @@ test suite.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Callable, Iterator, Optional, Sequence
 
 from .binwords import (
@@ -174,6 +177,58 @@ def _bounded_run_words(t: int, bound: int) -> Iterator[int]:
             bits |= 1 << ones
 
 
+# the most entries of the suffixes that ``_bounded_run_blocks`` tabulates
+_SUFFIX_ENTRIES = 12
+
+
+def _bounded_run_blocks(t: int, bound: int) -> Iterator[list[int]]:
+    """The words of ``_bounded_run_words(t, bound)``, in its order, in blocks.
+
+    Needs 1 <= bound < t.  A word is a prefix of t - b entries, walked by
+    ``_bounded_run_words``, then a suffix of b = min(ceil(t/2), 12) entries,
+    and its runs are at most bound iff the prefix's and the suffix's are and
+    so is the run across the junction: the prefix's trailing run r, plus the
+    suffix's leading run if that has the prefix's last sign.  So the suffixes
+    that may follow a prefix depend only on its last sign and r, and each
+    list of them, increasing, is made once per walk; every key with
+    r + b <= bound, where no junction can exceed bound, shares the list of
+    all the bounded suffixes.  No list is empty, since a suffix may start
+    with the sign that the prefix does not end with.  The walk takes one
+    Python step per prefix, and a block holds the words of whole prefixes,
+    at least ``_RECIPROCAL_BLOCK`` of them in every block but the last.
+    """
+    b = min((t + 1) >> 1, _SUFFIX_ENTRIES)
+    head = t - b
+    suffixes = list(_bounded_run_words(b, bound))
+    mask = (1 << b) - 1
+    # each suffix with its first sign and its leading run
+    leads = [
+        (s, first, b - (s ^ mask if first else s).bit_length())
+        for s in suffixes
+        for first in [s >> (b - 1)]
+    ]
+    table = {
+        (sign, r): suffixes if r + b <= bound else [
+            s for s, first, run in leads if first != sign or r + run <= bound
+        ]
+        for sign in (0, 1)
+        for r in range(1, bound + 1)
+    }
+    head_mask = (1 << head) - 1
+    block: list[int] = []
+    for prefix in _bounded_run_words(head, bound):
+        sign = prefix & 1
+        # the trailing run: the trailing ones of the prefix, or of its negation
+        x = prefix if sign else prefix ^ head_mask
+        base = prefix << b
+        block += [base | s for s in table[sign, (x ^ (x + 1)).bit_length() - 1]]
+        if len(block) >= _RECIPROCAL_BLOCK:
+            yield block
+            block = []
+    if block:
+        yield block
+
+
 # the longest halves whose mirrors ``_mirror_tables`` tabulates, 2^16 per table
 _TABULATED_HALF = 32
 
@@ -238,25 +293,23 @@ def _reciprocal_chunks(
     """Packed bits and k0s of the words of ``reciprocal_classes``, a block at a time.
 
     Same words in the same order, with no object per word.  Yields one pair
-    of equal-length lists, packed words and their k0s, per block of
-    ``_RECIPROCAL_BLOCK`` halves that keeps a word; ``_block_chunker`` makes
-    each pair.  With no run bound a block is a range of halves; under a run
-    bound m it is a list of the halves whose runs are at most m.  With
-    ``primitive`` only the words with k0 = t are kept.  Arguments are checked
-    on the first pull.
+    of equal-length lists, packed words and their k0s, per block of halves
+    that keeps a word; ``_block_chunker`` makes each pair.  With no run bound
+    a block is a range of ``_RECIPROCAL_BLOCK`` halves; under a run bound m
+    it is a list of halves whose runs are at most m, from
+    ``_bounded_run_blocks``.  With ``primitive`` only the words with k0 = t
+    are kept.  Arguments are checked on the first pull.
     """
     _check_size("t", t)
     m = _run_bound("run bound m", m, t)
     chunk_of = _block_chunker(t, primitive)
-    size = _RECIPROCAL_BLOCK
     if m is None:
-        end = 1 << t
+        end, size = 1 << t, _RECIPROCAL_BLOCK
         blocks = (range(start, min(start + size, end)) for start in range(0, end, size))
     else:
         # both junctions of a mirrored word change sign, so its cyclic runs
         # are the runs of its half
-        halves = _bounded_run_words(t, m)
-        blocks = iter(lambda: list(islice(halves, size)), [])
+        blocks = _bounded_run_blocks(t, m)
     for block in blocks:
         words, k0s = chunk_of(block)
         if words:

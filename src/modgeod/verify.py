@@ -2,10 +2,11 @@
 
 Each check scans a small exhaustive range and returns a named pass/fail
 result; a failure names the violated invariant and carries a witness word.
-Checks are independent pure functions, so ``run_suite`` runs them on forked
-worker processes, one per usable CPU, and returns their results in
-registration order, with what each wrote to stderr forwarded in that order;
-with one usable CPU, or where ``fork`` is missing, they run one after
+Checks are independent pure functions, so ``run_suite`` runs them in forked
+child processes, one per usable CPU, that take check indices from one pipe
+and send their results back on another, and returns the results in
+registration order, with what each check wrote to stderr forwarded in that
+order; with one usable CPU, or where ``fork`` is missing, they run one after
 another in the calling process.
 
 The checks read the packed-bits kernels of ``binwords`` and the packed cores
@@ -469,13 +470,19 @@ def check_half_run_equals_full_run(tmax: int = 12) -> Outcome:
 
 @_check("geometry.concatenation_homomorphism")
 def check_concat_homomorphism(tmax: int = 8) -> Outcome:
+    # each word encoded once: encoded[n][bits] is the matrix of the n-entry word
+    encoded = [[]] + [
+        [geo.encode(BinaryWord(bits, n)) for bits in range(1 << n)] for n in range(1, tmax + 1)
+    ]
     for total in range(2, tmax + 1):
         for split in range(1, total):
+            rest = total - split
+            whole, left, right = encoded[total], encoded[split], encoded[rest]
+            mask = (1 << rest) - 1
             for bits in range(1 << total):
-                w = BinaryWord(bits, total)
-                u = BinaryWord(bits >> (total - split), split)
-                v = BinaryWord(bits & ((1 << (total - split)) - 1), total - split)
-                if geo.encode(w) != geo.encode(u) * geo.encode(v):
+                if whole[bits] != left[bits >> rest] * right[bits & mask]:
+                    w = BinaryWord(bits, total)
+                    u, v = BinaryWord(bits >> rest, split), BinaryWord(bits & mask, rest)
                     return _fail(f"encode not multiplicative at {w} = {u}|{v}")
     return _ok(f"words through {tmax} entries, all splits")
 
@@ -569,23 +576,90 @@ def check_reduced_cycle_certificate(tmax: int = 9) -> Outcome:
 # ---------------------------------------------------------------------------
 # runner
 
-# in a worker, the check calls of the suite it serves
-_calls: list = []
+# the bytes of one check index on the task pipe, far below PIPE_BUF, so that
+# one read takes one whole record; a suite's records fit the pipe's buffer
+_RECORD = 4
 
 
-def _load_calls(calls: list) -> None:
-    # a forked worker's initializer: the worker inherits ``calls`` unpickled,
-    # and receives only indices into it
-    global _calls
-    _calls = calls
+def _serve(calls: list, tasks: int, results: int) -> None:
+    """A forked child's whole life: run the checks whose indices it reads.
+
+    It reads fixed-width indices from the task pipe until its end, runs each
+    check with stderr captured, writes one pickled list of (index, result,
+    stderr text) to its result pipe and leaves with ``os._exit``, so that no
+    buffer, ``atexit`` hook or finally block of the parent runs twice.
+    """
+    import pickle
+
+    status = 1
+    try:
+        done = []
+        while record := os.read(tasks, _RECORD):
+            i = int.from_bytes(record, "little")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                result = calls[i]()
+            done.append((i, result, err.getvalue()))
+        with open(results, "wb") as out:
+            out.write(pickle.dumps(done))
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _run_call(i: int) -> tuple[CheckResult, str]:
-    # one check call in a worker, with what it writes to stderr
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        result = _calls[i]()
-    return result, err.getvalue()
+def _run_forked(calls: list, jobs: int) -> list[tuple[CheckResult, str]]:
+    # each call's result and stderr text, from ``jobs`` forked children that
+    # share one task pipe, preloaded with every index, and send their results
+    # on a pipe each; imported only here, so that start-up does not pay for them
+    import pickle
+    import signal
+
+    # a buffered write would otherwise be flushed again by every child
+    sys.stdout.flush()
+    sys.stderr.flush()
+    tasks, feed = os.pipe()
+    pids: list[int] = []  # the children not yet reaped
+    pipes: list[int] = []  # the read ends of their result pipes
+    try:
+        try:
+            os.write(feed, b"".join(i.to_bytes(_RECORD, "little") for i in range(len(calls))))
+        finally:
+            os.close(feed)
+        for _ in range(jobs):
+            results, out = os.pipe()
+            pipes.append(results)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(calls, tasks, out)
+                pids.append(pid)
+            finally:
+                os.close(out)
+        outcomes: dict[int, tuple[CheckResult, str]] = {}
+        broken = False
+        for pid, results in zip(list(pids), pipes):
+            with open(results, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            if os.waitstatus_to_exitcode(status):
+                broken = True
+            else:
+                outcomes.update((i, (result, err)) for i, result, err in pickle.loads(data))
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for fd in (tasks, *pipes):
+            os.close(fd)
+    if broken or len(outcomes) != len(calls):
+        # imported only here, so that start-up does not pay for it
+        from concurrent.futures.process import BrokenProcessPool
+
+        raise BrokenProcessPool("a child process ended before it sent the results of its checks")
+    return [outcomes[i] for i in range(len(calls))]
 
 
 def _usable_cpus() -> int:
@@ -602,13 +676,15 @@ def run_suite(suite: str, tmax=None) -> list[CheckResult]:
     are formula sizes, not enumeration ceilings, so they keep their defaults.
     A check that raises is a failed result (see ``_check``).
 
-    The checks run on a pool of one forked worker process per usable CPU, at
-    most one per check; the workers inherit the module state, so a module
-    attribute patched before the call holds in them too.  Each check's stderr
-    is forwarded to this process's ``sys.stderr``, and the results come back,
-    in registration order.  With one usable CPU, or no ``fork``, they run here
-    one after another.  A worker that dies raises ``BrokenProcessPool``, and
-    every worker has exited when this returns or raises.
+    The checks run in forked children, one per usable CPU and at most one per
+    check, which take check indices from one shared pipe and send their
+    results back on a pipe each; the children inherit the module state, so a
+    module attribute patched before the call holds in them too.  Each check's
+    stderr is forwarded to this process's ``sys.stderr``, and the results
+    come back, in registration order.  With one usable CPU, or no ``fork``,
+    they run here one after another.  A child that dies, or leaves a check
+    without a result, raises ``BrokenProcessPool``, and every child has been
+    reaped when this returns or raises.
     """
     if suite == "all":
         names = list(SUITES)
@@ -627,18 +703,7 @@ def run_suite(suite: str, tmax=None) -> list[CheckResult]:
     jobs = min(len(calls), _usable_cpus())
     if jobs < 2 or not hasattr(os, "fork"):
         return [call() for call in calls]
-
-    # imported only here, so that start-up does not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # a buffered write would otherwise be flushed again by every worker
-    sys.stdout.flush()
-    sys.stderr.flush()
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(jobs, mp_context=fork, initializer=_load_calls,
-                             initargs=(calls,)) as pool:
-        outcomes = list(pool.map(_run_call, range(len(calls))))
+    outcomes = _run_forked(calls, jobs)
     for _, err in outcomes:
         sys.stderr.write(err)
     return [result for result, _ in outcomes]

@@ -177,6 +177,45 @@ def alpha_fraction_bisection(m):
     }
 
 
+def alpha_integer_bisection(m):
+    """The fields of ``AlphaData`` from 130 halvings on integer numerators.
+
+    The bracket [2(1 - 2^-m), 2] held as dyadic integers a / 2^s, b / 2^s,
+    each midpoint tested by the sign of the scaled polynomial; the root is
+    the final midpoint, as in ``alpha_fraction_bisection``, but each step
+    costs one power of an integer of at most m + 130 bits, so it reaches
+    m = 512 in about a second.
+    """
+    s = m - 1
+    a, b = (1 << m) - 1, 1 << m
+
+    def negative(x, k):
+        # z^(m+1) - 2 z^m + 1 < 0 at z = x / 2^k, times 2^(k(m+1))
+        p = x**m
+        return p * x - (p << (k + 1)) + (1 << (k * (m + 1))) < 0
+
+    assert negative(a, s)
+    for _ in range(130):
+        s += 1
+        mid = a + b
+        if negative(mid, s):
+            a, b = mid, b << 1
+        else:
+            a, b = a << 1, mid
+    root = Fraction(a + b, 1 << (s + 1))
+    d = (root - 1) / (2 + (m + 1) * (root - 2))
+    # z^m - z^(m-1) - ... - 1 as its quotient (z^(m+1) - 2 z^m + 1) / (z - 1)
+    residual = (root ** (m + 1) - 2 * root**m + 1) / (root - 1)
+    return {
+        "m": m,
+        "alpha": float(root),
+        "d": float(d),
+        "residual": float(residual),
+        "alpha_exact": root,
+        "d_exact": d,
+    }
+
+
 # ---------------------------------------------------------------------------
 # naive count formulas: the direct sums the library's linear-time forms replace
 

@@ -558,6 +558,12 @@ def test_alpha_matches_fraction_bisection():
         assert dataclasses.asdict(alpha(m)) == oracles.alpha_fraction_bisection(m), m
 
 
+@pytest.mark.parametrize("m", [128, 256, 512])
+def test_alpha_matches_integer_bisection_up_to_its_ceiling(m):
+    # the Newton steps reach the bracket that the 130 halvings reach, bit for bit
+    assert dataclasses.asdict(alpha(m)) == oracles.alpha_integer_bisection(m)
+
+
 def test_alpha_refuses_a_run_bound_past_its_ceiling():
     assert counting._ALPHA_MAX_M == 512
     data = alpha(512)

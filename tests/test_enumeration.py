@@ -329,6 +329,50 @@ def test_long_reciprocal_words_come_before_any_table():
     assert out == f"{first} {first}\n"
 
 
+def _bounded_blocks_in_order(t, m):
+    blocks = list(enumeration._bounded_run_blocks(t, m))
+    assert all(block and all(x < y for x, y in zip(block, block[1:])) for block in blocks)
+    return blocks
+
+
+def test_bounded_run_blocks_are_the_bounded_walk_in_blocks(monkeypatch):
+    # the prefix walk times the suffix table against the word-by-word walk, at
+    # every t <= 22 and m < t whose walk has at most 2^17 words (2 words per
+    # composition); the larger cases would add about a minute of word-by-word
+    # walking.  The suffix list shared by the keys whose junction cannot
+    # exceed m comes in from m = b + 1, b the suffix length
+    for t in range(2, 23):
+        for m in range(1, t):
+            if bounded_compositions(t, m) > 1 << 16:
+                continue
+            words = [w for block in _bounded_blocks_in_order(t, m) for w in block]
+            assert words == list(enumeration._bounded_run_words(t, m)), (t, m)
+    # blocks of three halves: a block per prefix, whatever its suffix list
+    monkeypatch.setattr(enumeration, "_RECIPROCAL_BLOCK", 3)
+    for t in range(2, 15):
+        for m in range(1, t):
+            blocks = _bounded_blocks_in_order(t, m)
+            assert [w for block in blocks for w in block] == list(
+                enumeration._bounded_run_words(t, m)
+            ), (t, m)
+            assert all(len(block) >= 3 for block in blocks[:-1]), (t, m)
+
+
+def test_long_bounded_reciprocal_words_come_before_any_table_of_halves():
+    # 48 entries of prefix walked, a table of 12-entry suffixes, and no list
+    # of the halves of 60 entries
+    halves = islice(enumeration._bounded_run_words(60, 3), 40)
+    expected = [
+        half << 60 | _s(half, 60)
+        for half in halves
+        if _s(half, 60) > half or _s(half, 60) == half and enumeration._half_rule(half, half, 60)
+    ][:3]
+    out = _first_words_under_600_mb(
+        "[h.word.bits for h in islice(enumeration.reciprocal_classes(60, 3), 3)]"
+    )
+    assert out == f"{expected}\n"
+
+
 @pytest.mark.parametrize("t", range(1, 41))
 def test_mirror_tables_give_the_complemented_reversal(t):
     # past 32 entries the halves are mirrored one by one, not tabulated

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
@@ -453,6 +454,54 @@ def test_no_worker_outlives_the_suite(monkeypatch, capsys, broken):
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fault", [None, "raises", "dies"])
+def test_the_runner_leaves_no_descriptor_open(monkeypatch, fault):
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd to count descriptors in")
+    _usable_cpus(monkeypatch, {0, 1})
+    if fault == "raises":
+        _break_two_checks(monkeypatch)
+    elif fault == "dies":
+        # the first check ends the child that runs it; this process only
+        # raises, should it ever run a check itself
+        parent = os.getpid()
+
+        def dies(w):
+            if os.getpid() == parent:
+                raise RuntimeError("a check ran in the parent")
+            os._exit(3)
+
+        monkeypatch.setattr(bw, "canonical_form", dies)
+    before = len(os.listdir(fds))
+    if fault == "dies":
+        with pytest.raises(BrokenProcessPool):
+            verify.run_suite("all", 4)
+    else:
+        results = verify.run_suite("all", 4)
+        assert sum(not r.ok for r in results) == (2 if fault else 0)
+    assert len(os.listdir(fds)) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_NO_POOL_IMPORTS = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from modgeod.cli import main
+code = main(["verify", "--suite", "binwords", "--tmax", "3"])
+print(code, [name for name in ("concurrent.futures", "multiprocessing") if name in sys.modules])
+"""
+
+
+def test_the_runner_imports_no_pool():
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    result = subprocess.run([sys.executable, "-c", _NO_POOL_IMPORTS], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def test_output_buffered_before_verify_is_written_once(monkeypatch, capfd):
